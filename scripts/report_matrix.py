@@ -5,17 +5,16 @@ Runs the nine-base matrix (2, 3, 5, 8, -2, -3, -4, 9/25, 1/2) for
 t = 1..12 at a given prime bound and prints one CSV row per (g, t):
 exact counts N and R, the naive and weighted prediction sums, the
 closed form M, the density prediction A*Li and the ratio N/(A*Li).
+The rows are those of `resindex report --format csv` for the matrix.
 
     python scripts/report_matrix.py --x 1000000 > matrix.csv
 """
 
 import argparse
-import csv
 import sys
 import time
 
-from resindex import arith, density, empirical
-from resindex.decompose import decompose_g, parse_g
+from resindex import cli
 
 BASES = ("2", "3", "5", "8", "-2", "-3", "-4", "9/25", "1/2")
 
@@ -29,35 +28,13 @@ def main() -> int:
     args = ap.parse_args()
 
     t0 = time.perf_counter()
-    table = arith.build_prime_table(args.x)
-    li = arith.log_integral(args.x)
-    ts = tuple(range(1, args.t_max + 1))
-    writer = csv.writer(sys.stdout)
-    writer.writerow(
-        ["g", "t", "x", "N", "R", "naive", "quadratic", "M", "A_times_Li", "ratio_N_over_ALi"]
-    )
-    for g_text in BASES:
-        g = parse_g(g_text)
-        dec = decompose_g(g)
-        sw = empirical.sweep(g, table, args.x, ts, threads=args.threads)
-        for t in ts:
-            a_li = density.artin_density_A(dec, t, args.tol) * li
-            writer.writerow(
-                [
-                    g_text,
-                    t,
-                    args.x,
-                    sw.N[t],
-                    sw.R[t],
-                    f"{sw.naive[t]:.10g}",
-                    f"{sw.quad[t]:.10g}",
-                    f"{float(sw.M(t)):.10g}",
-                    f"{a_li:.10g}",
-                    f"{sw.N[t] / a_li:.10g}" if a_li > 1e-9 else "nan",
-                ]
-            )
+    argv = ["report", "--format", "csv", "--x", str(args.x), "--tol", repr(args.tol)]
+    argv += ["--threads", str(args.threads)]
+    argv += [f"--g={g}" for g in BASES]
+    argv += [f"--t={t}" for t in range(1, args.t_max + 1)]
+    code = cli.main(argv)
     print(f"# wall time {time.perf_counter() - t0:.1f}s", file=sys.stderr)
-    return 0
+    return code
 
 
 if __name__ == "__main__":

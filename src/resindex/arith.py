@@ -1,8 +1,8 @@
 """Elementary number-theoretic kernels.
 
-Sieving (segmented Eratosthenes plus a smallest-prime-factor table),
-factorization, the multiplicative functions phi and mu, Ramanujan sums
-c_d(n), Kronecker/Legendre symbols, multiplicative orders and the
+Sieving (segmented Eratosthenes), factorization, the multiplicative
+functions phi and mu, Ramanujan sums c_d(n), Kronecker/Legendre symbols,
+multiplicative orders, modular powers over int64 arrays and the
 logarithmic integral Li(x) = int_2^x dt/log t.
 
 Everything here is deterministic; PrimeTable instances are immutable and
@@ -12,7 +12,6 @@ safe to share between worker threads.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, isqrt
@@ -21,14 +20,9 @@ import numpy as np
 
 from .errors import BoundError, CapabilityError, DomainError
 
+# Below 2**30, so a product of two residues mod a prime fits in int64.
 MAX_SIEVE_LIMIT = 10**9
 _SEGMENT = 1 << 22
-
-# Full smallest-prime-factor arrays are only built up to this bound (about
-# 400 MB of int32 at the default); beyond it p-1 is factored by trial
-# division over the stored primes.
-DEFAULT_SPF_LIMIT = 10**8
-_SPF_ENV = "RESINDEX_SPF_LIMIT"
 
 
 # ---------------------------------------------------------------------------
@@ -37,21 +31,19 @@ _SPF_ENV = "RESINDEX_SPF_LIMIT"
 
 @dataclass(frozen=True)
 class PrimeTable:
-    """Primes up to ``limit`` plus an optional factorization accelerator.
+    """Primes up to ``limit``.
 
     ``primes`` is a strictly increasing int64 array of all primes <= limit.
-    ``spf`` maps n <= limit to its smallest prime factor (spf[n] == n exactly
-    for primes); it is None when the limit exceeds the spf memory cap.
     """
 
     limit: int
     primes: np.ndarray
-    spf: np.ndarray | None
+    # Not a field: no table carries a smallest-prime-factor array any more,
+    # but the benchmark's tracer (perfbench/trace_child.py) still reads it.
+    spf = None
 
     def __post_init__(self):
         self.primes.flags.writeable = False
-        if self.spf is not None:
-            self.spf.flags.writeable = False
 
     def primes_upto(self, x: int) -> np.ndarray:
         """View of the primes <= x (requires x <= limit)."""
@@ -59,16 +51,6 @@ class PrimeTable:
             raise CapabilityError(f"x={x} exceeds table limit {self.limit}")
         k = int(np.searchsorted(self.primes, x, side="right"))
         return self.primes[:k]
-
-
-def _spf_cap() -> int:
-    raw = os.environ.get(_SPF_ENV)
-    if raw is None:
-        return DEFAULT_SPF_LIMIT
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise BoundError(f"bad {_SPF_ENV}={raw!r}") from exc
 
 
 def _simple_sieve(limit: int) -> np.ndarray:
@@ -82,11 +64,7 @@ def _simple_sieve(limit: int) -> np.ndarray:
 
 
 def build_prime_table(limit: int) -> PrimeTable:
-    """Sieve all primes up to ``limit`` (segmented, O(segment) memory).
-
-    A full smallest-prime-factor array is attached when limit is below the
-    spf cap (env ``RESINDEX_SPF_LIMIT``, default 1e8).
-    """
+    """Sieve all primes up to ``limit`` (segmented, O(segment) memory)."""
     if limit < 2 or limit > MAX_SIEVE_LIMIT:
         raise BoundError(f"limit must be in [2, {MAX_SIEVE_LIMIT}], got {limit}")
     base = _simple_sieve(isqrt(limit))
@@ -101,19 +79,7 @@ def build_prime_table(limit: int) -> PrimeTable:
                 flags[start - lo :: p] = False
         chunks.append((np.flatnonzero(flags) + lo).astype(np.int64))
         lo = hi
-    primes = np.concatenate(chunks)
-
-    spf = None
-    if limit <= _spf_cap():
-        spf = np.zeros(limit + 1, dtype=np.int32)
-        for p in range(2, isqrt(limit) + 1):
-            if spf[p] == 0:
-                view = spf[p * p :: p]
-                view[view == 0] = p
-        unset = spf == 0
-        spf[unset] = np.arange(limit + 1, dtype=np.int32)[unset]
-        spf[0] = spf[1] = 0
-    return PrimeTable(limit=limit, primes=primes, spf=spf)
+    return PrimeTable(limit=limit, primes=np.concatenate(chunks))
 
 
 # ---------------------------------------------------------------------------
@@ -213,28 +179,14 @@ def factor_int(n: int) -> Factorization:
 
 
 def factorize(n: int, table: PrimeTable) -> Factorization:
-    """Factor n using the table (spf walk, or trial division up to limit^2)."""
+    """Factor n by trial division over the table's primes (n <= limit^2)."""
     if n < 1:
         raise DomainError(f"cannot factor {n}")
-    if n == 1:
-        return Factorization(value=1, factors=())
-    if table.spf is not None and n <= table.limit:
-        spf = table.spf
-        fac: dict[int, int] = {}
-        m = n
-        while m > 1:
-            p = int(spf[m])
-            e = 0
-            while m % p == 0:
-                m //= p
-                e += 1
-            fac[p] = e
-        return Factorization(value=n, factors=tuple(sorted(fac.items())))
     if n > table.limit * table.limit:
         raise CapabilityError(f"{n} exceeds limit^2 = {table.limit**2}")
-    fac = {}
+    fac: dict[int, int] = {}
     m = n
-    for p in table.primes.tolist():
+    for p in table.primes_upto(isqrt(n)).tolist():
         if p * p > m:
             break
         while m % p == 0:
@@ -433,6 +385,43 @@ def multiplicative_order(a: int, p: int, fac_pm1: Factorization) -> int:
         while order % q == 0 and pow(a, order // q, p) == 1:
             order //= q
     return order
+
+
+def reduce_mod_vec(n: int, mods: np.ndarray) -> np.ndarray:
+    """n mod m for every m in an int64 array of moduli below 2**30.
+
+    n is any Python int: its base-2**30 digits are folded in by Horner's
+    rule, so numerators, denominators and discriminants beyond int64 work.
+    """
+    out = np.zeros_like(mods)
+    digits = []
+    m = abs(n)
+    while m:
+        digits.append(m & 0x3FFFFFFF)
+        m >>= 30
+    for d in reversed(digits):
+        out = ((out << 30) + d) % mods
+    return out if n >= 0 else -out % mods
+
+
+def pow_mod_vec(base: np.ndarray, exp: np.ndarray, mod: np.ndarray) -> np.ndarray:
+    """base**exp % mod elementwise, for int64 arrays with 2 <= mod < 2**30."""
+    out = np.ones_like(mod)
+    base = base % mod
+    exp = exp.copy()
+    while exp.any():
+        odd = (exp & 1) == 1
+        out = np.where(odd, out * base % mod, out)
+        base = base * base % mod
+        exp >>= 1
+    return out
+
+
+def legendre_vec(d: int, ps: np.ndarray) -> np.ndarray:
+    """Legendre symbols (d/p) over an array of odd primes, by Euler's criterion."""
+    pm1 = ps - 1
+    s = pow_mod_vec(reduce_mod_vec(d, ps), pm1 >> 1, ps)
+    return np.where(s == pm1, -1, s)
 
 
 # ---------------------------------------------------------------------------

@@ -215,15 +215,15 @@ def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="resindex", description=__doc__.splitlines()[0])
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p, g_append=False, with_x=True):
+    def common(p, g_append=False, sweeps=True):
         if g_append:
             p.add_argument("--g", action="append", required=True, help="base, 'a' or 'a/b' (repeatable)")
         else:
             p.add_argument("--g", required=True, help="base, 'a' or 'a/b'")
-        if with_x:
+        if sweeps:
             p.add_argument("--x", type=int, required=True, help="prime bound")
+            p.add_argument("--threads", type=int, default=1)
         p.add_argument("--format", choices=("text", "csv", "json"), default="text")
-        p.add_argument("--threads", type=int, default=1)
 
     p = sub.add_parser("count", help="exact index counts N and R")
     common(p)
@@ -236,7 +236,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_heuristic)
 
     p = sub.add_parser("density", help="Kummer degree, density A(g,t), Artin constant")
-    common(p, with_x=False)
+    common(p, sweeps=False)
     p.add_argument("--t", type=int, required=True)
     p.add_argument("--tol", type=float, default=1e-6)
     p.set_defaults(func=_cmd_density)

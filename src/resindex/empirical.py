@@ -14,7 +14,9 @@ into all requested per-t tallies in a single streamed pass:
 
 Primes are processed in fixed-size shards whose results are merged in shard
 order, so output is identical for any worker-thread count; no per-prime
-records are retained beyond the shard being processed.
+records are retained beyond the shard being processed.  One vectorized
+kernel, _shard_indexes, factors p-1 and finds r_g(p) for a whole shard; the
+sweep, the splitting-criterion check and residual_index all read r from it.
 """
 
 from __future__ import annotations
@@ -31,6 +33,10 @@ from .decompose import GDecomposition, HeuristicParams, Rational, decompose_g, d
 from .errors import CapabilityError, DomainError, LemmaViolation
 
 SHARD_PRIMES = 8192
+
+# omega(p-1) <= 9 for p <= MAX_SIEVE_LIMIT = 1e9, since the product of the
+# first ten primes, 6469693230, exceeds it; ten columns always suffice.
+_FACTOR_COLUMNS = 10
 
 
 @dataclass(frozen=True)
@@ -61,9 +67,85 @@ def residual_index(g: Rational, p: int, table: arith.PrimeTable) -> ResidualInde
         raise DomainError(f"{p} is not prime")
     if p == 2 or (abs(g.numerator) * g.denominator) % p == 0:
         return ResidualIndexOutcome(p=p, status="excluded")
-    fac = arith.factorize(p - 1, table)
-    order = arith.multiplicative_order(_g_mod_p(g, p), p, fac)
-    return ResidualIndexOutcome(p=p, status="counted", index=(p - 1) // order)
+    r, _, _ = _shard_indexes(g, np.array([p], dtype=np.int64), table.primes_upto(isqrt(p)))
+    return ResidualIndexOutcome(p=p, status="counted", index=int(r[0]))
+
+
+# ---------------------------------------------------------------------------
+# the shard kernel
+
+
+def _counted_shards(table: arith.PrimeTable, x: int, g: Rational | None) -> list[np.ndarray]:
+    """Odd primes p <= x, less those dividing g's numerator or denominator
+    when g is given, cut into SHARD_PRIMES-sized arrays in ascending order."""
+    ps = table.primes_upto(x)
+    ps = ps[ps > 2]
+    if g is not None:
+        bad = [p for p in sorted(excluded_primes(g)) if p != 2 and p <= x]
+        if bad:
+            ps = ps[~np.isin(ps, np.asarray(bad, dtype=np.int64))]
+    return [ps[i : i + SHARD_PRIMES] for i in range(0, len(ps), SHARD_PRIMES)]
+
+
+def _factor_shard(pm1: np.ndarray, base: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Prime factors and exponents of each value in the ascending array pm1.
+
+    Sieves the range [pm1[0], pm1[-1]] by every prime power q^k of the base
+    primes, which must include all primes <= sqrt(pm1[-1]); what is left of
+    a value after that is 1 or a single prime.  Row i of the returned
+    [len(pm1), _FACTOR_COLUMNS] arrays lists the distinct primes of pm1[i]
+    in ascending order and their exponents, padded with prime 1, exponent 0.
+    """
+    n = pm1.size
+    lo, hi = int(pm1[0]), int(pm1[-1])
+    slot = np.full(hi - lo + 1, -1, dtype=np.int64)
+    slot[pm1 - lo] = np.arange(n)
+    qs = np.ones((n, _FACTOR_COLUMNS), dtype=np.int64)
+    es = np.zeros((n, _FACTOR_COLUMNS), dtype=np.int64)
+    filled = np.zeros(n, dtype=np.int64)
+    rest = pm1.copy()
+    for q in base.tolist():
+        qk = q
+        while qk <= hi:
+            hit = slot[-lo % qk :: qk]
+            hit = hit[hit >= 0]
+            if not hit.size:
+                break
+            if qk == q:
+                qs[hit, filled[hit]] = q
+                filled[hit] += 1
+            es[hit, filled[hit] - 1] += 1
+            rest[hit] //= q
+            qk *= q
+    big = np.flatnonzero(rest > 1)
+    qs[big, filled[big]] = rest[big]
+    es[big, filled[big]] = 1
+    return qs, es
+
+
+def _shard_indexes(g: Rational, ps: np.ndarray, base: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Residual indexes r_g(p) for an ascending array of counted primes.
+
+    ``base`` must hold every prime <= sqrt(ps[-1] - 1).  ord(g mod p) starts
+    at p-1 and loses each prime factor q while g^(order/q) = 1 mod p.
+    Returns r with the factor columns of p-1 (see _factor_shard).
+    """
+    pm1 = ps - 1
+    qs, es = _factor_shard(pm1, base)
+    a = arith.reduce_mod_vec(g.numerator, ps)
+    if g.denominator != 1:
+        a = a * arith.pow_mod_vec(arith.reduce_mod_vec(g.denominator, ps), ps - 2, ps) % ps
+    order = pm1.copy()
+    for j in range(_FACTOR_COLUMNS):
+        live = np.flatnonzero(qs[:, j] > 1)
+        if not live.size:
+            break
+        while live.size:
+            q = qs[live, j]
+            live = live[arith.pow_mod_vec(a[live], order[live] // q, ps[live]) == 1]
+            order[live] //= qs[live, j]
+            live = live[order[live] % qs[live, j] == 0]
+    return pm1 // order, qs, es
 
 
 # ---------------------------------------------------------------------------
@@ -114,17 +196,14 @@ class Sweep:
 
 @dataclass(frozen=True)
 class _SweepPlan:
-    num: int
-    den: int
+    g: Rational
     dec: GDecomposition
     ts: tuple[int, ...]
     params: dict[int, HeuristicParams]
     l_divs: dict[int, list[int]]
     q_divs: dict[int, list[int]]
     cd_tables: dict[int, np.ndarray]
-    phi: np.ndarray
-    spf: np.ndarray | None
-    trial_primes: list[int] | None  # primes <= sqrt(x), used when spf is absent
+    base: np.ndarray  # primes <= sqrt(x)
     exact: bool
     divisor_tallies: bool
 
@@ -141,77 +220,14 @@ class _ShardTally:
     R_all: dict[int, int] | None
 
 
-def _factor_by_spf(spf: np.ndarray, n: int) -> list[tuple[int, int]]:
-    fac = []
-    m = n
-    while m > 1:
-        q = int(spf[m])
-        e = 0
-        while m % q == 0:
-            m //= q
-            e += 1
-        fac.append((q, e))
-    return fac
-
-
-def _factor_by_trial(primes: list[int], n: int) -> list[tuple[int, int]]:
-    fac = []
-    m = n
-    for q in primes:
-        if q * q > m:
-            break
-        if m % q == 0:
-            e = 0
-            while m % q == 0:
-                m //= q
-                e += 1
-            fac.append((q, e))
-    if m > 1:
-        fac.append((m, 1))
-    return fac
-
-
-def _indexes_for_shard(plan: _SweepPlan, ps: list[int]):
-    """Residual index, (disc/p) and optionally the factorization of p-1."""
-    spf = plan.spf
-    num, den, disc = plan.num, plan.den, plan.dec.disc
-    rs = []
-    legs = []
-    facs = [] if plan.divisor_tallies else None
-    for p in ps:
-        n = p - 1
-        if spf is not None:
-            fac = _factor_by_spf(spf, n)
-        else:
-            fac = _factor_by_trial(plan.trial_primes, n)
-        a = num % p
-        if den != 1:
-            a = a * pow(den, -1, p) % p
-        order = n
-        for q, _ in fac:
-            while order % q == 0 and pow(a, order // q, p) == 1:
-                order //= q
-        rs.append(n // order)
-        legs.append(arith.jacobi(disc, p))
-        if facs is not None:
-            facs.append(fac)
-    return rs, legs, facs
-
-
-def _divisors_of(fac: list[tuple[int, int]]) -> list[int]:
-    out = [1]
-    for q, e in fac:
-        out = [d * q**k for d in out for k in range(e + 1)]
-    return out
-
-
 def _tally_shard(plan: _SweepPlan, ps_arr: np.ndarray) -> _ShardTally:
-    ps = ps_arr.tolist()
-    rs, legs, facs = _indexes_for_shard(plan, ps)
+    r, qs, es = _shard_indexes(plan.g, ps_arr, plan.base)
     pm1 = ps_arr - 1
-    r = np.asarray(rs, dtype=np.int64)
-    leg = np.asarray(legs, dtype=np.int64)
-    phi = plan.phi
+    leg = arith.legendre_vec(plan.dec.disc, ps_arr)
+    phi = pm1.copy()  # phi(p-1) from the factor columns
+    for j in range(_FACTOR_COLUMNS):
+        q = qs[:, j]
+        phi -= np.where(q > 1, phi // q, 0)
 
     per_t: dict[int, tuple] = {}
     naive_parts: dict[int, float] = {}
@@ -234,7 +250,12 @@ def _tally_shard(plan: _SweepPlan, ps_arr: np.ndarray) -> _ShardTally:
         w = heuristic.weights_w_vec(plan.dec, pa, pm1_t, leg_t)
         rr = heuristic.weights_r_vec(plan.dec, pa, pm1_t, leg_t)
         sum_r = int(rr.sum())
-        phi_q = phi[pm1_t // t]
+        # phi((p-1)/t) = phi(p-1) / (t * prod over q | t, q not dividing (p-1)/t, of (q-1)/q)
+        phi_q = phi[mask]
+        for q, _ in arith.factor_int(t).factors:
+            lost = (pm1_t // t) % q != 0
+            phi_q = np.where(lost, phi_q // (q - 1) * q, phi_q)
+        phi_q //= t
         inv = 1.0 / pm1_t.astype(np.float64)
         naive_parts[t] = float((phi_q * inv).sum())
         quad_parts[t] = pa.gcd_ht * float((w * phi_q * inv).sum())
@@ -261,16 +282,16 @@ def _tally_shard(plan: _SweepPlan, ps_arr: np.ndarray) -> _ShardTally:
         pi_all = {}
         split_all = {}
         r_all = {}
-        for i, fac in enumerate(facs):
-            pos = legs[i] == 1
-            for d in _divisors_of(fac):
+        for n, ri, li, qrow, erow in zip(pm1.tolist(), r.tolist(), leg.tolist(), qs.tolist(), es.tolist()):
+            fac = arith.Factorization(value=n, factors=tuple((q, e) for q, e in zip(qrow, erow) if e))
+            for d in arith.divisors(fac):
                 pi_all[d] = pi_all.get(d, 0) + 1
-                if pos:
+                if li == 1:
                     split_all[d] = split_all.get(d, 0) + 1
-            for d in _divisors_of(list(arith.factor_int(rs[i]).factors)):
+            for d in arith.divisors(arith.factor_int(ri)):
                 r_all[d] = r_all.get(d, 0) + 1
     return _ShardTally(
-        counted=len(ps),
+        counted=len(ps_arr),
         per_t=per_t,
         naive_parts=naive_parts,
         quad_parts=quad_parts,
@@ -320,31 +341,19 @@ def sweep(
             if d not in cd_tables:
                 cd_tables[d] = arith.ramanujan_table(d)
 
-    trial_primes = None
-    if table.spf is None:
-        trial_primes = table.primes_upto(isqrt(x)).tolist()
     plan = _SweepPlan(
-        num=g.numerator,
-        den=g.denominator,
+        g=g,
         dec=dec,
         ts=ts,
         params=params,
         l_divs=l_divs,
         q_divs=q_divs,
         cd_tables=cd_tables,
-        phi=arith.totient_sieve(x),
-        spf=table.spf,
-        trial_primes=trial_primes,
+        base=table.primes_upto(isqrt(x)),
         exact=exact,
         divisor_tallies=divisor_tallies,
     )
-
-    ps = table.primes_upto(x)
-    ps = ps[ps > 2]
-    bad = [p for p in sorted(excluded_primes(g)) if p != 2 and p <= x]
-    if bad:
-        ps = ps[~np.isin(ps, np.asarray(bad, dtype=np.int64))]
-    shards = [ps[i : i + SHARD_PRIMES] for i in range(0, len(ps), SHARD_PRIMES)]
+    shards = _counted_shards(table, x, g)
 
     if threads > 1 and len(shards) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -424,13 +433,7 @@ def count_progression(x: int, t: int, table: arith.PrimeTable, g: Rational | Non
     """pi(x;t,1): odd primes p <= x with p = 1 mod t (counted ones when g given)."""
     if t < 1:
         raise DomainError("t must be >= 1")
-    ps = table.primes_upto(x)
-    ps = ps[ps > 2]
-    if g is not None:
-        bad = [p for p in sorted(excluded_primes(g)) if p != 2 and p <= x]
-        if bad:
-            ps = ps[~np.isin(ps, np.asarray(bad, dtype=np.int64))]
-    return int(((ps - 1) % t == 0).sum())
+    return sum(int(((ps - 1) % t == 0).sum()) for ps in _counted_shards(table, x, g))
 
 
 def count_split_quadratic(
@@ -439,14 +442,12 @@ def count_split_quadratic(
     """Primes p <= x with p = 1 mod t and (disc/p) = 1 (counted ones when g given)."""
     if t < 1:
         raise DomainError("t must be >= 1")
-    ps = table.primes_upto(x)
-    ps = ps[ps > 2]
-    if g is not None:
-        bad = [p for p in sorted(excluded_primes(g)) if p != 2 and p <= x]
-        if bad:
-            ps = ps[~np.isin(ps, np.asarray(bad, dtype=np.int64))]
-    ps = ps[(ps - 1) % t == 0]
-    return sum(1 for p in ps.tolist() if arith.jacobi(disc, p) == 1)
+    return sum(
+        1
+        for ps in _counted_shards(table, x, g)
+        for p in ps[(ps - 1) % t == 0].tolist()
+        if arith.jacobi(disc, p) == 1
+    )
 
 
 def char_sums_LQ(g: Rational, t: int, x: int, table: arith.PrimeTable) -> tuple[Fraction, Fraction]:
@@ -465,25 +466,22 @@ def verify_split_criterion(g: Rational, ts, x: int, table: arith.PrimeTable) -> 
     Checks every counted prime p <= x against every t in ts; returns the
     number of (p, t) pairs checked, raises LemmaViolation on any mismatch.
     """
-    bad = excluded_primes(g)
+    base = table.primes_upto(isqrt(x))
     checks = 0
-    for p in table.primes_upto(x).tolist():
-        if p == 2 or p in bad:
-            continue
-        n = p - 1
-        fac = arith.factorize(n, table)
-        a = _g_mod_p(g, p)
-        order = arith.multiplicative_order(a, p, fac)
-        r = n // order
-        for t in ts:
-            divides = r % t == 0
-            algebraic = n % t == 0 and pow(a, n // t, p) == 1
-            if divides != algebraic:
-                raise LemmaViolation(
-                    f"splitting criterion failed: g={g} p={p} t={t}: "
-                    f"t|r is {divides}, algebraic test is {algebraic}"
-                )
-            checks += 1
+    for ps in _counted_shards(table, x, g):
+        rs, _, _ = _shard_indexes(g, ps, base)
+        for p, r in zip(ps.tolist(), rs.tolist()):
+            n = p - 1
+            a = _g_mod_p(g, p)
+            for t in ts:
+                divides = r % t == 0
+                algebraic = n % t == 0 and pow(a, n // t, p) == 1
+                if divides != algebraic:
+                    raise LemmaViolation(
+                        f"splitting criterion failed: g={g} p={p} t={t}: "
+                        f"t|r is {divides}, algebraic test is {algebraic}"
+                    )
+                checks += 1
     return checks
 
 

@@ -41,18 +41,11 @@ class WeightContext:
     dec: GDecomposition
     p: int
     legendre: int
-    v2p: int
 
 
 def weight_context(dec: GDecomposition, params: HeuristicParams, p: int) -> WeightContext:
-    """Build a WeightContext, computing (disc/p) and v2(p-1)."""
-    return WeightContext(
-        params=params,
-        dec=dec,
-        p=p,
-        legendre=arith.kronecker_symbol(dec.disc, p),
-        v2p=arith.v2(p - 1),
-    )
+    """Build a WeightContext, computing (disc/p)."""
+    return WeightContext(params=params, dec=dec, p=p, legendre=arith.kronecker_symbol(dec.disc, p))
 
 
 def weight_w(ctx: WeightContext) -> int:

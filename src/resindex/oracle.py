@@ -128,18 +128,6 @@ def rho(sc: GroupScenario) -> Fraction:
     return Fraction(int((cls % sc.t == 0).sum()), cls.size)
 
 
-def rho_linear(sc: GroupScenario) -> Fraction:
-    """rho for the plain class G^h (sign +1, parity *)."""
-    if sc.sign != 1 or sc.parity != "*":
-        raise DomainError("rho_linear expects sign +1 and parity '*'")
-    return rho(sc)
-
-
-def rho_signed(sc: GroupScenario) -> Fraction:
-    """rho for the signed / parity-split classes."""
-    return rho(sc)
-
-
 def rho_closed(sc: GroupScenario) -> Fraction:
     """Closed forms of the coset densities.
 
@@ -324,7 +312,7 @@ def verify_sigma_equals_w_mu(g: Rational, p: int, t: int) -> WeightCheck:
     if (logs[g_mod] - int(cls[0])) % step:
         raise LemmaViolation(f"g={g} mod {p} is not in its predicted class")
     sig = sigma(sc, "direct")
-    ctx = heuristic.WeightContext(params=params, dec=dec, p=p, legendre=leg, v2p=arith.v2(n))
+    ctx = heuristic.WeightContext(params=params, dec=dec, p=p, legendre=leg)
     w = heuristic.weight_w(ctx)
     r = heuristic.weight_r(ctx)
     mu_factor = Fraction(params.gcd_ht * arith.euler_phi(arith.factor_int(n // t)), n)
@@ -356,10 +344,9 @@ def verify_w_r_relations(g: Rational, p: int, t: int) -> bool:
     if n % t:
         raise DomainError("need t | p-1")
     leg = arith.kronecker_symbol(dec.disc, p)
-    v2p = arith.v2(n)
 
     def ctx(m: int) -> heuristic.WeightContext:
-        return heuristic.WeightContext(params=derive_params(dec, m), dec=dec, p=p, legendre=leg, v2p=v2p)
+        return heuristic.WeightContext(params=derive_params(dec, m), dec=dec, p=p, legendre=leg)
 
     q = n // t
     divs = [d for d in range(1, q + 1) if q % d == 0]

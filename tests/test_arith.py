@@ -82,12 +82,6 @@ def test_table_invariants(table):
     assert np.all(ps[1:] > ps[:-1])
     for p in ps[:: len(ps) // 97].tolist():
         assert arith.is_prime(p)
-    spf = table.spf
-    ns = np.arange(2, table.limit + 1, 9973)
-    for n in ns.tolist():
-        s = int(spf[n])
-        assert n % s == 0 and arith.is_prime(s)
-        assert (s == n) == arith.is_prime(n)
 
 
 def test_primes_upto_view(table):
@@ -243,6 +237,38 @@ def test_order_divides_p_minus_1(p, a):
     order = arith.multiplicative_order(a, p, arith.factor_int(p - 1))
     assert (p - 1) % order == 0
     assert order == brute_order(a, p)
+
+
+# primes just below MAX_SIEVE_LIMIT, where a product of two residues nears
+# 2**60, and a few small ones
+_POW_PRIMES = (999999937, 999999929, 999999893, 3, 5, 7, 65537)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.sampled_from(_POW_PRIMES).flatmap(
+            lambda p: st.tuples(
+                st.just(p),
+                st.integers(0, p - 1),
+                st.one_of(st.sampled_from((0, p - 1)), st.integers(0, p - 1)),
+            )
+        ),
+        max_size=12,
+    ),
+    st.integers(-(2**100), 2**100),
+)
+def test_vectorized_modpow_matches_pow(rows, n):
+    ps = np.array([p for p, _, _ in rows], dtype=np.int64)
+    bs = np.array([b for _, b, _ in rows], dtype=np.int64)
+    es = np.array([e for _, _, e in rows], dtype=np.int64)
+    assert arith.pow_mod_vec(bs, es, ps).tolist() == [pow(b, e, p) for p, b, e in rows]
+    assert arith.reduce_mod_vec(n, ps).tolist() == [n % p for p, _, _ in rows]
+    assert arith.legendre_vec(n, ps[ps > 2]).tolist() == [
+        arith.jacobi(n, p) for p, _, _ in rows if p > 2
+    ]
+    empty = np.zeros(0, dtype=np.int64)
+    assert arith.pow_mod_vec(empty, empty, empty).size == 0
 
 
 # ---------------------------------------------------------------------------

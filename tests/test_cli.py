@@ -93,3 +93,10 @@ def test_verify_exit_code_on_violation(capsys, monkeypatch):
 def test_thread_validation(capsys):
     code = cli.main(["count", "--g", "2", "--t", "1", "--x", "100", "--threads", "0"])
     assert code == 2
+
+
+def test_density_takes_no_threads(capsys):
+    # density never sweeps primes, so it has no --threads option
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["density", "--g", "2", "--t", "1", "--threads", "2"])
+    assert exc.value.code == 2

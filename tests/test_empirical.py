@@ -218,22 +218,29 @@ def test_sweep_bounds(small_table):
         empirical.sweep(parse_g("2"), small_table, 10**5, (1,))
     with pytest.raises(DomainError):
         empirical.sweep(parse_g("2"), small_table, 1, (1,))
+    assert empirical.sweep(parse_g("2"), small_table, 2, (1,)).counted == 0
+    assert empirical.sweep(parse_g("2"), small_table, 3, (1,)).N[1] == 1  # one shard of one prime
     with pytest.raises(DomainError):
         empirical.sweep(parse_g("2"), small_table, 100, (0,))
     with pytest.raises(DomainError):
         empirical.sweep(parse_g("2"), small_table, 100, (1,), threads=0)
 
 
-def test_sweep_without_spf_table(small_table, monkeypatch):
-    # beyond the spf memory cap, p-1 is factored by trial division over the
-    # stored primes; results must be identical
-    monkeypatch.setenv("RESINDEX_SPF_LIMIT", "10")
-    lean = arith.build_prime_table(10**4)
-    assert lean.spf is None
-    g = parse_g("-4")
-    a = empirical.sweep(g, lean, 5000, (1, 2, 3), exact=True)
-    b = empirical.sweep(g, small_table, 5000, (1, 2, 3), exact=True)
-    for t in (1, 2, 3):
-        assert a.N[t] == b.N[t] and a.R[t] == b.R[t] and a.sum_r[t] == b.sum_r[t]
-        assert a.quad_exact[t] == b.quad_exact[t]
-    assert empirical.verify_split_criterion(g, (1, 2, 3), 3000, lean) > 0
+def assert_counts_match_brute_force(g, x, ts, table):
+    sw = empirical.sweep(g, table, x, ts)
+    rs = [brute_index(g, p) for p in counted_primes(g, x, table)]
+    for t in ts:
+        assert sw.N[t] == sum(1 for r in rs if r == t)
+        assert sw.R[t] == sum(1 for r in rs if r % t == 0)
+
+
+def test_sweep_matches_brute_force(small_table):
+    for g in BASES:
+        assert_counts_match_brute_force(g, 5000, tuple(range(1, 13)), small_table)
+
+
+def test_sweep_bases_beyond_int64(small_table):
+    # numerator or denominator too large for int64 is reduced mod p first
+    for g in (Fraction(3**50), Fraction(1, 2**70)):
+        assert_counts_match_brute_force(g, 10**4, (1, 2, 5, 10), small_table)
+        assert empirical.verify_split_criterion(g, (1, 2, 5, 10), 10**4, small_table) > 0

@@ -39,15 +39,15 @@ def test_indicator_modes_agree(n, data):
 
 
 def test_rho_linear_examples():
-    assert oracle.rho_linear(oracle.GroupScenario(12, 2, 4, 1, "*")) == Fraction(1, 2)
-    assert oracle.rho_linear(oracle.GroupScenario(12, 1, 3, 1, "*")) == Fraction(1, 3)
-    assert oracle.rho_linear(oracle.GroupScenario(12, 24, 1, 1, "*")) == 1
+    assert oracle.rho(oracle.GroupScenario(12, 2, 4, 1, "*")) == Fraction(1, 2)
+    assert oracle.rho(oracle.GroupScenario(12, 1, 3, 1, "*")) == Fraction(1, 3)
+    assert oracle.rho(oracle.GroupScenario(12, 24, 1, 1, "*")) == 1
 
 
 def test_rho_signed_examples():
-    assert oracle.rho_signed(oracle.GroupScenario(12, 4, 4, -1, "*")) == 0
-    assert oracle.rho_signed(oracle.GroupScenario(12, 1, 2, -1, "*")) == Fraction(1, 2)
-    assert oracle.rho_signed(oracle.GroupScenario(4, 1, 2, 1, "odd")) == 0
+    assert oracle.rho(oracle.GroupScenario(12, 4, 4, -1, "*")) == 0
+    assert oracle.rho(oracle.GroupScenario(12, 1, 2, -1, "*")) == Fraction(1, 2)
+    assert oracle.rho(oracle.GroupScenario(4, 1, 2, 1, "odd")) == 0
     with pytest.raises(DomainError):
         oracle.GroupScenario(9, 1, 3, -1, "*")
 
