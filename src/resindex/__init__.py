@@ -13,11 +13,9 @@ from .arith import (
     build_prime_table,
     euler_phi,
     factor_int,
-    factorize,
     kronecker_symbol,
     log_integral,
     moebius,
-    multiplicative_order,
     ramanujan_sum,
 )
 from .decompose import (
@@ -31,33 +29,17 @@ from .decompose import (
 )
 from .density import DegreeResult, artin_constant, artin_density_A, kummer_degree, wagstaff_sum_S
 from .empirical import (
-    CountReport,
     ResidualIndexOutcome,
-    char_sums_LQ,
-    count_divisible_index,
-    count_exact_index,
     count_progression,
     count_split_quadratic,
     residual_index,
     sweep,
     verify_split_criterion,
 )
-from .heuristic import (
-    WeightContext,
-    closed_form_M,
-    moebius_m_sum,
-    sum_divisible_H,
-    sum_naive,
-    sum_quadratic,
-    weight_context,
-    weight_r,
-    weight_w,
-)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "CountReport",
     "DegreeResult",
     "Factorization",
     "GDecomposition",
@@ -65,38 +47,24 @@ __all__ = [
     "PrimeTable",
     "Rational",
     "ResidualIndexOutcome",
-    "WeightContext",
     "artin_constant",
     "artin_density_A",
     "build_prime_table",
-    "char_sums_LQ",
-    "closed_form_M",
-    "count_divisible_index",
-    "count_exact_index",
     "count_progression",
     "count_split_quadratic",
     "decompose_g",
     "derive_params",
     "euler_phi",
     "factor_int",
-    "factorize",
     "kronecker_symbol",
     "kummer_degree",
     "log_integral",
     "moebius",
-    "moebius_m_sum",
-    "multiplicative_order",
     "parse_g",
     "quadratic_discriminant",
     "ramanujan_sum",
     "residual_index",
-    "sum_divisible_H",
-    "sum_naive",
-    "sum_quadratic",
     "sweep",
     "verify_split_criterion",
     "wagstaff_sum_S",
-    "weight_context",
-    "weight_r",
-    "weight_w",
 ]

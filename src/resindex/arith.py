@@ -178,27 +178,6 @@ def factor_int(n: int) -> Factorization:
     return Factorization(value=value, factors=tuple(sorted(fac.items())))
 
 
-def factorize(n: int, table: PrimeTable) -> Factorization:
-    """Factor n by trial division over the table's primes (n <= limit^2)."""
-    if n < 1:
-        raise DomainError(f"cannot factor {n}")
-    if n > table.limit * table.limit:
-        raise CapabilityError(f"{n} exceeds limit^2 = {table.limit**2}")
-    fac: dict[int, int] = {}
-    m = n
-    for p in table.primes_upto(isqrt(n)).tolist():
-        if p * p > m:
-            break
-        while m % p == 0:
-            fac[p] = fac.get(p, 0) + 1
-            m //= p
-    if m > 1:
-        if not is_prime(m):
-            raise CapabilityError(f"cofactor {m} of {n} is not prime")
-        fac[m] = fac.get(m, 0) + 1
-    return Factorization(value=n, factors=tuple(sorted(fac.items())))
-
-
 def euler_phi(fac: Factorization) -> int:
     """Euler's totient from a factorization."""
     out = 1
@@ -370,21 +349,6 @@ def kronecker_symbol(d: int, p: int) -> int:
     if p < 3 or p % 2 == 0 or not is_prime(p):
         raise DomainError(f"kronecker_symbol needs an odd prime, got {p}")
     return jacobi(d, p)
-
-
-def multiplicative_order(a: int, p: int, fac_pm1: Factorization) -> int:
-    """Least k >= 1 with a^k = 1 mod p, given the factorization of p-1.
-
-    Starts from p-1 and strips prime factors while the power stays 1.
-    """
-    a %= p
-    if a == 0:
-        raise DomainError("multiplicative_order needs gcd(a, p) = 1")
-    order = p - 1
-    for q, _ in fac_pm1.factors:
-        while order % q == 0 and pow(a, order // q, p) == 1:
-            order //= q
-    return order
 
 
 def reduce_mod_vec(n: int, mods: np.ndarray) -> np.ndarray:

@@ -31,13 +31,15 @@ def _fmt(v) -> str:
     return str(v)
 
 
+def _json_row(row: dict) -> dict:
+    """Floats rounded to the 10 significant digits the other formats print."""
+    return {k: (float(_fmt(v)) if isinstance(v, float) else v) for k, v in row.items()}
+
+
 def _emit(rows: list[dict], fmt: str, out) -> None:
     """rows: list of ordered field->value dicts (values already primitive)."""
     if fmt == "json":
-        payload = [
-            {k: (float(_fmt(v)) if isinstance(v, float) else v) for k, v in row.items()}
-            for row in rows
-        ]
+        payload = [_json_row(row) for row in rows]
         out.write(json.dumps(payload if len(payload) != 1 else payload[0], sort_keys=True))
         out.write("\n")
     elif fmt == "csv":
@@ -149,62 +151,43 @@ def _cmd_report(args) -> int:
     table = arith.build_prime_table(args.x)
     li = arith.log_integral(args.x)
     rows = []
-    reports = []
     for g_text, g in zip(args.g, gs):
         dec = decompose_g(g)
         sw = empirical.sweep(g, table, args.x, tuple(ts), threads=args.threads)
         for t in ts:
             a = density.artin_density_A(dec, t, args.tol)
-            rep = empirical.CountReport(
-                g=g,
-                t=t,
-                x=args.x,
-                N=sw.N[t],
-                R=sw.R[t],
-                pi_t=sw.pi[t],
-                split_t=sw.split[t],
-                naive=sw.naive[t],
-                quadratic=sw.quad[t],
-                M=float(sw.M(t)),
-                A=a,
-                Li=li,
-            )
-            assert 0 <= rep.N <= rep.R <= rep.pi_t
-            reports.append(rep)
-            a_li = a * li
-            rows.append(
-                {
+            if args.format == "json":
+                row = {
+                    "g": str(g),
+                    "t": t,
+                    "x": args.x,
+                    "N": sw.N[t],
+                    "R": sw.R[t],
+                    "pi_t": sw.pi[t],
+                    "split_t": sw.split[t],
+                    "naive": sw.naive[t],
+                    "quadratic": sw.quad[t],
+                    "M": float(sw.M(t)),
+                    "A": a,
+                    "Li": li,
+                }
+            else:
+                a_li = a * li
+                row = {
                     "g": g_text,
                     "t": t,
                     "x": args.x,
-                    "N": rep.N,
-                    "R": rep.R,
-                    "naive": rep.naive,
-                    "quadratic": rep.quadratic,
-                    "M": rep.M,
+                    "N": sw.N[t],
+                    "R": sw.R[t],
+                    "naive": sw.naive[t],
+                    "quadratic": sw.quad[t],
+                    "M": float(sw.M(t)),
                     "A_times_Li": a_li,
-                    "ratio_N_over_ALi": rep.N / a_li if a_li > 1e-12 else float("nan"),
+                    "ratio_N_over_ALi": sw.N[t] / a_li if a_li > 1e-12 else float("nan"),
                 }
-            )
+            rows.append(row)
     if args.format == "json":
-        payload = [
-            {
-                "g": str(rep.g),
-                "t": rep.t,
-                "x": rep.x,
-                "N": rep.N,
-                "R": rep.R,
-                "pi_t": rep.pi_t,
-                "split_t": rep.split_t,
-                "naive": float(_fmt(rep.naive)),
-                "quadratic": float(_fmt(rep.quadratic)),
-                "M": float(_fmt(rep.M)),
-                "A": float(_fmt(rep.A)),
-                "Li": float(_fmt(rep.Li)),
-            }
-            for rep in reports
-        ]
-        sys.stdout.write(json.dumps(payload, sort_keys=True))
+        sys.stdout.write(json.dumps([_json_row(row) for row in rows], sort_keys=True))
         sys.stdout.write("\n")
     else:
         _emit(rows, args.format, sys.stdout)

@@ -12,17 +12,23 @@ into all requested per-t tallies in a single streamed pass:
     sum r(g,t;p), naive and weighted phi-sums (floats, plus exact rationals
     on request)
 
-Primes are processed in fixed-size shards whose results are merged in shard
-order, so output is identical for any worker-thread count; no per-prime
-records are retained beyond the shard being processed.  One vectorized
-kernel, _shard_indexes, factors p-1 and finds r_g(p) for a whole shard; the
-sweep, the splitting-criterion check and residual_index all read r from it.
+Primes are processed in fixed-size shards.  Each shard yields one int64
+array of its integer tallies (a row per t) and one float array of its
+phi-sums; the arrays are summed, and the floats fsum'med, in shard order,
+so output is identical for any worker-thread count; no per-prime records
+are retained beyond the shard being processed.  Every sweep ends by
+checking H = M exactly and 0 <= N <= R <= pi(x;t,1) for each t.  One
+vectorized kernel, _shard_indexes, factors p-1 and finds r_g(p) for a whole
+shard; the sweep, the splitting-criterion check and residual_index all read
+r from it.  count_progression and count_split_quadratic count without the
+kernel, as references for the sweep's pi and P_t columns.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import fsum, gcd, isqrt
 
@@ -151,6 +157,10 @@ def _shard_indexes(g: Rational, ps: np.ndarray, base: np.ndarray) -> tuple[np.nd
 # ---------------------------------------------------------------------------
 # the sweep engine
 
+# The integer tally columns of one shard, one row per t; Sweep exposes each
+# column as a dict keyed by t under the same name.
+_COLUMNS = ("pi", "pi2", "split", "split2", "N", "R", "sum_r", "L_num", "Q_num")
+
 
 @dataclass
 class Sweep:
@@ -161,23 +171,23 @@ class Sweep:
     ts: tuple[int, ...]
     dec: GDecomposition
     params: dict[int, HeuristicParams]
-    counted: int = 0
-    N: dict[int, int] = field(default_factory=dict)
-    R: dict[int, int] = field(default_factory=dict)
-    pi: dict[int, int] = field(default_factory=dict)
-    pi2: dict[int, int] = field(default_factory=dict)
-    split: dict[int, int] = field(default_factory=dict)
-    split2: dict[int, int] = field(default_factory=dict)
-    sum_r: dict[int, int] = field(default_factory=dict)
-    L_num: dict[int, int] = field(default_factory=dict)
-    Q_num: dict[int, int] = field(default_factory=dict)
-    naive: dict[int, float] = field(default_factory=dict)
-    quad: dict[int, float] = field(default_factory=dict)
+    counted: int
+    pi: dict[int, int]
+    pi2: dict[int, int]
+    split: dict[int, int]
+    split2: dict[int, int]
+    N: dict[int, int]
+    R: dict[int, int]
+    sum_r: dict[int, int]
+    L_num: dict[int, int]
+    Q_num: dict[int, int]
+    naive: dict[int, float]
+    quad: dict[int, float]
     naive_exact: dict[int, Fraction] | None = None
     quad_exact: dict[int, Fraction] | None = None
-    pi_all: dict[int, int] | None = None
-    split_all: dict[int, int] | None = None
-    R_all: dict[int, int] | None = None
+    pi_all: Counter | None = None
+    split_all: Counter | None = None
+    R_all: Counter | None = None
 
     def L(self, t: int) -> Fraction:
         return Fraction(self.L_num[t], t)
@@ -208,19 +218,14 @@ class _SweepPlan:
     divisor_tallies: bool
 
 
-@dataclass
-class _ShardTally:
-    counted: int
-    per_t: dict[int, tuple]
-    naive_parts: dict[int, float]
-    quad_parts: dict[int, float]
-    exact_parts: dict[int, tuple] | None
-    pi_all: dict[int, int] | None
-    split_all: dict[int, int] | None
-    R_all: dict[int, int] | None
+def _tally_shard(plan: _SweepPlan, ps_arr: np.ndarray) -> tuple:
+    """Tallies of one shard: (ints, floats, exact_parts, divisor_counts).
 
-
-def _tally_shard(plan: _SweepPlan, ps_arr: np.ndarray) -> _ShardTally:
+    ints is int64 [len(ts), len(_COLUMNS)]; floats is [len(ts), 2] holding
+    the naive and weighted phi-sums; exact_parts lists (naive num, naive den,
+    weighted num, weighted den) per t when plan.exact; divisor_counts is the
+    Counters (pi_all, split_all, R_all) when plan.divisor_tallies.
+    """
     r, qs, es = _shard_indexes(plan.g, ps_arr, plan.base)
     pm1 = ps_arr - 1
     leg = arith.legendre_vec(plan.dec.disc, ps_arr)
@@ -229,27 +234,30 @@ def _tally_shard(plan: _SweepPlan, ps_arr: np.ndarray) -> _ShardTally:
         q = qs[:, j]
         phi -= np.where(q > 1, phi // q, 0)
 
-    per_t: dict[int, tuple] = {}
-    naive_parts: dict[int, float] = {}
-    quad_parts: dict[int, float] = {}
-    exact_parts: dict[int, tuple] | None = {} if plan.exact else None
-
-    for t in plan.ts:
+    ints = np.zeros((len(plan.ts), len(_COLUMNS)), dtype=np.int64)
+    floats = np.zeros((len(plan.ts), 2))
+    exact_parts = [] if plan.exact else None
+    for i, t in enumerate(plan.ts):
         pa = plan.params[t]
         mask = pm1 % t == 0
         pm1_t = pm1[mask]
         r_t = r[mask]
         leg_t = leg[mask]
-        pi_t = int(mask.sum())
         m2 = pm1_t % (2 * t) == 0
-        pi2_t = int(m2.sum())
-        split_t = int((leg_t == 1).sum())
-        split2_t = int((leg_t[m2] == 1).sum())
-        n_t = int((r_t == t).sum())
-        big_r = int((r_t % t == 0).sum())
         w = heuristic.weights_w_vec(plan.dec, pa, pm1_t, leg_t)
-        rr = heuristic.weights_r_vec(plan.dec, pa, pm1_t, leg_t)
-        sum_r = int(rr.sum())
+        l_num = sum(int(plan.cd_tables[d][np.gcd(r_t, d)].sum()) for d in plan.l_divs[t])
+        q_num = sum(int(plan.cd_tables[d][np.gcd(r_t, d)].sum()) for d in plan.q_divs[t])
+        ints[i] = (
+            pm1_t.size,
+            m2.sum(),
+            (leg_t == 1).sum(),
+            (leg_t[m2] == 1).sum(),
+            (r_t == t).sum(),
+            (r_t % t == 0).sum(),
+            heuristic.weights_r_vec(plan.dec, pa, pm1_t, leg_t).sum(),
+            l_num,
+            q_num,
+        )
         # phi((p-1)/t) = phi(p-1) / (t * prod over q | t, q not dividing (p-1)/t, of (q-1)/q)
         phi_q = phi[mask]
         for q, _ in arith.factor_int(t).factors:
@@ -257,49 +265,29 @@ def _tally_shard(plan: _SweepPlan, ps_arr: np.ndarray) -> _ShardTally:
             phi_q = np.where(lost, phi_q // (q - 1) * q, phi_q)
         phi_q //= t
         inv = 1.0 / pm1_t.astype(np.float64)
-        naive_parts[t] = float((phi_q * inv).sum())
-        quad_parts[t] = pa.gcd_ht * float((w * phi_q * inv).sum())
-        l_num = 0
-        for d in plan.l_divs[t]:
-            l_num += int(plan.cd_tables[d][np.gcd(r_t, d)].sum())
-        q_num = 0
-        for d in plan.q_divs[t]:
-            q_num += int(plan.cd_tables[d][np.gcd(r_t, d)].sum())
-        per_t[t] = (pi_t, pi2_t, split_t, split2_t, n_t, big_r, sum_r, l_num, q_num)
+        floats[i] = float((phi_q * inv).sum()), pa.gcd_ht * float((w * phi_q * inv).sum())
         if exact_parts is not None:
             nacc = arith.ExactSum()
             qacc = arith.ExactSum()
             pm1_l = pm1_t.tolist()
             phi_l = phi_q.tolist()
-            for i, wv in enumerate(w.tolist()):
-                nacc.add(phi_l[i], pm1_l[i])
+            for k, wv in enumerate(w.tolist()):
+                nacc.add(phi_l[k], pm1_l[k])
                 if wv:
-                    qacc.add(wv * phi_l[i], pm1_l[i])
-            exact_parts[t] = (nacc.num, nacc.den, pa.gcd_ht * qacc.num, qacc.den)
+                    qacc.add(wv * phi_l[k], pm1_l[k])
+            exact_parts.append((nacc.num, nacc.den, pa.gcd_ht * qacc.num, qacc.den))
 
-    pi_all = split_all = r_all = None
+    divisor_counts = None
     if plan.divisor_tallies:
-        pi_all = {}
-        split_all = {}
-        r_all = {}
+        pi_all, split_all, r_all = divisor_counts = Counter(), Counter(), Counter()
         for n, ri, li, qrow, erow in zip(pm1.tolist(), r.tolist(), leg.tolist(), qs.tolist(), es.tolist()):
             fac = arith.Factorization(value=n, factors=tuple((q, e) for q, e in zip(qrow, erow) if e))
-            for d in arith.divisors(fac):
-                pi_all[d] = pi_all.get(d, 0) + 1
-                if li == 1:
-                    split_all[d] = split_all.get(d, 0) + 1
-            for d in arith.divisors(arith.factor_int(ri)):
-                r_all[d] = r_all.get(d, 0) + 1
-    return _ShardTally(
-        counted=len(ps_arr),
-        per_t=per_t,
-        naive_parts=naive_parts,
-        quad_parts=quad_parts,
-        exact_parts=exact_parts,
-        pi_all=pi_all,
-        split_all=split_all,
-        R_all=r_all,
-    )
+            divs = arith.divisors(fac)
+            pi_all.update(divs)
+            if li == 1:
+                split_all.update(divs)
+            r_all.update(arith.divisors(arith.factor_int(ri)))
+    return ints, floats, exact_parts, divisor_counts
 
 
 def sweep(
@@ -315,7 +303,9 @@ def sweep(
     """One streamed pass over the counted primes p <= x for all t in ts.
 
     Results are independent of ``threads``: the prime range is cut into
-    fixed shards and shard tallies are merged in range order.
+    fixed shards and shard tallies are merged in range order.  Raises
+    LemmaViolation unless H = M exactly and 0 <= N <= R <= pi(x;t,1) for
+    every t.
     """
     if x < 2:
         raise DomainError(f"x must be >= 2, got {x}")
@@ -361,72 +351,48 @@ def sweep(
     else:
         tallies = [_tally_shard(plan, s) for s in shards]
 
-    out = Sweep(g=g, x=x, ts=ts, dec=dec, params=params)
-    for t in ts:
-        out.N[t] = out.R[t] = out.pi[t] = out.pi2[t] = 0
-        out.split[t] = out.split2[t] = out.sum_r[t] = 0
-        out.L_num[t] = out.Q_num[t] = 0
-    if exact:
-        out.naive_exact = {}
-        out.quad_exact = {}
-    if divisor_tallies:
-        out.pi_all = {}
-        out.split_all = {}
-        out.R_all = {}
-
-    exact_accs = {t: (arith.ExactSum(), arith.ExactSum()) for t in ts} if exact else None
+    ints = np.zeros((len(ts), len(_COLUMNS)), dtype=np.int64)
     for tally in tallies:
-        out.counted += tally.counted
-        for t in ts:
-            pi_t, pi2_t, split_t, split2_t, n_t, big_r, sum_r, l_num, q_num = tally.per_t[t]
-            out.pi[t] += pi_t
-            out.pi2[t] += pi2_t
-            out.split[t] += split_t
-            out.split2[t] += split2_t
-            out.N[t] += n_t
-            out.R[t] += big_r
-            out.sum_r[t] += sum_r
-            out.L_num[t] += l_num
-            out.Q_num[t] += q_num
-            if exact_accs is not None:
-                nn, nd, qn, qd = tally.exact_parts[t]
-                exact_accs[t][0].add(nn, nd)
-                exact_accs[t][1].add(qn, qd)
-        if divisor_tallies:
-            for src, dst in (
-                (tally.pi_all, out.pi_all),
-                (tally.split_all, out.split_all),
-                (tally.R_all, out.R_all),
-            ):
-                for k, v in src.items():
-                    dst[k] = dst.get(k, 0) + v
+        ints += tally[0]
+    columns = {name: dict(zip(ts, col)) for name, col in zip(_COLUMNS, ints.T.tolist())}
+    # fsum over the shards in shard order keeps the floats thread-independent
+    out = Sweep(
+        g=g,
+        x=x,
+        ts=ts,
+        dec=dec,
+        params=params,
+        counted=sum(len(s) for s in shards),
+        naive={t: fsum(tally[1][i, 0] for tally in tallies) for i, t in enumerate(ts)},
+        quad={t: fsum(tally[1][i, 1] for tally in tallies) for i, t in enumerate(ts)},
+        **columns,
+    )
+    if exact:
+        out.naive_exact, out.quad_exact = {}, {}
+        for i, t in enumerate(ts):
+            nacc, qacc = arith.ExactSum(), arith.ExactSum()
+            for tally in tallies:
+                nn, nd, qn, qd = tally[2][i]
+                nacc.add(nn, nd)
+                qacc.add(qn, qd)
+            out.naive_exact[t] = nacc.value()
+            out.quad_exact[t] = qacc.value()
+    if divisor_tallies:
+        out.pi_all, out.split_all, out.R_all = Counter(), Counter(), Counter()
+        for tally in tallies:
+            for dst, src in zip((out.pi_all, out.split_all, out.R_all), tally[3]):
+                dst.update(src)
     for t in ts:
-        out.naive[t] = fsum(tally.naive_parts[t] for tally in tallies)
-        out.quad[t] = fsum(tally.quad_parts[t] for tally in tallies)
-        if exact_accs is not None:
-            out.naive_exact[t] = exact_accs[t][0].value()
-            out.quad_exact[t] = exact_accs[t][1].value()
+        if out.H(t) != out.M(t) or not 0 <= out.N[t] <= out.R[t] <= out.pi[t]:
+            raise LemmaViolation(
+                f"sweep invariant failed: g={g} t={t} x={x}: H={out.H(t)} M={out.M(t)} "
+                f"N={out.N[t]} R={out.R[t]} pi={out.pi[t]}"
+            )
     return out
 
 
 # ---------------------------------------------------------------------------
-# the individual counters (thin views over the sweep)
-
-
-def count_exact_index(g: Rational, t: int, x: int, table: arith.PrimeTable) -> int:
-    """N_{g,t}(x): counted primes p <= x with residual index exactly t."""
-    return sweep(g, table, x, (t,)).N[t]
-
-
-def count_divisible_index(g: Rational, t: int, x: int, table: arith.PrimeTable) -> int:
-    """R_{g,t}(x): counted primes p <= x with t | r_g(p).
-
-    Also re-derives every membership from the algebraic splitting test
-    (p = 1 mod t and g^((p-1)/t) = 1 mod p) and aborts on any disagreement.
-    """
-    result = sweep(g, table, x, (t,)).R[t]
-    verify_split_criterion(g, (t,), x, table)
-    return result
+# reference counters and the splitting-criterion check
 
 
 def count_progression(x: int, t: int, table: arith.PrimeTable, g: Rational | None = None) -> int:
@@ -448,16 +414,6 @@ def count_split_quadratic(
         for p in ps[(ps - 1) % t == 0].tolist()
         if arith.jacobi(disc, p) == 1
     )
-
-
-def char_sums_LQ(g: Rational, t: int, x: int, table: arith.PrimeTable) -> tuple[Fraction, Fraction]:
-    """(L_{g,t}(x), Q_{g,t}(x)): exact rationals with denominator t.
-
-    L sums c_d(r_g(p)) over d | (h,t); Q over d | (2h,t) with d not
-    dividing h; both over counted p <= x with p = 1 mod t, divided by t.
-    """
-    sw = sweep(g, table, x, (t,))
-    return sw.L(t), sw.Q(t)
 
 
 def verify_split_criterion(g: Rational, ts, x: int, table: arith.PrimeTable) -> int:
@@ -483,21 +439,3 @@ def verify_split_criterion(g: Rational, ts, x: int, table: arith.PrimeTable) -> 
                     )
                 checks += 1
     return checks
-
-
-@dataclass(frozen=True)
-class CountReport:
-    """One row of the empirical-versus-predicted comparison."""
-
-    g: Rational
-    t: int
-    x: int
-    N: int
-    R: int
-    pi_t: int
-    split_t: int
-    naive: float
-    quadratic: float
-    M: float
-    A: float
-    Li: float

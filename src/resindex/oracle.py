@@ -312,9 +312,8 @@ def verify_sigma_equals_w_mu(g: Rational, p: int, t: int) -> WeightCheck:
     if (logs[g_mod] - int(cls[0])) % step:
         raise LemmaViolation(f"g={g} mod {p} is not in its predicted class")
     sig = sigma(sc, "direct")
-    ctx = heuristic.WeightContext(params=params, dec=dec, p=p, legendre=leg)
-    w = heuristic.weight_w(ctx)
-    r = heuristic.weight_r(ctx)
+    w = int(heuristic.weights_w_vec(dec, params, n, leg))
+    r = int(heuristic.weights_r_vec(dec, params, n, leg))
     mu_factor = Fraction(params.gcd_ht * arith.euler_phi(arith.factor_int(n // t)), n)
     rho_direct = rho(sc)
     return WeightCheck(
@@ -345,8 +344,11 @@ def verify_w_r_relations(g: Rational, p: int, t: int) -> bool:
         raise DomainError("need t | p-1")
     leg = arith.kronecker_symbol(dec.disc, p)
 
-    def ctx(m: int) -> heuristic.WeightContext:
-        return heuristic.WeightContext(params=derive_params(dec, m), dec=dec, p=p, legendre=leg)
+    def w(m: int) -> int:
+        return int(heuristic.weights_w_vec(dec, derive_params(dec, m), n, leg))
+
+    def r(m: int) -> int:
+        return int(heuristic.weights_r_vec(dec, derive_params(dec, m), n, leg))
 
     q = n // t
     divs = [d for d in range(1, q + 1) if q % d == 0]
@@ -355,15 +357,14 @@ def verify_w_r_relations(g: Rational, p: int, t: int) -> bool:
     for d in divs:
         md = arith.moebius(arith.factor_int(d))
         if md:
-            lhs += Fraction(md * heuristic.weight_r(ctx(d * t)) * gcd(dec.h, d * t), d * t)
+            lhs += Fraction(md * r(d * t) * gcd(dec.h, d * t), d * t)
         rhs_sum += Fraction(
-            heuristic.weight_w(ctx(d * t)) * gcd(dec.h, d * t) * arith.euler_phi(arith.factor_int(n // (d * t))),
+            w(d * t) * gcd(dec.h, d * t) * arith.euler_phi(arith.factor_int(n // (d * t))),
             n,
         )
     pa = derive_params(dec, t)
-    w = heuristic.weight_w(ctx(t))
-    gevolg_ok = lhs == Fraction(w * pa.gcd_ht * arith.euler_phi(arith.factor_int(q)), n)
-    r_from_w_ok = heuristic.weight_r(ctx(t)) == pa.t_h * rhs_sum
+    gevolg_ok = lhs == Fraction(w(t) * pa.gcd_ht * arith.euler_phi(arith.factor_int(q)), n)
+    r_from_w_ok = r(t) == pa.t_h * rhs_sum
     return gevolg_ok and r_from_w_ok
 
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from resindex import arith
+from resindex import arith, empirical
 from resindex.errors import BoundError, CapabilityError, DomainError
 
 
@@ -94,34 +94,26 @@ def test_primes_upto_view(table):
 # factorization and multiplicative functions
 
 
-def test_factorize_basics(small_table):
-    assert arith.factorize(12, small_table).factors == ((2, 2), (3, 1))
-    assert arith.factorize(1, small_table).factors == ()
-    assert arith.factorize(97, small_table).factors == ((97, 1),)
-
-
-def test_factorize_fallback_beyond_limit():
-    t = arith.build_prime_table(100)
-    f = arith.factorize(9991, t)  # 97 * 103, above limit but below limit^2
-    assert f.factors == ((97, 1), (103, 1))
-    with pytest.raises(CapabilityError):
-        arith.factorize(100**2 + 1, t)
-    with pytest.raises(DomainError):
-        arith.factorize(0, t)
-
-
 def test_factor_int_matches_table(small_table):
+    # the sweep's shard sieve of p-1 against factor_int, every odd prime p <= 1e4
+    ps = small_table.primes_upto(10**4)
+    ps = ps[ps > 2]
+    qs, es = empirical._factor_shard(ps - 1, small_table.primes_upto(math.isqrt(10**4)))
+    for p, qrow, erow in zip(ps.tolist(), qs.tolist(), es.tolist()):
+        assert arith.factor_int(p - 1).factors == tuple((q, e) for q, e in zip(qrow, erow) if e)
     for n in range(1, 4000, 7):
-        assert arith.factor_int(n) == arith.factorize(n, small_table)
+        fac = arith.factor_int(n)
+        assert math.prod(q**e for q, e in fac.factors) == n
+        assert all(arith.is_prime(q) for q, _ in fac.factors)
 
 
-def test_phi_mu_examples(small_table):
-    assert arith.euler_phi(arith.factorize(1, small_table)) == 1
-    assert arith.euler_phi(arith.factorize(12, small_table)) == 4
-    assert arith.euler_phi(arith.factorize(97, small_table)) == 96
-    assert arith.moebius(arith.factorize(1, small_table)) == 1
-    assert arith.moebius(arith.factorize(6, small_table)) == 1
-    assert arith.moebius(arith.factorize(12, small_table)) == 0
+def test_phi_mu_examples():
+    assert arith.euler_phi(arith.factor_int(1)) == 1
+    assert arith.euler_phi(arith.factor_int(12)) == 4
+    assert arith.euler_phi(arith.factor_int(97)) == 96
+    assert arith.moebius(arith.factor_int(1)) == 1
+    assert arith.moebius(arith.factor_int(6)) == 1
+    assert arith.moebius(arith.factor_int(12)) == 0
 
 
 def test_phi_mu_against_definitions():
@@ -220,23 +212,23 @@ def brute_order(a: int, p: int) -> int:
     return o
 
 
+def order_via_index(a: int, p: int, table) -> int:
+    return (p - 1) // empirical.residual_index(Fraction(a), p, table).index
+
+
 def test_order_examples(small_table):
-    assert arith.multiplicative_order(2, 7, arith.factorize(6, small_table)) == 3
-    assert arith.multiplicative_order(5, 7, arith.factorize(6, small_table)) == brute_order(5, 7) == 6
-    assert arith.multiplicative_order(1, 97, arith.factorize(96, small_table)) == 1
-    with pytest.raises(DomainError):
-        arith.multiplicative_order(14, 7, arith.factorize(6, small_table))
+    assert order_via_index(2, 7, small_table) == 3
+    assert order_via_index(5, 7, small_table) == brute_order(5, 7) == 6
+    assert order_via_index(1, 97, small_table) == 1
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.sampled_from([3, 5, 7, 11, 13, 17, 101, 997, 3511]), st.integers(1, 10**6))
-def test_order_divides_p_minus_1(p, a):
+def test_order_divides_p_minus_1(small_table, p, a):
     a %= p
     if a == 0:
         a = 1
-    order = arith.multiplicative_order(a, p, arith.factor_int(p - 1))
-    assert (p - 1) % order == 0
-    assert order == brute_order(a, p)
+    assert empirical.residual_index(Fraction(a), p, small_table).index * brute_order(a, p) == p - 1
 
 
 # primes just below MAX_SIEVE_LIMIT, where a product of two residues nears

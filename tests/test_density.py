@@ -75,11 +75,11 @@ def test_density_vanishing_matches_empty_counts(small_table):
     dec = decompose_g(parse_g("9/25"))
     for t in (1, 3, 5):
         assert abs(density.artin_density_A(dec, t, 1e-6)) <= 1e-6
-        assert empirical.count_exact_index(parse_g("9/25"), t, 10**4, small_table) == 0
+        assert empirical.sweep(parse_g("9/25"), small_table, 10**4, (t,)).N[t] == 0
     # and the weight for (-4, 2) vanishes identically
     dm4 = decompose_g(parse_g("-4"))
     assert abs(density.artin_density_A(dm4, 2, 1e-6)) <= 1e-6
-    assert empirical.count_exact_index(parse_g("-4"), 2, 10**4, small_table) == 0
+    assert empirical.sweep(parse_g("-4"), small_table, 10**4, (2,)).N[2] == 0
 
 
 def test_density_even_power_base_vs_counts(table):
@@ -87,7 +87,7 @@ def test_density_even_power_base_vs_counts(table):
     g = parse_g("4")
     dec = decompose_g(g)
     a = density.artin_density_A(dec, 2, 1e-5)
-    n = empirical.count_exact_index(g, 2, 10**6, table)
+    n = empirical.sweep(g, table, 10**6, (2,)).N[2]
     li = arith.log_integral(10**6)
     assert n / li == pytest.approx(a, rel=0.05)
 

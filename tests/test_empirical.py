@@ -4,9 +4,9 @@ from math import gcd
 import pytest
 
 from conftest import BASES
-from resindex import arith, empirical
+from resindex import arith, cli, empirical, heuristic
 from resindex.decompose import decompose_g, derive_params, excluded_primes, parse_g
-from resindex.errors import CapabilityError, DomainError
+from resindex.errors import CapabilityError, DomainError, LemmaViolation
 
 
 def brute_index(g, p: int) -> int:
@@ -54,18 +54,18 @@ def test_residual_index_against_brute_force(small_table):
 
 def test_count_exact_examples(small_table):
     g = parse_g("2")
-    assert empirical.count_exact_index(g, 2, 20, small_table) == 2  # p = 7, 17
-    assert empirical.count_exact_index(g, 1, 20, small_table) == 5  # 3, 5, 11, 13, 19
-    assert empirical.count_exact_index(g, 7, 7, small_table) == 0
-    assert empirical.count_exact_index(parse_g("-3"), 7, 7, small_table) == 0
+    assert empirical.sweep(g, small_table, 20, (2,)).N[2] == 2  # p = 7, 17
+    assert empirical.sweep(g, small_table, 20, (1,)).N[1] == 5  # 3, 5, 11, 13, 19
+    assert empirical.sweep(g, small_table, 7, (7,)).N[7] == 0
+    assert empirical.sweep(parse_g("-3"), small_table, 7, (7,)).N[7] == 0
 
 
 def test_count_divisible_examples(small_table):
     g = parse_g("2")
-    assert empirical.count_divisible_index(g, 1, 20, small_table) == 7
-    assert empirical.count_divisible_index(g, 2, 20, small_table) == 2
+    assert empirical.sweep(g, small_table, 20, (1,)).R[1] == 7
+    assert empirical.sweep(g, small_table, 20, (2,)).R[2] == 2
     want = sum(1 for p in counted_primes(parse_g("4"), 100, small_table) if brute_index(parse_g("4"), p) % 2 == 0)
-    assert empirical.count_divisible_index(parse_g("4"), 2, 100, small_table) == want
+    assert empirical.sweep(parse_g("4"), small_table, 100, (2,)).R[2] == want
 
 
 def test_count_progression(small_table):
@@ -83,20 +83,19 @@ def test_count_split_quadratic(small_table):
 def test_char_sums_examples(small_table):
     g = parse_g("2")
     # h = 1: only d = 1 contributes, L = pi(x;t,1)/t
-    L, Q = empirical.char_sums_LQ(g, 3, 1000, small_table)
-    assert L == Fraction(empirical.count_progression(1000, 3, small_table, g=g), 3)
-    L, Q = empirical.char_sums_LQ(g, 2, 20, small_table)
-    assert Q == Fraction(-3, 2)
+    sw = empirical.sweep(g, small_table, 1000, (3,))
+    assert sw.L(3) == Fraction(empirical.count_progression(1000, 3, small_table, g=g), 3)
+    assert empirical.sweep(g, small_table, 20, (2,)).Q(2) == Fraction(-3, 2)
     # g = 8 (h = 3), t = 3: brute-force the Ramanujan sums
     g8 = parse_g("8")
-    L, Q = empirical.char_sums_LQ(g8, 3, 20, small_table)
+    sw = empirical.sweep(g8, small_table, 20, (3,))
     want = Fraction(0)
     for p in counted_primes(g8, 20, small_table):
         if (p - 1) % 3 == 0:
             r = brute_index(g8, p)
             want += Fraction(sum(arith.ramanujan_sum(d, r) for d in (1, 3)), 3)
-    assert L == want == 3
-    assert Q == 0  # (2h, t) = (6, 3) = 3, both divisors divide h
+    assert sw.L(3) == want == 3
+    assert sw.Q(3) == 0  # (2h, t) = (6, 3) = 3, both divisors divide h
 
 
 def test_r_decomposition_with_higher_characters(small_table):
@@ -187,8 +186,6 @@ def test_sweep_matches_single_ops(small_table):
     g = parse_g("-3")
     sw = empirical.sweep(g, small_table, 500, (1, 2, 3, 4))
     for t in (1, 2, 3, 4):
-        assert sw.N[t] == empirical.count_exact_index(g, t, 500, small_table)
-        assert sw.R[t] == empirical.count_divisible_index(g, t, 500, small_table)
         assert sw.pi[t] == empirical.count_progression(500, t, small_table, g=g)
         assert sw.split[t] == empirical.count_split_quadratic(
             500, t, decompose_g(g).disc, small_table, g=g
@@ -206,6 +203,16 @@ def test_sweep_thread_determinism(table):
         assert a.quad[t] == b.quad[t]
         assert a.naive_exact[t] == b.naive_exact[t]
         assert a.quad_exact[t] == b.quad_exact[t]
+
+
+def test_sweep_invariant_violation_raises(small_table, monkeypatch, capsys):
+    # an M one off from H must stop the sweep, and the CLI must exit 3
+    m_from_counts = heuristic.m_from_counts
+    monkeypatch.setattr(heuristic, "m_from_counts", lambda *args: m_from_counts(*args) + 1)
+    with pytest.raises(LemmaViolation, match="sweep invariant"):
+        empirical.sweep(parse_g("2"), small_table, 1000, (1, 2))
+    assert cli.main(["report", "--g", "2", "--t", "1", "--t", "2", "--x", "1000"]) == 3
+    assert "identity violation" in capsys.readouterr().err
 
 
 def test_split_criterion_verification(small_table):

@@ -1,6 +1,5 @@
 from fractions import Fraction
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,21 +9,26 @@ from resindex import arith, empirical, heuristic
 from resindex.decompose import decompose_g, derive_params, excluded_primes, parse_g
 
 
-def ctx(g, t, p):
+def weights(g, t, p):
+    """(w(g,t;p), r(g,t;p)) for one prime, through the vectorized tables."""
     dec = decompose_g(g)
-    return heuristic.weight_context(dec, derive_params(dec, t), p)
+    pa = derive_params(dec, t)
+    leg = arith.kronecker_symbol(dec.disc, p)
+    w = heuristic.weights_w_vec(dec, pa, p - 1, leg)
+    r = heuristic.weights_r_vec(dec, pa, p - 1, leg)
+    return int(w), int(r)
 
 
 def test_weight_w_examples():
-    assert heuristic.weight_w(ctx(parse_g("2"), 1, 7)) == 0
-    assert heuristic.weight_w(ctx(parse_g("2"), 1, 5)) == 2
-    assert heuristic.weight_w(ctx(parse_g("-2"), 1, 7)) == 2
+    assert weights(parse_g("2"), 1, 7)[0] == 0
+    assert weights(parse_g("2"), 1, 5)[0] == 2
+    assert weights(parse_g("-2"), 1, 7)[0] == 2
 
 
 def test_weight_r_examples():
-    assert heuristic.weight_r(ctx(parse_g("2"), 2, 7)) == 2
-    assert heuristic.weight_r(ctx(parse_g("2"), 2, 13)) == 0
-    assert heuristic.weight_r(ctx(parse_g("2"), 3, 7)) == 1
+    assert weights(parse_g("2"), 2, 7)[1] == 2
+    assert weights(parse_g("2"), 2, 13)[1] == 0
+    assert weights(parse_g("2"), 3, 7)[1] == 1
 
 
 @settings(max_examples=300, deadline=None)
@@ -36,25 +40,11 @@ def test_weight_r_examples():
 def test_weights_are_small_integers(g, t, p):
     if p in excluded_primes(g):
         return
-    c = ctx(g, t, p)
-    assert heuristic.weight_w(c) in (0, 1, 2)
-    assert heuristic.weight_r(c) in (0, 1, 2)
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.sampled_from(BASES), st.integers(1, 16))
-def test_vector_weights_match_scalar(g, t):
-    dec = decompose_g(g)
-    pa = derive_params(dec, t)
-    ps = [p for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 97, 101, 257) if p not in excluded_primes(g)]
-    pm1 = np.asarray([p - 1 for p in ps], dtype=np.int64)
-    leg = np.asarray([arith.kronecker_symbol(dec.disc, p) for p in ps], dtype=np.int64)
-    wv = heuristic.weights_w_vec(dec, pa, pm1, leg)
-    rv = heuristic.weights_r_vec(dec, pa, pm1, leg)
-    for i, p in enumerate(ps):
-        c = heuristic.weight_context(dec, pa, p)
-        assert int(wv[i]) == heuristic.weight_w(c)
-        assert int(rv[i]) == heuristic.weight_r(c)
+    w, r = weights(g, t, p)
+    assert w in (0, 1, 2)
+    assert r in (0, 1, 2)
+    if (p - 1) % t:
+        assert w == r == 0
 
 
 # ---------------------------------------------------------------------------
@@ -63,40 +53,40 @@ def test_vector_weights_match_scalar(g, t):
 
 def test_sum_naive_examples(small_table):
     g = parse_g("2")
-    assert heuristic.sum_naive(g, 1, 10, small_table, exact=True) == Fraction(4, 3)
-    assert heuristic.sum_naive(g, 4, 10, small_table, exact=True) == Fraction(1, 4)
-    assert heuristic.sum_naive(g, 7, 20, small_table, exact=True) == 0
+    sw = empirical.sweep(g, small_table, 10, (1, 4), exact=True)
+    assert sw.naive_exact[1] == Fraction(4, 3)
+    assert sw.naive_exact[4] == Fraction(1, 4)
+    assert empirical.sweep(g, small_table, 20, (7,), exact=True).naive_exact[7] == 0
 
 
 def test_sum_quadratic_example(small_table):
     g = parse_g("2")
     # p=3: w=2, term 1/2; p=5: w=2, term 1/2; p=7: w=0
-    assert heuristic.sum_quadratic(g, 1, 10, small_table, exact=True) == 2
-    assert heuristic.sum_quadratic(g, 7, 20, small_table, exact=True) == 0
-    assert heuristic.sum_quadratic(g, 1, 10, small_table) == pytest.approx(2.0)
+    sw = empirical.sweep(g, small_table, 10, (1,), exact=True)
+    assert sw.quad_exact[1] == 2
+    assert sw.quad[1] == pytest.approx(2.0)
+    assert empirical.sweep(g, small_table, 20, (7,), exact=True).quad_exact[7] == 0
 
 
 def test_sum_divisible_H_examples(small_table):
     g = parse_g("2")
-    assert heuristic.sum_divisible_H(g, 2, 20, small_table) == 2
+    assert empirical.sweep(g, small_table, 20, (2,)).H(2) == 2
     # t = 1 for h = 1: r is identically 1, H = pi(x;1,1)
-    assert heuristic.sum_divisible_H(g, 1, 500, small_table) == empirical.count_progression(
+    assert empirical.sweep(g, small_table, 500, (1,)).H(1) == empirical.count_progression(
         500, 1, small_table, g=g
     )
     # negative base, cross-checked against the closed form
-    gm2 = parse_g("-2")
-    assert heuristic.sum_divisible_H(gm2, 2, 20, small_table) == heuristic.closed_form_M(
-        gm2, 2, 20, small_table
-    )
+    sw = empirical.sweep(parse_g("-2"), small_table, 20, (2,))
+    assert sw.H(2) == sw.M(2)
 
 
 def test_closed_form_M_examples(small_table):
-    g = parse_g("2")
-    assert heuristic.closed_form_M(g, 2, 20, small_table) == 2
-    assert heuristic.closed_form_M(g, 1, 20, small_table) == 7
+    sw = empirical.sweep(parse_g("2"), small_table, 20, (1, 2))
+    assert sw.M(2) == 2
+    assert sw.M(1) == 7
     gm4 = parse_g("-4")
     # tau = e = 1: M = pi(x;2t,1)/t_h = pi(100;4,1)
-    assert heuristic.closed_form_M(gm4, 2, 100, small_table) == empirical.count_progression(
+    assert empirical.sweep(gm4, small_table, 100, (2,)).M(2) == empirical.count_progression(
         100, 4, small_table, g=gm4
     )
 
@@ -113,18 +103,10 @@ def test_M_equals_L_plus_Q_and_H(small_table):
 def test_moebius_m_sum_identity(small_table):
     x = 3000
     for g in (parse_g("2"), parse_g("-4"), parse_g("9/25")):
+        sw = empirical.sweep(g, small_table, x, (1, 2, 3), exact=True, divisor_tallies=True)
         for t in (1, 2, 3):
-            left = heuristic.moebius_m_sum(g, t, x, small_table)
-            right = heuristic.sum_quadratic(g, t, x, small_table, exact=True)
-            assert left == right
-
-
-def test_moebius_m_sum_from_tallies_matches(small_table):
-    g = parse_g("8")
-    sw = empirical.sweep(g, small_table, 2000, (), divisor_tallies=True)
-    assert heuristic.moebius_m_sum_from_tallies(
-        sw.dec, 2, 2000, sw.pi_all, sw.split_all
-    ) == heuristic.moebius_m_sum(g, 2, 2000, small_table)
+            left = heuristic.moebius_m_sum_from_tallies(sw.dec, t, x, sw.pi_all, sw.split_all)
+            assert left == sw.quad_exact[t]
 
 
 def test_float_and_exact_sums_agree(small_table):

@@ -1,0 +1,42 @@
+"""Smoke tests: both scripts run in-process at tiny sizes."""
+
+import runpy
+import sys
+from pathlib import Path
+
+import pytest
+
+import resindex
+from resindex import cli
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def run_script(monkeypatch, name: str, *argv: str) -> int:
+    monkeypatch.setattr(sys, "argv", [name, *argv])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_path(str(SCRIPTS / name), run_name="__main__")
+    return exc.value.code
+
+
+def test_report_matrix_matches_cli(monkeypatch, capsys):
+    assert run_script(monkeypatch, "report_matrix.py", "--x", "2000", "--t-max", "2") == 0
+    script_out = capsys.readouterr().out
+    bases = ("2", "3", "5", "8", "-2", "-3", "-4", "9/25", "1/2")
+    argv = ["report", "--format", "csv", "--x", "2000", "--t", "1", "--t", "2"]
+    assert cli.main(argv + [f"--g={g}" for g in bases]) == 0
+    assert script_out == capsys.readouterr().out
+    assert len(script_out.splitlines()) == 1 + 9 * 2
+
+
+def test_verify_lemmas_small(monkeypatch, capsys):
+    argv = ("--max-n", "20", "--rho-max-n", "30", "--max-h", "2", "--max-p", "50")
+    assert run_script(monkeypatch, "verify_lemmas.py", *argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 4
+    assert all(line.startswith("ok ") for line in lines)
+
+
+def test_public_names_resolve():
+    for name in resindex.__all__:
+        assert getattr(resindex, name) is not None
