@@ -27,7 +27,7 @@ from .decompose import (
     parse_g,
     quadratic_discriminant,
 )
-from .density import DegreeResult, artin_constant, artin_density_A, kummer_degree, wagstaff_sum_S
+from .density import DegreeResult, artin_constant, artin_density_A, kummer_degree
 from .empirical import (
     ResidualIndexOutcome,
     count_progression,
@@ -66,5 +66,4 @@ __all__ = [
     "residual_index",
     "sweep",
     "verify_split_criterion",
-    "wagstaff_sum_S",
 ]

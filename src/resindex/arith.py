@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt
 
@@ -210,47 +211,17 @@ def v2(n: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# multiplicative-function sieves (shared by the counting and density code)
-
-_phi_cache = np.array([0, 1], dtype=np.int64)
-_mu_cache = np.array([0, 1], dtype=np.int8)
-
-
-def _extend_sieves(limit: int) -> None:
-    global _phi_cache, _mu_cache
-    if limit < len(_phi_cache):
-        return
-    phi = np.arange(limit + 1, dtype=np.int64)
-    mu = np.ones(limit + 1, dtype=np.int8)
-    flags = np.ones(limit + 1, dtype=bool)
-    flags[:2] = False
-    for p in range(2, isqrt(limit) + 1):
-        if flags[p]:
-            flags[p * p :: p] = False
-    for p in np.flatnonzero(flags).tolist():
-        phi[p::p] -= phi[p::p] // p
-        mu[p::p] *= -1
-        pp = p * p
-        if pp <= limit:
-            mu[pp::pp] = 0
-    phi[0] = 0
-    mu[0] = 0
-    phi.flags.writeable = False
-    mu.flags.writeable = False
-    _phi_cache = phi
-    _mu_cache = mu
-
-
-def totient_sieve(limit: int) -> np.ndarray:
-    """Read-only array t with t[n] = phi(n) for n <= limit (t[0] = 0)."""
-    _extend_sieves(limit)
-    return _phi_cache[: limit + 1]
+# Moebius sieve and exact sums
 
 
 def moebius_sieve(limit: int) -> np.ndarray:
-    """Read-only array m with m[n] = mu(n) for n <= limit (m[0] = 0)."""
-    _extend_sieves(limit)
-    return _mu_cache[: limit + 1]
+    """Array m with m[n] = mu(n) for n <= limit (m[0] = 0)."""
+    mu = np.ones(limit + 1, dtype=np.int8)
+    mu[0] = 0
+    for p in _simple_sieve(limit).tolist():
+        mu[p::p] *= -1
+        mu[p * p :: p * p] = 0
+    return mu
 
 
 class ExactSum:
@@ -275,12 +246,7 @@ class ExactSum:
         self.num = self.num * f + a * (self.den // g)
         self.den *= f
 
-    def add_fraction(self, q) -> None:
-        self.add(q.numerator, q.denominator)
-
-    def value(self):
-        from fractions import Fraction
-
+    def value(self) -> Fraction:
         return Fraction(self.num, self.den)
 
 

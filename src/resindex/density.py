@@ -2,30 +2,29 @@
 
 The degree of Q(zeta_t, g^(1/t)) over Q is phi(t) * t_h / nu with
 nu in {1/2, 1, 2} determined by the parity of t_h and whether disc divides
-t (or 2t).  The density of primes with residual index exactly t is the
-alternating sum over squarefree k of mu(k)/degree(kt); its truncation is
-controlled by two rigorous tail bounds, so every returned value carries a
-certified absolute error below the requested tolerance.
+t (or 2t).  The density of primes with residual index exactly t is
+A(g,t) = sum over squarefree k of mu(k)/degree(kt).  nu depends on k only
+through the primes dividing 2*t*h*disc, so A(g,t) is an exact rational
+C(g,t), a finite sum over those primes, times the Artin constant
+prod_q (1 - 1/(q(q-1))) (Wagstaff's Euler-product form); the product is
+truncated with a certified error, so every returned density carries an
+absolute error below the requested tolerance.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, fsum, gcd, isqrt
+from math import ceil, gcd
 
 import numpy as np
 
 from . import arith
 from .decompose import GDecomposition
-from .errors import CapabilityError, DomainError
+from .errors import CapabilityError, DomainError, LemmaViolation
 
-# sum_{k>K} 1/(k phi(k)) < 2 * zeta(2)zeta(3)/zeta(6) / K; the constant
-# zeta(2)zeta(3)/zeta(6) = prod_q (1 + 1/(q(q-1))) is < 1.94360.
-_TAIL_C = 2 * 1.94360
-
-_K_CAP = 1 << 25
-_CHUNK = 1 << 20
+# density_factor sums 2**len(P) terms; 16 primes keep that under 65536.
+_MAX_FACTOR_PRIMES = 16
 
 
 @dataclass(frozen=True)
@@ -64,126 +63,57 @@ def kummer_degree(dec: GDecomposition, t: int) -> DegreeResult:
     nu = _nu(dec, t, t_h)
     phi_t = arith.euler_phi(arith.factor_int(t))
     degree = Fraction(phi_t * t_h) / nu
-    assert degree.denominator == 1
+    if degree.denominator != 1:
+        raise LemmaViolation(f"degree {degree} of Q(zeta_{t}, g^(1/{t})) is not an integer (nu={nu})")
     return DegreeResult(t=t, degree=int(degree), nu=nu)
 
 
-def _degrees_vec(dec: GDecomposition, t: int, k: np.ndarray, phi_k: np.ndarray) -> np.ndarray:
-    """degree(k*t) for an int64 vector of squarefree k (same case table)."""
-    h, disc = dec.h, dec.disc
-    T = k * t
-    Th = T // np.gcd(T, h)
-    d = np.gcd(k, t)
-    phi_small = arith.totient_sieve(t)
-    phi_t = int(phi_small[t])
-    phiT = phi_k * ((phi_t * d) // phi_small[d])
-    base = phiT * Th
-    if dec.sign > 0:
-        nu2 = (Th % 2 == 0) & (T % disc == 0)
-        return np.where(nu2, base // 2, base)
-    even = T % 2 == 0
-    th_odd = Th % 2 == 1
-    th_two = Th % 4 == 2
-    nu_half = even & th_odd
-    nu2 = even & (
-        (th_two & (T % disc != 0) & ((2 * T) % disc == 0)) | (~th_odd & ~th_two & (T % disc == 0))
-    )
-    return np.where(nu_half, 2 * base, np.where(nu2, base // 2, base))
+def density_factor(dec: GDecomposition, t: int) -> Fraction:
+    """The exact rational C(g,t) with A(g,t) = C(g,t) * Artin's constant.
 
+    With P the primes dividing 2*t*h*disc, every squarefree k is k1*k2 with
+    k1 | prod(P) and k2 coprime to P; then nu(k1*k2*t) = nu(k1*t) and
+    degree(k1*k2*t) = degree(k1*t) * k2*phi(k2), so the k2-sum is the Artin
+    product without its factors at P:
 
-def _choose_k(h: int, t: int, tol: float, scale: float) -> int:
-    """Smallest truncation point whose certified tail bound is <= tol.
-
-    Two rigorous bounds on the tail of sum_k mu(k)/degree(kt) (terms are
-    at most scale*h/(kt*phi(kt))): scale*2h/(t*sqrt(K)) from phi(k) >= sqrt(k),
-    and scale*_TAIL_C*h/(t*phi(t)*K) from k/phi(k) = sum_{d|k} mu(d)^2/phi(d).
+        C(g,t) = sum_{k1 | prod(P)} mu(k1)/degree(k1*t) * prod_{q in P} (1 - 1/(q(q-1)))^-1.
     """
-    if tol <= 0:
-        raise DomainError("tol must be positive")
-    phi_t = arith.euler_phi(arith.factor_int(t))
-    k1 = ceil((scale * 2 * h / (t * tol)) ** 2)
-    k2 = ceil(scale * _TAIL_C * h / (t * phi_t * tol))
-    k = max(16, min(k1, k2))
-    if k > _K_CAP:
-        raise CapabilityError(f"tolerance {tol} needs K={k} > cap {_K_CAP}")
-    return k
-
-
-def tail_bound(h: int, t: int, k: int, scale: float = 2.0) -> float:
-    """Certified bound on the dropped tail of the degree sum beyond k."""
-    phi_t = arith.euler_phi(arith.factor_int(t))
-    b2 = scale * _TAIL_C * h / (t * phi_t * k)
-    if k >= 6:
-        return min(scale * 2 * h / (t * k**0.5), b2)
-    return b2
+    if t < 1:
+        raise DomainError("t must be >= 1")
+    primes = [q for q, _ in arith.factor_int(2 * t * dec.h * dec.disc).factors]
+    if len(primes) > _MAX_FACTOR_PRIMES:
+        raise CapabilityError(
+            f"2*t*h*disc has {len(primes)} prime factors; at most {_MAX_FACTOR_PRIMES} are supported"
+        )
+    terms = [(1, 1)]  # (mu(k1), k1) over the squarefree k1 | prod(primes)
+    for q in primes:
+        terms += [(-mu, k1 * q) for mu, k1 in terms]
+    c = sum(Fraction(mu, kummer_degree(dec, k1 * t).degree) for mu, k1 in terms)
+    for q in primes:
+        c /= 1 - Fraction(1, q * (q - 1))
+    if c < 0:
+        raise LemmaViolation(f"negative density factor {c} for g={dec.reconstruct()}, t={t}")
+    return c
 
 
 def artin_density_A(dec: GDecomposition, t: int, tol: float) -> float:
-    """Density sum_k mu(k)/[Q(zeta_kt, g^(1/kt)):Q], absolute error <= tol."""
-    if t < 1:
-        raise DomainError("t must be >= 1")
-    if tol <= 0:
-        raise DomainError("tol must be positive")
-    K = _choose_k(dec.h, t, tol, 2.0)
-    mu = arith.moebius_sieve(K)
-    phi = arith.totient_sieve(K)
-    parts = []
-    for lo in range(1, K + 1, _CHUNK):
-        hi = min(lo + _CHUNK, K + 1)
-        k = np.arange(lo, hi, dtype=np.int64)
-        mk = mu[lo:hi].astype(np.int64)
-        sel = mk != 0
-        k = k[sel]
-        deg = _degrees_vec(dec, t, k, phi[lo:hi][sel])
-        parts.append(float((mk[sel] / deg).sum()))
-    return fsum(parts)
+    """Density sum_k mu(k)/[Q(zeta_kt, g^(1/kt)):Q], absolute error <= tol.
 
-
-def wagstaff_sum_S(h: int, t: int, m: int, tol: float) -> float:
-    """Truncated sum_{k: m | kt} mu(k) (kt,h) / (kt phi(kt)), error <= tol.
-
-    Kept as a decomposition cross-check for the density sum; the density
-    itself is computed directly from degrees.
+    C(g,t) is exact, so the error is C times that of the Artin constant.
     """
-    if min(h, t, m) < 1:
-        raise DomainError("h, t, m must be >= 1")
     if tol <= 0:
         raise DomainError("tol must be positive")
-    K = _choose_k(h, t, tol, 1.0)
-    mu = arith.moebius_sieve(K)
-    phi = arith.totient_sieve(K)
-    phi_small = arith.totient_sieve(t)
-    phi_t = int(phi_small[t])
-    parts = []
-    for lo in range(1, K + 1, _CHUNK):
-        hi = min(lo + _CHUNK, K + 1)
-        k = np.arange(lo, hi, dtype=np.int64)
-        mk = mu[lo:hi].astype(np.int64)
-        sel = mk != 0
-        T = k[sel] * t
-        sel2 = T % m == 0
-        T = T[sel2]
-        if T.size == 0:
-            parts.append(0.0)
-            continue
-        ks = k[sel][sel2]
-        d = np.gcd(ks, t)
-        phiT = phi[lo:hi][sel][sel2] * ((phi_t * d) // phi_small[d])
-        terms = mk[sel][sel2] * np.gcd(T, h) / (T * phiT)
-        parts.append(float(terms.sum()))
-    return fsum(parts)
+    c = density_factor(dec, t)
+    if c == 0:
+        return 0.0
+    return float(c) * artin_constant(tol / c)
 
 
 def artin_euler_product(prime_bound: int) -> float:
     """prod_{q <= prime_bound} (1 - 1/(q(q-1))) over primes q."""
     if prime_bound < 2:
         raise DomainError("prime_bound must be >= 2")
-    flags = np.ones(prime_bound + 1, dtype=bool)
-    flags[:2] = False
-    for p in range(2, isqrt(prime_bound) + 1):
-        if flags[p]:
-            flags[p * p :: p] = False
-    q = np.flatnonzero(flags).astype(np.float64)
+    q = arith.build_prime_table(prime_bound).primes.astype(np.float64)
     return float(np.prod(1.0 - 1.0 / (q * (q - 1.0))))
 
 

@@ -50,6 +50,20 @@ def test_report_csv_header(capsys):
     assert len(rows) == 3
 
 
+def test_report_vanishing_density_rows(capsys):
+    code, out = run(
+        capsys, "report", "--g", "9/25", "--g=-4", "--t", "1", "--t", "2", "--t", "3",
+        "--x", "100000", "--format", "csv",
+    )
+    assert code == 0
+    rows = {(r["g"], r["t"]): r for r in csv.DictReader(io.StringIO(out))}
+    for key in (("9/25", "1"), ("9/25", "3"), ("-4", "2")):
+        assert rows[key]["N"] == "0"
+        assert float(rows[key]["A_times_Li"]) == 0.0
+        assert rows[key]["ratio_N_over_ALi"] == "nan"
+    assert float(rows[("-4", "1")]["A_times_Li"]) > 0
+
+
 def test_report_thread_independence(capsys):
     outs = []
     for threads in ("1", "3", "7"):
@@ -68,6 +82,9 @@ def test_error_exit_codes(capsys):
     code = cli.main(["count", "--g", "abc", "--t", "1", "--x", "100"])
     assert code == 2
     code = cli.main(["density", "--g", "2", "--t", "1", "--tol", "-1"])
+    assert code == 2
+    # beyond the Artin-constant cap
+    code = cli.main(["density", "--g", "2", "--t", "1", "--tol", "1e-9"])
     assert code == 2
 
 
