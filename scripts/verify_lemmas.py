@@ -5,7 +5,8 @@ Covers the three indicator routes and the character/Ramanujan identity
 (groups up to order 200), all coset-density closed forms (orders up to
 360, h up to 8, both signs and all parity classes), and the weight
 oracles sigma = w*mu plus both w/r Moebius relations for the nine-base
-matrix over all counted primes up to 2000.  Exits 3 on any violation.
+matrix over all counted primes up to 2000.  Exits 3 on any violation and
+2 on a size too small to check anything.
 
     python scripts/verify_lemmas.py
 """
@@ -16,6 +17,7 @@ import time
 
 from resindex import oracle
 from resindex.decompose import parse_g
+from resindex.errors import DomainError
 
 BASES = ("2", "3", "5", "8", "-2", "-3", "-4", "9/25", "1/2")
 
@@ -37,7 +39,11 @@ def main() -> int:
         lambda: oracle.weight_oracle_suite(gs, args.max_p),
     ):
         t0 = time.perf_counter()
-        res = build()
+        try:
+            res = build()
+        except DomainError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         status = "ok" if res.ok else "VIOLATION"
         print(f"{status:9s} {res.name}: {res.checks} checks, "
               f"{len(res.violations)} violations ({time.perf_counter() - t0:.1f}s)")

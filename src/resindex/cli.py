@@ -95,8 +95,10 @@ def _cmd_density(args) -> int:
     g = parse_g(args.g)
     dec = decompose_g(g)
     deg = density.kummer_degree(dec, args.t)
-    a = density.artin_density_A(dec, args.t, args.tol)
-    const = density.artin_constant(args.tol)
+    # one Artin product for both fields: A = C * const is within tol when const is within tol / C
+    c = density.density_factor(dec, args.t)
+    const = density.artin_constant(min(args.tol, args.tol / c) if c else args.tol)
+    a = float(c) * const
     if args.format == "text":
         print(f"g={args.g} decomposition: sign={dec.sign} g0={dec.g0} h={dec.h} e={dec.e} disc={dec.disc}")
         print("degrees of the first extensions (k, degree of step k*t):")

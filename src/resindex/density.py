@@ -101,8 +101,8 @@ def artin_density_A(dec: GDecomposition, t: int, tol: float) -> float:
 
     C(g,t) is exact, so the error is C times that of the Artin constant.
     """
-    if tol <= 0:
-        raise DomainError("tol must be positive")
+    if not tol > 0:  # also rejects NaN
+        raise DomainError(f"tol must be positive, got {tol}")
     c = density_factor(dec, t)
     if c == 0:
         return 0.0
@@ -123,8 +123,8 @@ def artin_constant(tol: float) -> float:
     Truncating at B drops a factor within (1 - 1/B, 1), so the truncated
     product overshoots by less than 1/B.
     """
-    if tol <= 0:
-        raise DomainError("tol must be positive")
+    if not tol > 0:  # also rejects NaN
+        raise DomainError(f"tol must be positive, got {tol}")
     bound = max(3, ceil(1.0 / tol))
     if bound > 10**8:
         raise CapabilityError(f"tolerance {tol} too small for the product oracle")

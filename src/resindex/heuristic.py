@@ -17,7 +17,7 @@ to R) has a closed form in terms of progression and quadratic-splitting
 counts; H = M holds exactly for every x, which every sweep checks and the
 identity tests pin down.  The sums themselves are tallied by
 empirical.sweep, which calls the weight functions here on whole shards;
-the finite-group oracles certify the same functions one prime at a time.
+the finite-group oracles certify the same functions, prime by prime.
 
 Convention used throughout: a selector of 0 multiplies an expression that
 is then simply not evaluated.

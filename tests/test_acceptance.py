@@ -71,7 +71,7 @@ def test_criterion_3_coset_density_lemmas():
 
 
 def test_criterion_4_weight_oracles():
-    res = oracle.weight_oracle_suite(BASES, 2000, 24)
+    res = oracle.weight_oracle_suite(BASES, 2000)
     assert res.ok, res.violations[:3]
     _announce(4, f"sigma = w*mu, rho = r/t_h and both w/r Moebius relations exact "
                  f"({res.checks} checks, p <= 2000)")

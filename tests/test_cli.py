@@ -5,6 +5,9 @@ import json
 import pytest
 
 from resindex import cli
+from resindex.decompose import decompose_g, parse_g
+
+ARTIN = 0.3739558136192023  # Artin's constant
 
 
 def run(capsys, *argv):
@@ -86,6 +89,11 @@ def test_error_exit_codes(capsys):
     # beyond the Artin-constant cap
     code = cli.main(["density", "--g", "2", "--t", "1", "--tol", "1e-9"])
     assert code == 2
+    # a NaN tolerance is not positive
+    code = cli.main(["density", "--g", "2", "--t", "1", "--tol", "nan"])
+    assert code == 2
+    code = cli.main(["report", "--g", "2", "--t", "1", "--x", "1000", "--tol", "nan"])
+    assert code == 2
 
 
 def test_verify_ok(capsys):
@@ -93,6 +101,28 @@ def test_verify_ok(capsys):
     assert code == 0
     assert "VIOLATION" not in out
     assert "t_h multiplies the sum" in out
+
+
+def test_verify_rejects_sizes_that_check_nothing(capsys):
+    for argv in (["--max-n", "-3", "--max-p", "10"], ["--max-h", "0"], ["--max-n", "10", "--max-p", "2"]):
+        code, out = run(capsys, "verify", *argv)
+        assert code == 2 and out == "", argv
+
+
+def test_density_builds_one_artin_product(capsys, monkeypatch):
+    from resindex import density
+
+    bounds = []
+    product = density.artin_euler_product
+    monkeypatch.setattr(density, "artin_euler_product", lambda b: bounds.append(b) or product(b))
+    for g, t in (("2", 1), ("-3", 7), ("9/25", 1), ("5", 1)):
+        bounds.clear()
+        code, out = run(capsys, "density", f"--g={g}", "--t", str(t), "--tol", "1e-4", "--format", "json")
+        assert code == 0 and len(bounds) == 1, (g, t)
+        data = json.loads(out)
+        c = density.density_factor(decompose_g(parse_g(g)), t)
+        assert abs(data["artin_constant"] - ARTIN) <= 1e-4
+        assert abs(data["A"] - float(c) * ARTIN) <= 1e-4, (g, t)
 
 
 def test_verify_exit_code_on_violation(capsys, monkeypatch):

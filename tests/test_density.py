@@ -148,3 +148,8 @@ def test_tolerance_validation():
         density.artin_density_A(dec, 1, 0.0)
     with pytest.raises(DomainError):
         density.artin_constant(0)
+    for tol in (float("nan"), -1e-6):
+        with pytest.raises(DomainError):
+            density.artin_density_A(dec, 1, tol)
+        with pytest.raises(DomainError):
+            density.artin_constant(tol)

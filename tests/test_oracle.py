@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -9,23 +10,23 @@ from resindex.decompose import parse_g
 from resindex.errors import DomainError
 
 
+ROUTES = ("definition", "ramanujan", "characters")
+
+
 def test_cyclic_group_index_conventions():
-    g12 = oracle.CyclicGroup(12)
-    assert g12.index(0) == 12  # identity has full index
-    assert g12.index(1) == 1
-    assert g12.index(4) == 4 and g12.index(8) == 4
-    assert g12.exponents().tolist() == list(range(12))
+    # the identity has full index: the class {gamma^12} in C_12 is {1}, of index exactly 12
+    assert oracle.sigma(oracle.GroupScenario(12, 12, 12, 1, "*")) == 1
 
 
 def test_indicator_examples():
-    for mode in ("definition", "ramanujan", "characters"):
-        assert oracle.indicator_f(4, 4, 12, mode) == 1
-        assert oracle.indicator_f(4, 3, 12, mode) == 0
-        assert oracle.indicator_f(0, 6, 12, mode) == 1  # identity has full index
+    for route, f in zip(ROUTES, oracle.indicator_routes(12, 4)):
+        assert f[4] == 1 and f[8] == 1 and f[1] == 0, route
+    for route, f in zip(ROUTES, oracle.indicator_routes(12, 3)):
+        assert f[4] == 0 and f[3] == 1, route
+    for route, f in zip(ROUTES, oracle.indicator_routes(12, 6)):
+        assert f[0] == 1, route  # identity has full index
     with pytest.raises(DomainError):
-        oracle.indicator_f(1, 5, 12, "definition")
-    with pytest.raises(DomainError):
-        oracle.indicator_f(1, 1, 12, "nonsense")
+        oracle.indicator_routes(12, 5)
 
 
 @settings(max_examples=200, deadline=None)
@@ -33,9 +34,9 @@ def test_indicator_examples():
 def test_indicator_modes_agree(n, data):
     divs = [t for t in range(1, n + 1) if n % t == 0]
     t = data.draw(st.sampled_from(divs))
-    gamma = data.draw(st.integers(0, n - 1))
-    vals = {mode: oracle.indicator_f(gamma, t, n, mode) for mode in ("definition", "ramanujan", "characters")}
-    assert len(set(vals.values())) == 1
+    f_def, f_ram, f_char = oracle.indicator_routes(n, t)
+    assert f_def.tolist() == f_ram.tolist() == f_char.tolist()
+    assert f_def.tolist() == [int(math.gcd(gamma, n) % t == 0) for gamma in range(n)]
 
 
 def test_rho_linear_examples():
@@ -62,6 +63,8 @@ def test_sigma_examples():
     assert oracle.sigma(oracle.GroupScenario(12, 4, 2, 1, "*")) == 0
     assert oracle.sigma_closed_linear(12, 2, 2) == Fraction(1, 3)
     assert oracle.sigma_closed_linear(12, 4, 2) == 0
+    with pytest.raises(DomainError):
+        oracle.sigma(oracle.GroupScenario(12, 1, 2, 1, "*"), "nonsense")
 
 
 @settings(max_examples=250, deadline=None)
@@ -77,17 +80,6 @@ def test_rho_sigma_random_scenarios(n, h, sign, parity, data):
     assert sig == oracle.sigma(sc, "moebius")
     if sign == 1 and parity == "*":
         assert sig == oracle.sigma_closed_linear(n, h, t)
-
-
-def test_moebius_inversion_check():
-    assert oracle.moebius_inversion_check(1, 12, lambda m: oracle.rho(oracle.GroupScenario(12, 1, m, 1, "*")))
-    assert oracle.moebius_inversion_check(2, 16, lambda m: oracle.rho(oracle.GroupScenario(16, 2, m, -1, "even")))
-    assert oracle.moebius_inversion_check(1, 24, lambda m: Fraction(0))
-    # a rho-style function and its sigma both ways on every scenario class
-    for parity in oracle.PARITIES:
-        assert oracle.moebius_inversion_check(
-            1, 36, lambda m, par=parity: oracle.rho(oracle.GroupScenario(36, 3, m, 1, par))
-        )
 
 
 def test_weight_check_examples():
@@ -124,3 +116,41 @@ def test_small_suites_pass():
     assert oracle.rho_sigma_suite(60, 4).ok
     res = oracle.weight_oracle_suite([parse_g("2"), parse_g("-2")], 100)
     assert res.ok and res.checks > 0
+
+
+def test_suites_reject_sizes_that_check_nothing():
+    for suite, args in (
+        (oracle.indicator_suite, (0,)),
+        (oracle.remark_suite, (-3,)),
+        (oracle.rho_sigma_suite, (0, 8)),
+        (oracle.rho_sigma_suite, (10, 0)),
+        (oracle.weight_oracle_suite, ([parse_g("2")], 2)),
+    ):
+        with pytest.raises(DomainError):
+            suite(*args)
+
+
+def test_suites_enumerate_each_group_once(monkeypatch):
+    classes, bases = [], []
+    class_indexes, decompose = oracle._class_indexes, oracle.decompose_g
+    monkeypatch.setattr(oracle, "_class_indexes", lambda *a: classes.append(a) or class_indexes(*a))
+    monkeypatch.setattr(oracle, "decompose_g", lambda g: bases.append(g) or decompose(g))
+    res = oracle.rho_sigma_suite(12, 2)
+    grid = {(n, h, s, par) for n in range(1, 13) for h in (1, 2) for s in (1, -1) for par in oracle.PARITIES}
+    assert res.ok and sorted(classes) == sorted(c for c in grid if c[2] == 1 or c[0] % 2 == 0)
+    classes.clear()
+    gs = [parse_g("2"), parse_g("-3")]
+    res = oracle.weight_oracle_suite(gs, 100)
+    assert res.ok and bases == gs
+    odd_primes = [p for p in range(3, 101) if all(p % q for q in range(2, p))]
+    assert len(classes) == len(odd_primes) + len(odd_primes) - 1  # p = 3 divides -3
+
+
+def test_weight_oracle_certifies_the_sweeps_legendre_symbol(monkeypatch):
+    from resindex import arith
+
+    legendre_vec = arith.legendre_vec
+    monkeypatch.setattr(arith, "legendre_vec", lambda d, ps: -legendre_vec(d, ps))
+    res = oracle.weight_oracle_suite([parse_g("2"), parse_g("-3")], 200)
+    assert not res.ok
+    assert any("parity of dlog(g0)" in v for v in res.violations)

@@ -35,6 +35,7 @@ def test_verify_lemmas_small(monkeypatch, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 4
     assert all(line.startswith("ok ") for line in lines)
+    assert run_script(monkeypatch, "verify_lemmas.py", "--max-n", "-3", "--max-p", "10") == 2
 
 
 def test_public_names_resolve():
