@@ -13,7 +13,6 @@ from .arith import (
     build_prime_table,
     euler_phi,
     factor_int,
-    kronecker_symbol,
     log_integral,
     moebius,
     ramanujan_sum,
@@ -56,7 +55,6 @@ __all__ = [
     "derive_params",
     "euler_phi",
     "factor_int",
-    "kronecker_symbol",
     "kummer_degree",
     "log_integral",
     "moebius",

@@ -1,9 +1,9 @@
 """Elementary number-theoretic kernels.
 
 Sieving (segmented Eratosthenes), factorization, the multiplicative
-functions phi and mu, Ramanujan sums c_d(n), Kronecker/Legendre symbols,
-multiplicative orders, modular powers over int64 arrays and the
-logarithmic integral Li(x) = int_2^x dt/log t.
+functions phi and mu, Ramanujan sums c_d(n), Jacobi and Legendre symbols,
+modular powers over int64 arrays and the logarithmic integral
+Li(x) = int_2^x dt/log t.
 
 Everything here is deterministic; PrimeTable instances are immutable and
 safe to share between worker threads.
@@ -308,13 +308,6 @@ def jacobi(a: int, n: int) -> int:
             sign = -sign
         a %= n
     return sign if n == 1 else 0
-
-
-def kronecker_symbol(d: int, p: int) -> int:
-    """Legendre symbol (d/p) for an odd prime p; 0 exactly when p | d."""
-    if p < 3 or p % 2 == 0 or not is_prime(p):
-        raise DomainError(f"kronecker_symbol needs an odd prime, got {p}")
-    return jacobi(d, p)
 
 
 def reduce_mod_vec(n: int, mods: np.ndarray) -> np.ndarray:

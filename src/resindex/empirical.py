@@ -9,8 +9,10 @@ into all requested per-t tallies in a single streamed pass:
     pi(x;t,1)    counted primes p = 1 mod t
     P_t(x)       counted primes p = 1 mod t with (disc/p) = 1
     L, Q         first/second-order character sums via Ramanujan sums
-    sum r(g,t;p), naive and weighted phi-sums (floats, plus exact rationals
-    on request)
+    sum r(g,t;p), naive and weighted phi-sums (floats; exact=True adds
+    exact rationals and the divisor tallies pi_all, split_all, R_all: int64
+    arrays over m = 0..x counting the primes with m | p-1, those that also
+    have (disc/p) = 1, and those with m | r_g(p))
 
 Primes are processed in fixed-size shards.  Each shard yields one int64
 array of its integer tallies (a row per t) and one float array of its
@@ -26,7 +28,6 @@ kernel, as references for the sweep's pi and P_t columns.
 
 from __future__ import annotations
 
-from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -73,7 +74,7 @@ def residual_index(g: Rational, p: int, table: arith.PrimeTable) -> ResidualInde
         raise DomainError(f"{p} is not prime")
     if p == 2 or (abs(g.numerator) * g.denominator) % p == 0:
         return ResidualIndexOutcome(p=p, status="excluded")
-    r, _, _ = _shard_indexes(g, np.array([p], dtype=np.int64), table.primes_upto(isqrt(p)))
+    r, _ = _shard_indexes(g, np.array([p], dtype=np.int64), table.primes_upto(isqrt(p)))
     return ResidualIndexOutcome(p=p, status="counted", index=int(r[0]))
 
 
@@ -93,21 +94,20 @@ def _counted_shards(table: arith.PrimeTable, x: int, g: Rational | None) -> list
     return [ps[i : i + SHARD_PRIMES] for i in range(0, len(ps), SHARD_PRIMES)]
 
 
-def _factor_shard(pm1: np.ndarray, base: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Prime factors and exponents of each value in the ascending array pm1.
+def _factor_shard(pm1: np.ndarray, base: np.ndarray) -> np.ndarray:
+    """Distinct prime factors of each value in the ascending array pm1.
 
     Sieves the range [pm1[0], pm1[-1]] by every prime power q^k of the base
     primes, which must include all primes <= sqrt(pm1[-1]); what is left of
     a value after that is 1 or a single prime.  Row i of the returned
-    [len(pm1), _FACTOR_COLUMNS] arrays lists the distinct primes of pm1[i]
-    in ascending order and their exponents, padded with prime 1, exponent 0.
+    [len(pm1), _FACTOR_COLUMNS] array lists the distinct primes of pm1[i]
+    in ascending order, padded with 1.
     """
     n = pm1.size
     lo, hi = int(pm1[0]), int(pm1[-1])
     slot = np.full(hi - lo + 1, -1, dtype=np.int64)
     slot[pm1 - lo] = np.arange(n)
     qs = np.ones((n, _FACTOR_COLUMNS), dtype=np.int64)
-    es = np.zeros((n, _FACTOR_COLUMNS), dtype=np.int64)
     filled = np.zeros(n, dtype=np.int64)
     rest = pm1.copy()
     for q in base.tolist():
@@ -120,24 +120,22 @@ def _factor_shard(pm1: np.ndarray, base: np.ndarray) -> tuple[np.ndarray, np.nda
             if qk == q:
                 qs[hit, filled[hit]] = q
                 filled[hit] += 1
-            es[hit, filled[hit] - 1] += 1
             rest[hit] //= q
             qk *= q
     big = np.flatnonzero(rest > 1)
     qs[big, filled[big]] = rest[big]
-    es[big, filled[big]] = 1
-    return qs, es
+    return qs
 
 
-def _shard_indexes(g: Rational, ps: np.ndarray, base: np.ndarray) -> tuple[np.ndarray, ...]:
+def _shard_indexes(g: Rational, ps: np.ndarray, base: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Residual indexes r_g(p) for an ascending array of counted primes.
 
     ``base`` must hold every prime <= sqrt(ps[-1] - 1).  ord(g mod p) starts
     at p-1 and loses each prime factor q while g^(order/q) = 1 mod p.
-    Returns r with the factor columns of p-1 (see _factor_shard).
+    Returns r with the prime columns of p-1 (see _factor_shard).
     """
     pm1 = ps - 1
-    qs, es = _factor_shard(pm1, base)
+    qs = _factor_shard(pm1, base)
     a = arith.reduce_mod_vec(g.numerator, ps)
     if g.denominator != 1:
         a = a * arith.pow_mod_vec(arith.reduce_mod_vec(g.denominator, ps), ps - 2, ps) % ps
@@ -151,7 +149,7 @@ def _shard_indexes(g: Rational, ps: np.ndarray, base: np.ndarray) -> tuple[np.nd
             live = live[arith.pow_mod_vec(a[live], order[live] // q, ps[live]) == 1]
             order[live] //= qs[live, j]
             live = live[order[live] % qs[live, j] == 0]
-    return pm1 // order, qs, es
+    return pm1 // order, qs
 
 
 # ---------------------------------------------------------------------------
@@ -185,9 +183,9 @@ class Sweep:
     quad: dict[int, float]
     naive_exact: dict[int, Fraction] | None = None
     quad_exact: dict[int, Fraction] | None = None
-    pi_all: Counter | None = None
-    split_all: Counter | None = None
-    R_all: Counter | None = None
+    pi_all: np.ndarray | None = None
+    split_all: np.ndarray | None = None
+    R_all: np.ndarray | None = None
 
     def L(self, t: int) -> Fraction:
         return Fraction(self.L_num[t], t)
@@ -215,18 +213,17 @@ class _SweepPlan:
     cd_tables: dict[int, np.ndarray]
     base: np.ndarray  # primes <= sqrt(x)
     exact: bool
-    divisor_tallies: bool
 
 
 def _tally_shard(plan: _SweepPlan, ps_arr: np.ndarray) -> tuple:
-    """Tallies of one shard: (ints, floats, exact_parts, divisor_counts).
+    """Tallies of one shard: (ints, floats, exact_parts, divisor_values).
 
     ints is int64 [len(ts), len(_COLUMNS)]; floats is [len(ts), 2] holding
-    the naive and weighted phi-sums; exact_parts lists (naive num, naive den,
-    weighted num, weighted den) per t when plan.exact; divisor_counts is the
-    Counters (pi_all, split_all, R_all) when plan.divisor_tallies.
+    the naive and weighted phi-sums.  When plan.exact, exact_parts lists
+    (naive num, naive den, weighted num, weighted den) per t and
+    divisor_values is (p-1, p-1 where (disc/p) = 1, r) as arrays.
     """
-    r, qs, es = _shard_indexes(plan.g, ps_arr, plan.base)
+    r, qs = _shard_indexes(plan.g, ps_arr, plan.base)
     pm1 = ps_arr - 1
     leg = arith.legendre_vec(plan.dec.disc, ps_arr)
     phi = pm1.copy()  # phi(p-1) from the factor columns
@@ -277,17 +274,22 @@ def _tally_shard(plan: _SweepPlan, ps_arr: np.ndarray) -> tuple:
                     qacc.add(wv * phi_l[k], pm1_l[k])
             exact_parts.append((nacc.num, nacc.den, pa.gcd_ht * qacc.num, qacc.den))
 
-    divisor_counts = None
-    if plan.divisor_tallies:
-        pi_all, split_all, r_all = divisor_counts = Counter(), Counter(), Counter()
-        for n, ri, li, qrow, erow in zip(pm1.tolist(), r.tolist(), leg.tolist(), qs.tolist(), es.tolist()):
-            fac = arith.Factorization(value=n, factors=tuple((q, e) for q, e in zip(qrow, erow) if e))
-            divs = arith.divisors(fac)
-            pi_all.update(divs)
-            if li == 1:
-                split_all.update(divs)
-            r_all.update(arith.divisors(arith.factor_int(ri)))
-    return ints, floats, exact_parts, divisor_counts
+    divisor_values = (pm1, pm1[leg == 1], r) if plan.exact else None
+    return ints, floats, exact_parts, divisor_values
+
+
+def _sum_over_multiples(f: np.ndarray, primes: np.ndarray) -> None:
+    """In place, f[..., m] becomes the sum of f[..., j] over the multiples j
+    of m, for m = 1..n on a last axis over 0..n; primes holds all primes <= n."""
+    n = f.shape[-1] - 1
+    for q in primes.tolist():
+        qa = q
+        while qa <= n:
+            # numpy evaluates an overlapping in-place ufunc as if its input were
+            # copied first, so a step adds f[m qa] from before it: after the steps
+            # q, q^2, ..., q^(2^s), f[m] sums f[m q^j] over j < 2^(s+1).
+            f[..., 1 : n // qa + 1] += f[..., qa::qa]
+            qa *= qa
 
 
 def sweep(
@@ -298,7 +300,6 @@ def sweep(
     *,
     threads: int = 1,
     exact: bool = False,
-    divisor_tallies: bool = False,
 ) -> Sweep:
     """One streamed pass over the counted primes p <= x for all t in ts.
 
@@ -341,7 +342,6 @@ def sweep(
         cd_tables=cd_tables,
         base=table.primes_upto(isqrt(x)),
         exact=exact,
-        divisor_tallies=divisor_tallies,
     )
     shards = _counted_shards(table, x, g)
 
@@ -377,11 +377,11 @@ def sweep(
                 qacc.add(qn, qd)
             out.naive_exact[t] = nacc.value()
             out.quad_exact[t] = qacc.value()
-    if divisor_tallies:
-        out.pi_all, out.split_all, out.R_all = Counter(), Counter(), Counter()
-        for tally in tallies:
-            for dst, src in zip((out.pi_all, out.split_all, out.R_all), tally[3]):
-                dst.update(src)
+        empty = np.zeros(0, dtype=np.int64)
+        values = (np.concatenate([empty] + [tally[3][j] for tally in tallies]) for j in range(3))
+        counts = np.stack([np.bincount(v, minlength=x + 1) for v in values])
+        _sum_over_multiples(counts, table.primes_upto(x))
+        out.pi_all, out.split_all, out.R_all = counts
     for t in ts:
         if out.H(t) != out.M(t) or not 0 <= out.N[t] <= out.R[t] <= out.pi[t]:
             raise LemmaViolation(
@@ -425,7 +425,7 @@ def verify_split_criterion(g: Rational, ts, x: int, table: arith.PrimeTable) -> 
     base = table.primes_upto(isqrt(x))
     checks = 0
     for ps in _counted_shards(table, x, g):
-        rs, _, _ = _shard_indexes(g, ps, base)
+        rs, _ = _shard_indexes(g, ps, base)
         for p, r in zip(ps.tolist(), rs.tolist()):
             n = p - 1
             a = _g_mod_p(g, p)

@@ -15,9 +15,12 @@ same role for the divisibility count R_{g,t}(x) through
 M_{g,t}(x) = L + Q (the first- and second-order character contributions
 to R) has a closed form in terms of progression and quadratic-splitting
 counts; H = M holds exactly for every x, which every sweep checks and the
-identity tests pin down.  The sums themselves are tallied by
-empirical.sweep, which calls the weight functions here on whole shards;
-the finite-group oracles certify the same functions, prime by prime.
+identity tests pin down.  Its one case table serves m_from_counts (one t)
+and the Moebius M-sum sum_k mu(k) M_{g,kt}(x), which reads every m = kt at
+once from an exact sweep's divisor tallies (int64 arrays over m = 0..x).
+The sums themselves are tallied by empirical.sweep, which calls the weight
+functions here on whole shards; the finite-group oracles certify the same
+functions, prime by prime.
 
 Convention used throughout: a selector of 0 multiplies an expression that
 is then simply not evaluated.
@@ -31,7 +34,7 @@ from math import lcm
 import numpy as np
 
 from . import arith
-from .decompose import GDecomposition, HeuristicParams, derive_params
+from .decompose import GDecomposition, HeuristicParams
 from .errors import DomainError
 
 
@@ -97,57 +100,56 @@ def weights_r_vec(
 # the closed form of M
 
 
-def m_from_counts(
-    dec: GDecomposition,
-    pa: HeuristicParams,
-    pi_t: int,
-    pi_2t: int,
-    split_t: int,
-    split_2t: int,
-) -> Fraction:
-    """Closed form of M = L + Q from progression/splitting counts.
+def _m_numerator(dec: GDecomposition, tau, pi_t, pi_2t, split_t, split_2t):
+    """t_h * M: the case table of M = L + Q, over ints or equal-shape arrays.
 
-    g > 0: pi(x;t,1)/t_h for tau <= e, else 2 P_t / t_h.
-    g < 0: pi(x;2t,1)/t_h for tau <= e;
-           (4 P_2t - 2 P_t + 2 (pi_t - pi_2t)) / t_h for tau = e + 1;
-           2 P_t / t_h for tau > e + 1,
-    with P_m the count of counted primes p = 1 mod m having (disc/p) = 1.
+    tau = v2(t); pi_m counts the counted primes p = 1 mod m and split_m
+    those among them having (disc/p) = 1.
+    g > 0: pi_t for tau <= e, else 2 split_t.
+    g < 0: pi_2t for tau <= e;
+           4 split_2t - 2 split_t + 2 (pi_t - pi_2t) for tau = e + 1;
+           2 split_t for tau > e + 1.
     """
     if dec.sign > 0:
-        num = pi_t if pa.tau <= dec.e else 2 * split_t
-    elif pa.tau <= dec.e:
-        num = pi_2t
-    elif pa.tau == dec.e + 1:
-        num = 4 * split_2t - 2 * split_t + 2 * (pi_t - pi_2t)
-    else:
-        num = 2 * split_t
-    return Fraction(num, pa.t_h)
+        return np.where(tau <= dec.e, pi_t, 2 * split_t)
+    above = np.where(tau == dec.e + 1, 4 * split_2t - 2 * split_t + 2 * (pi_t - pi_2t), 2 * split_t)
+    return np.where(tau <= dec.e, pi_2t, above)
+
+
+def m_from_counts(
+    dec: GDecomposition, pa: HeuristicParams, pi_t: int, pi_2t: int, split_t: int, split_2t: int
+) -> Fraction:
+    """Closed form of M = L + Q from progression/splitting counts (_m_numerator / t_h)."""
+    return Fraction(int(_m_numerator(dec, pa.tau, pi_t, pi_2t, split_t, split_2t)), pa.t_h)
 
 
 def moebius_m_sum_from_tallies(
-    dec: GDecomposition, t: int, x: int, pi_all: dict[int, int], split_all: dict[int, int]
+    dec: GDecomposition, t: int, pi_all: np.ndarray, split_all: np.ndarray
 ) -> Fraction:
-    """sum_k mu(k) M_{g,kt}(x) from precomputed divisor tallies, exact.
+    """sum_k mu(k) M_{g,kt}(x) from divisor tallies, exact.
 
-    pi_all[m] and split_all[m] must count the counted primes p <= x with
-    m | p - 1, respectively those also having (disc/p) = 1.  The sum is
-    finite: M_{g,m}(x) vanishes for m > x - 1, so k runs up to (x-1)/t.
+    pi_all[m] and split_all[m], int64 arrays over m = 0..x, must count the
+    counted primes p <= x with m | p - 1, respectively those also having
+    (disc/p) = 1.  The sum is finite: M_{g,m}(x) vanishes for m > x - 1,
+    so k runs up to (x-1)/t.
     """
     if t < 1:
         raise DomainError("t must be >= 1")
-    mu = arith.moebius_sieve((x - 1) // t if x > 1 else 1)
+    n = len(pi_all)
+    m = np.arange(1, (n - 2) // t + 1, dtype=np.int64) * t
+    mu = arith.moebius_sieve(m.size)[1:]
+    # counts at 2m beyond x are 0: p - 1 <= x - 1
+    pi, split = (np.concatenate([a, np.zeros(n, dtype=np.int64)]) for a in (pi_all, split_all))
+    tau = np.frexp(m & -m)[1] - 1  # v2(m), exact: m & -m is a power of two
+    num = mu * _m_numerator(dec, tau, pi[m], pi[2 * m], split[m], split[2 * m])
+    live = np.flatnonzero(num)
+    nums, dens = num[live].tolist(), (m[live] // np.gcd(m[live], dec.h)).tolist()
     acc = arith.ExactSum()
-    for k in range(1, (x - 1) // t + 1):
-        mk = int(mu[k])
-        if mk == 0:
-            continue
-        m = k * t
-        pi_m = pi_all.get(m, 0)
-        if pi_m == 0:
-            continue
-        pa = derive_params(dec, m)
-        val = m_from_counts(
-            dec, pa, pi_m, pi_all.get(2 * m, 0), split_all.get(m, 0), split_all.get(2 * m, 0)
-        )
-        acc.add(mk * val.numerator, val.denominator)
+    # Blocks of 256 terms keep each block's denominator small, so the costly steps against
+    # the running one (the lcm of the m_h so far, ~1.44 x bits) come once per block.
+    for i in range(0, len(nums), 256):
+        block = arith.ExactSum()
+        for a, b in zip(nums[i : i + 256], dens[i : i + 256]):
+            block.add(a, b)
+        acc.add(block.num, block.den)
     return acc.value()

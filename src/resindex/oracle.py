@@ -471,7 +471,10 @@ def weight_oracle_suite(gs, max_p: int) -> SuiteResult:
     primes = [p for p in range(3, max_p + 1) if arith.is_prime(p)]
     for g in gs:
         bad = excluded_primes(g)
-        base = _base_weights(g, np.array([p for p in primes if p not in bad], dtype=np.int64))
+        counted = [p for p in primes if p not in bad]
+        if not counted:
+            raise DomainError(f"base {g} has no counted prime <= {max_p}")
+        base = _base_weights(g, np.array(counted, dtype=np.int64))
         for i, p in enumerate(base.primes.tolist()):
             try:
                 ctx = _group_context(base, i)

@@ -98,9 +98,11 @@ def test_factor_int_matches_table(small_table):
     # the sweep's shard sieve of p-1 against factor_int, every odd prime p <= 1e4
     ps = small_table.primes_upto(10**4)
     ps = ps[ps > 2]
-    qs, es = empirical._factor_shard(ps - 1, small_table.primes_upto(math.isqrt(10**4)))
-    for p, qrow, erow in zip(ps.tolist(), qs.tolist(), es.tolist()):
-        assert arith.factor_int(p - 1).factors == tuple((q, e) for q, e in zip(qrow, erow) if e)
+    qs = empirical._factor_shard(ps - 1, small_table.primes_upto(math.isqrt(10**4)))
+    for p, qrow in zip(ps.tolist(), qs.tolist()):
+        fac = arith.factor_int(p - 1)
+        assert tuple(q for q, _ in fac.factors) == tuple(q for q in qrow if q > 1)
+        assert math.prod(q**e for q, e in fac.factors) == p - 1
     for n in range(1, 4000, 7):
         fac = arith.factor_int(n)
         assert math.prod(q**e for q, e in fac.factors) == n
@@ -177,26 +179,25 @@ def test_ramanujan_table():
 
 def test_kronecker_examples():
     assert euler_criterion(8, 7) == 1
-    assert arith.kronecker_symbol(8, 7) == 1
+    assert arith.jacobi(8, 7) == 1
     assert euler_criterion(8, 5) == -1
-    assert arith.kronecker_symbol(8, 5) == -1
-    assert arith.kronecker_symbol(5, 5) == 0
+    assert arith.jacobi(8, 5) == -1
+    assert arith.jacobi(5, 5) == 0
 
 
 def test_kronecker_rejects_bad_p():
-    with pytest.raises(DomainError):
-        arith.kronecker_symbol(3, 4)
-    with pytest.raises(DomainError):
-        arith.kronecker_symbol(3, 2)
-    with pytest.raises(DomainError):
-        arith.kronecker_symbol(3, 9)
+    for n in (4, 2, 0, -3):
+        with pytest.raises(DomainError):
+            arith.jacobi(3, n)
 
 
 def test_kronecker_matches_euler_criterion(small_table):
-    primes = [p for p in small_table.primes.tolist() if p > 2]
-    for p in primes:
-        for d in range(-100, 101):
-            assert arith.kronecker_symbol(d, p) == euler_criterion(d, p), (d, p)
+    # the scalar reference jacobi and the sweep's legendre_vec, one call per d
+    ps = small_table.primes[1:]
+    for d in range(-100, 101):
+        want = [euler_criterion(d, p) for p in ps.tolist()]
+        assert [arith.jacobi(d, p) for p in ps.tolist()] == want, d
+        assert arith.legendre_vec(d, ps).tolist() == want, d
 
 
 # ---------------------------------------------------------------------------

@@ -107,6 +107,12 @@ def test_verify_rejects_sizes_that_check_nothing(capsys):
     for argv in (["--max-n", "-3", "--max-p", "10"], ["--max-h", "0"], ["--max-n", "10", "--max-p", "2"]):
         code, out = run(capsys, "verify", *argv)
         assert code == 2 and out == "", argv
+    # the only prime <= 3 divides the base, so the weight oracle would check
+    # nothing (a small --max-n skips the other suites' default-size work)
+    for g in ("3", "9"):
+        assert cli.main(["verify", "--g", g, "--max-p", "3", "--max-n", "10"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and f"base {g} has no counted prime <= 3" in err
 
 
 def test_density_builds_one_artin_product(capsys, monkeypatch):

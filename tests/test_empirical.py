@@ -1,6 +1,7 @@
 from fractions import Fraction
 from math import gcd
 
+import numpy as np
 import pytest
 
 from conftest import BASES
@@ -123,7 +124,7 @@ def test_charactersum_closed_forms_per_prime(small_table):
         dec = decompose_g(g)
         for p in counted_primes(g, 800, small_table):
             r = brute_index(g, p)
-            leg = arith.kronecker_symbol(dec.disc, p)
+            leg = arith.jacobi(dec.disc, p)
             for t in range(1, 9):
                 pa = derive_params(dec, t)
                 ght = pa.gcd_ht
@@ -159,7 +160,7 @@ def test_partition_and_inclusion_exclusion(small_table):
         primes = counted_primes(g, x, small_table)
         rs = [brute_index(g, p) for p in primes]
         ts = sorted(set(rs))
-        sw = empirical.sweep(g, small_table, x, tuple(ts), divisor_tallies=True)
+        sw = empirical.sweep(g, small_table, x, tuple(ts), exact=True)
         # partition: exact-index counts over all occurring t cover every prime
         assert sum(sw.N[t] for t in ts) == len(primes) == sw.counted
         # R as a sum of N over multiples
@@ -174,12 +175,26 @@ def test_partition_and_inclusion_exclusion(small_table):
         mu = arith.moebius_sieve(x)
         for t in (1, 2, 3, 5):
             n_t = sum(1 for r in rs if r == t)
-            total = sum(
-                int(mu[k]) * sw.R_all.get(k * t, 0)
-                for k in range(1, (x - 1) // t + 1)
-                if mu[k]
-            )
+            r_kt = sw.R_all[t:x:t]  # k = 1..(x-1)/t
+            total = int((mu[1 : r_kt.size + 1] * r_kt).sum())
             assert total == n_t
+
+
+@pytest.mark.parametrize("n", [1, 2, 30, 997, 1024])
+def test_sum_over_multiples_matches_divisor_counting(n):
+    # mass at n itself (for n = 1024 the 2^10 needs the q^8 step) and at the
+    # largest prime <= n, where only m = 1 and m = q see it
+    rng = np.random.default_rng(n)
+    f = rng.integers(0, 5, size=(3, n + 1))
+    primes = arith.build_prime_table(max(n, 2)).primes_upto(n)
+    f[:, n] += 7
+    if primes.size:
+        f[:, primes[-1]] += 11
+    want = f.copy()
+    for m in range(1, n + 1):
+        want[:, m] = f[:, m::m].sum(axis=1)
+    empirical._sum_over_multiples(f, primes)
+    assert np.array_equal(f, want)
 
 
 def test_sweep_matches_single_ops(small_table):
@@ -203,6 +218,8 @@ def test_sweep_thread_determinism(table):
         assert a.quad[t] == b.quad[t]
         assert a.naive_exact[t] == b.naive_exact[t]
         assert a.quad_exact[t] == b.quad_exact[t]
+    for name in ("pi_all", "split_all", "R_all"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
 
 
 def test_sweep_invariant_violation_raises(small_table, monkeypatch, capsys):
@@ -227,6 +244,9 @@ def test_sweep_bounds(small_table):
         empirical.sweep(parse_g("2"), small_table, 1, (1,))
     assert empirical.sweep(parse_g("2"), small_table, 2, (1,)).counted == 0
     assert empirical.sweep(parse_g("2"), small_table, 3, (1,)).N[1] == 1  # one shard of one prime
+    sw = empirical.sweep(parse_g("2"), small_table, 3, (1,), exact=True)
+    assert sw.pi_all[1] == sw.pi_all[2] == 1 and sw.pi_all.tolist() == [0, 1, 1, 0]
+    assert empirical.sweep(parse_g("2"), small_table, 2, (1,), exact=True).R_all.tolist() == [0, 0, 0]
     with pytest.raises(DomainError):
         empirical.sweep(parse_g("2"), small_table, 100, (0,))
     with pytest.raises(DomainError):

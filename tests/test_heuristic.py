@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,7 +14,7 @@ def weights(g, t, p):
     """(w(g,t;p), r(g,t;p)) for one prime, through the vectorized tables."""
     dec = decompose_g(g)
     pa = derive_params(dec, t)
-    leg = arith.kronecker_symbol(dec.disc, p)
+    leg = int(arith.legendre_vec(dec.disc, np.array([p], dtype=np.int64))[0])
     w = heuristic.weights_w_vec(dec, pa, p - 1, leg)
     r = heuristic.weights_r_vec(dec, pa, p - 1, leg)
     return int(w), int(r)
@@ -103,9 +104,9 @@ def test_M_equals_L_plus_Q_and_H(small_table):
 def test_moebius_m_sum_identity(small_table):
     x = 3000
     for g in (parse_g("2"), parse_g("-4"), parse_g("9/25")):
-        sw = empirical.sweep(g, small_table, x, (1, 2, 3), exact=True, divisor_tallies=True)
+        sw = empirical.sweep(g, small_table, x, (1, 2, 3), exact=True)
         for t in (1, 2, 3):
-            left = heuristic.moebius_m_sum_from_tallies(sw.dec, t, x, sw.pi_all, sw.split_all)
+            left = heuristic.moebius_m_sum_from_tallies(sw.dec, t, sw.pi_all, sw.split_all)
             assert left == sw.quad_exact[t]
 
 

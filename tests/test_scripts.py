@@ -36,6 +36,8 @@ def test_verify_lemmas_small(monkeypatch, capsys):
     assert len(lines) == 4
     assert all(line.startswith("ok ") for line in lines)
     assert run_script(monkeypatch, "verify_lemmas.py", "--max-n", "-3", "--max-p", "10") == 2
+    # bases 3, -3 and 9/25 have no counted prime <= 3
+    assert run_script(monkeypatch, "verify_lemmas.py", *argv[:-2], "--max-p", "3") == 2
 
 
 def test_public_names_resolve():
