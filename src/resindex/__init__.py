@@ -33,6 +33,7 @@ from .empirical import (
     count_split_quadratic,
     residual_index,
     sweep,
+    sweeps,
     verify_split_criterion,
 )
 
@@ -63,5 +64,6 @@ __all__ = [
     "ramanujan_sum",
     "residual_index",
     "sweep",
+    "sweeps",
     "verify_split_criterion",
 ]

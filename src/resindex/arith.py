@@ -220,7 +220,8 @@ def moebius_sieve(limit: int) -> np.ndarray:
     mu[0] = 0
     for p in _simple_sieve(limit).tolist():
         mu[p::p] *= -1
-        mu[p * p :: p * p] = 0
+        if p * p <= limit:  # beyond, p*p::p*p is an empty slice
+            mu[p * p :: p * p] = 0
     return mu
 
 
@@ -245,6 +246,19 @@ class ExactSum:
         f = b // g
         self.num = self.num * f + a * (self.den // g)
         self.den *= f
+
+    def add_all(self, nums: list[int], dens: list[int]) -> None:
+        """Add every nums[i] / dens[i].
+
+        Blocks of 256 terms keep each block's denominator small, so the
+        costly steps against the running one (which grows to the lcm of all
+        denominators so far) come once per block, not once per term.
+        """
+        for i in range(0, len(nums), 256):
+            block = ExactSum()
+            for a, b in zip(nums[i : i + 256], dens[i : i + 256]):
+                block.add(a, b)
+            self.add(block.num, block.den)
 
     def value(self) -> Fraction:
         return Fraction(self.num, self.den)
@@ -330,9 +344,11 @@ def reduce_mod_vec(n: int, mods: np.ndarray) -> np.ndarray:
 def pow_mod_vec(base: np.ndarray, exp: np.ndarray, mod: np.ndarray) -> np.ndarray:
     """base**exp % mod elementwise, for int64 arrays with 2 <= mod < 2**30."""
     out = np.ones_like(mod)
+    if not out.size:
+        return out
     base = base % mod
     exp = exp.copy()
-    while exp.any():
+    for _ in range(int(exp.max()).bit_length()):
         odd = (exp & 1) == 1
         out = np.where(odd, out * base % mod, out)
         base = base * base % mod

@@ -153,14 +153,12 @@ def _cmd_report(args) -> int:
     table = arith.build_prime_table(args.x)
     li = arith.log_integral(args.x)
     rows = []
-    for g_text, g in zip(args.g, gs):
-        dec = decompose_g(g)
-        sw = empirical.sweep(g, table, args.x, tuple(ts), threads=args.threads)
+    for g_text, sw in zip(args.g, empirical.sweeps(gs, table, args.x, ts, threads=args.threads)):
         for t in ts:
-            a = density.artin_density_A(dec, t, args.tol)
+            a = density.artin_density_A(sw.dec, t, args.tol)
             if args.format == "json":
                 row = {
-                    "g": str(g),
+                    "g": str(sw.g),
                     "t": t,
                     "x": args.x,
                     "N": sw.N[t],

@@ -14,16 +14,23 @@ into all requested per-t tallies in a single streamed pass:
     arrays over m = 0..x counting the primes with m | p-1, those that also
     have (disc/p) = 1, and those with m | r_g(p))
 
-Primes are processed in fixed-size shards.  Each shard yields one int64
-array of its integer tallies (a row per t) and one float array of its
-phi-sums; the arrays are summed, and the floats fsum'med, in shard order,
-so output is identical for any worker-thread count; no per-prime records
-are retained beyond the shard being processed.  Every sweep ends by
-checking H = M exactly and 0 <= N <= R <= pi(x;t,1) for each t.  One
-vectorized kernel, _shard_indexes, factors p-1 and finds r_g(p) for a whole
-shard; the sweep, the splitting-criterion check and residual_index all read
-r from it.  count_progression and count_split_quadratic count without the
-kernel, as references for the sweep's pi and P_t columns.
+Primes are processed in fixed-size shards of each base's counted primes.
+Each shard yields one int64 array of its integer tallies (a row per t) and
+one float array of its phi-sums; the arrays are summed, and the floats
+fsum'med, in shard order, so output is identical for any worker-thread
+count; no per-prime records are retained beyond the shard being processed.
+sweeps serves several bases in one pass: step k tallies the k-th shard of
+every base, and since those shards differ only by the bases' few excluded
+primes, the columns that do not depend on g (the prime factors of p-1,
+phi(p-1), 1/(p-1), the Legendre symbols of each distinct disc and, per t,
+the masks t | p-1, 2t | p-1 and phi((p-1)/t)) are built once per step;
+sweep is sweeps for one base.  Every sweep ends by checking H = M exactly
+and 0 <= N <= R <= pi(x;t,1) for each base and t.  One vectorized kernel,
+_shard_indexes, finds r_g(p) for a whole shard from the prime factors of
+p-1 (_factor_shard); the sweep, the splitting-criterion check and
+residual_index all read r from it.  count_progression and
+count_split_quadratic count without the kernel, as references for the
+sweep's pi and P_t columns.
 """
 
 from __future__ import annotations
@@ -74,7 +81,8 @@ def residual_index(g: Rational, p: int, table: arith.PrimeTable) -> ResidualInde
         raise DomainError(f"{p} is not prime")
     if p == 2 or (abs(g.numerator) * g.denominator) % p == 0:
         return ResidualIndexOutcome(p=p, status="excluded")
-    r, _ = _shard_indexes(g, np.array([p], dtype=np.int64), table.primes_upto(isqrt(p)))
+    ps = np.array([p], dtype=np.int64)
+    r = _shard_indexes(g, ps, _factor_shard(ps - 1, table.primes_upto(isqrt(p))))
     return ResidualIndexOutcome(p=p, status="counted", index=int(r[0]))
 
 
@@ -82,16 +90,29 @@ def residual_index(g: Rational, p: int, table: arith.PrimeTable) -> ResidualInde
 # the shard kernel
 
 
-def _counted_shards(table: arith.PrimeTable, x: int, g: Rational | None) -> list[np.ndarray]:
+def _shards(odd: np.ndarray, x: int, g: Rational | None) -> list[tuple[int, int, np.ndarray]]:
+    """The counted primes of g, cut into SHARD_PRIMES-sized shards in ascending order.
+
+    odd holds the odd primes <= x.  Shard (lo, hi, drops) is odd[lo:hi] less
+    the positions in drops, those of the primes dividing g's numerator or
+    denominator (none when g is None).
+    """
+    bad = [p for p in sorted(excluded_primes(g)) if 2 < p <= x] if g is not None else []
+    drops = np.searchsorted(odd, bad)
+    starts = np.arange(0, odd.size - drops.size, SHARD_PRIMES)
+    # counted prime number c (from 0) sits at position c plus the number of
+    # excluded primes with at most c counted primes before them
+    starts += np.searchsorted(drops - np.arange(drops.size), starts, side="right")
+    cuts = [*starts.tolist(), odd.size]
+    return [(lo, hi, drops[(lo <= drops) & (drops < hi)]) for lo, hi in zip(cuts, cuts[1:])]
+
+
+def _counted_shards(table: arith.PrimeTable, x: int, g: Rational | None):
     """Odd primes p <= x, less those dividing g's numerator or denominator
-    when g is given, cut into SHARD_PRIMES-sized arrays in ascending order."""
-    ps = table.primes_upto(x)
-    ps = ps[ps > 2]
-    if g is not None:
-        bad = [p for p in sorted(excluded_primes(g)) if p != 2 and p <= x]
-        if bad:
-            ps = ps[~np.isin(ps, np.asarray(bad, dtype=np.int64))]
-    return [ps[i : i + SHARD_PRIMES] for i in range(0, len(ps), SHARD_PRIMES)]
+    when g is given, as SHARD_PRIMES-sized arrays in ascending order."""
+    odd = table.primes_upto(x)[1:]
+    for lo, hi, drops in _shards(odd, x, g):
+        yield np.delete(odd[lo:hi], drops - lo)
 
 
 def _factor_shard(pm1: np.ndarray, base: np.ndarray) -> np.ndarray:
@@ -127,15 +148,13 @@ def _factor_shard(pm1: np.ndarray, base: np.ndarray) -> np.ndarray:
     return qs
 
 
-def _shard_indexes(g: Rational, ps: np.ndarray, base: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Residual indexes r_g(p) for an ascending array of counted primes.
+def _shard_indexes(g: Rational, ps: np.ndarray, qs: np.ndarray) -> np.ndarray:
+    """Residual indexes r_g(p) for an array of counted primes.
 
-    ``base`` must hold every prime <= sqrt(ps[-1] - 1).  ord(g mod p) starts
-    at p-1 and loses each prime factor q while g^(order/q) = 1 mod p.
-    Returns r with the prime columns of p-1 (see _factor_shard).
+    qs holds the prime columns of p-1 (see _factor_shard).  ord(g mod p)
+    starts at p-1 and loses each prime factor q while g^(order/q) = 1 mod p.
     """
     pm1 = ps - 1
-    qs = _factor_shard(pm1, base)
     a = arith.reduce_mod_vec(g.numerator, ps)
     if g.denominator != 1:
         a = a * arith.pow_mod_vec(arith.reduce_mod_vec(g.denominator, ps), ps - 2, ps) % ps
@@ -149,7 +168,7 @@ def _shard_indexes(g: Rational, ps: np.ndarray, base: np.ndarray) -> tuple[np.nd
             live = live[arith.pow_mod_vec(a[live], order[live] // q, ps[live]) == 1]
             order[live] //= qs[live, j]
             live = live[order[live] % qs[live, j] == 0]
-    return pm1 // order, qs
+    return pm1 // order
 
 
 # ---------------------------------------------------------------------------
@@ -204,78 +223,131 @@ class Sweep:
 
 @dataclass(frozen=True)
 class _SweepPlan:
+    """One base's share of a sweep: its parameters per t and the Ramanujan
+    sum divisors of its L and Q columns."""
+
     g: Rational
     dec: GDecomposition
-    ts: tuple[int, ...]
     params: dict[int, HeuristicParams]
     l_divs: dict[int, list[int]]
     q_divs: dict[int, list[int]]
     cd_tables: dict[int, np.ndarray]
-    base: np.ndarray  # primes <= sqrt(x)
-    exact: bool
 
 
-def _tally_shard(plan: _SweepPlan, ps_arr: np.ndarray) -> tuple:
-    """Tallies of one shard: (ints, floats, exact_parts, divisor_values).
+def _plan(g: Rational, ts: tuple[int, ...]) -> _SweepPlan:
+    dec = decompose_g(g)
+    params = {t: derive_params(dec, t) for t in ts}
+    l_divs: dict[int, list[int]] = {}
+    q_divs: dict[int, list[int]] = {}
+    cd_tables: dict[int, np.ndarray] = {}
+    for t in ts:
+        ght = params[t].gcd_ht
+        g2t = gcd(2 * dec.h, t)
+        l_divs[t] = [d for d in range(1, ght + 1) if ght % d == 0]
+        q_divs[t] = [d for d in range(1, g2t + 1) if g2t % d == 0 and dec.h % d != 0]
+        for d in l_divs[t] + q_divs[t]:
+            if d not in cd_tables:
+                cd_tables[d] = arith.ramanujan_table(d)
+    return _SweepPlan(g=g, dec=dec, params=params, l_divs=l_divs, q_divs=q_divs, cd_tables=cd_tables)
 
-    ints is int64 [len(ts), len(_COLUMNS)]; floats is [len(ts), 2] holding
-    the naive and weighted phi-sums.  When plan.exact, exact_parts lists
-    (naive num, naive den, weighted num, weighted den) per t and
-    divisor_values is (p-1, p-1 where (disc/p) = 1, r) as arrays.
+
+def _tally_step(
+    plans: list[_SweepPlan],
+    ts: tuple[int, ...],
+    shards: list[tuple | None],
+    odd: np.ndarray,
+    base: np.ndarray,
+    exact: bool,
+) -> list[tuple | None]:
+    """Tallies of one shard of every base: shards[b] is base b's shard (see
+    _shards), or None when base b has no shard in this step.
+
+    The columns that do not depend on g -- the prime factors of p-1,
+    phi(p-1), 1/(p-1), the Legendre symbols of each distinct disc and, one t
+    at a time, the primes with t | p-1 and 2t | p-1 and phi((p-1)/t) -- are
+    built once, over the window of odd covering every base's shard.  Each
+    base then reads its own primes from them, so every sum runs over the
+    same values in the same order as for a base swept alone.
+
+    Entry b is None or (ints, floats, exact_parts, divisor_values).  ints is
+    int64 [len(ts), len(_COLUMNS)]; floats is [len(ts), 2] holding the naive
+    and weighted phi-sums.  When exact, exact_parts lists (naive num, naive
+    den, weighted num, weighted den) per t and divisor_values is (p-1, p-1
+    where (disc/p) = 1, r) as arrays.
     """
-    r, qs = _shard_indexes(plan.g, ps_arr, plan.base)
-    pm1 = ps_arr - 1
-    leg = arith.legendre_vec(plan.dec.disc, ps_arr)
+    live = [(b, shard) for b, shard in enumerate(shards) if shard is not None]
+    lo = min(shard[0] for _, shard in live)
+    hi = max(shard[1] for _, shard in live)
+    ps = odd[lo:hi]
+    pm1 = ps - 1
+    qs = _factor_shard(pm1, base)
     phi = pm1.copy()  # phi(p-1) from the factor columns
     for j in range(_FACTOR_COLUMNS):
         q = qs[:, j]
         phi -= np.where(q > 1, phi // q, 0)
+    inv = 1.0 / pm1.astype(np.float64)
+    legs = {disc: arith.legendre_vec(disc, ps) for disc in {plans[b].dec.disc for b, _ in live}}
 
-    ints = np.zeros((len(plan.ts), len(_COLUMNS)), dtype=np.int64)
-    floats = np.zeros((len(plan.ts), 2))
-    exact_parts = [] if plan.exact else None
-    for i, t in enumerate(plan.ts):
-        pa = plan.params[t]
+    out: list[tuple | None] = [None] * len(plans)
+    mine = []
+    for b, (first, last, drops) in live:
+        # base b's primes: a slice of the window, or an index array where it excludes some
+        keep = slice(first - lo, last - lo)
+        if drops.size:
+            keep = np.delete(np.arange(first, last), drops - first) - lo
+        r = _shard_indexes(plans[b].g, ps[keep], qs[keep])
+        leg = legs[plans[b].dec.disc][keep]
+        divisor_values = (pm1[keep], pm1[keep][leg == 1], r) if exact else None
+        ints = np.zeros((len(ts), len(_COLUMNS)), dtype=np.int64)
+        out[b] = ints, np.zeros((len(ts), 2)), [], divisor_values
+        mine.append((b, keep, r))
+
+    for i, t in enumerate(ts):
         mask = pm1 % t == 0
-        pm1_t = pm1[mask]
-        r_t = r[mask]
-        leg_t = leg[mask]
+        idx = np.flatnonzero(mask)
+        pm1_t = pm1[idx]
         m2 = pm1_t % (2 * t) == 0
-        w = heuristic.weights_w_vec(plan.dec, pa, pm1_t, leg_t)
-        l_num = sum(int(plan.cd_tables[d][np.gcd(r_t, d)].sum()) for d in plan.l_divs[t])
-        q_num = sum(int(plan.cd_tables[d][np.gcd(r_t, d)].sum()) for d in plan.q_divs[t])
-        ints[i] = (
-            pm1_t.size,
-            m2.sum(),
-            (leg_t == 1).sum(),
-            (leg_t[m2] == 1).sum(),
-            (r_t == t).sum(),
-            (r_t % t == 0).sum(),
-            heuristic.weights_r_vec(plan.dec, pa, pm1_t, leg_t).sum(),
-            l_num,
-            q_num,
-        )
         # phi((p-1)/t) = phi(p-1) / (t * prod over q | t, q not dividing (p-1)/t, of (q-1)/q)
-        phi_q = phi[mask]
+        phi_t = phi[idx]
         for q, _ in arith.factor_int(t).factors:
             lost = (pm1_t // t) % q != 0
-            phi_q = np.where(lost, phi_q // (q - 1) * q, phi_q)
-        phi_q //= t
-        inv = 1.0 / pm1_t.astype(np.float64)
-        floats[i] = float((phi_q * inv).sum()), pa.gcd_ht * float((w * phi_q * inv).sum())
-        if exact_parts is not None:
-            nacc = arith.ExactSum()
-            qacc = arith.ExactSum()
-            pm1_l = pm1_t.tolist()
-            phi_l = phi_q.tolist()
-            for k, wv in enumerate(w.tolist()):
-                nacc.add(phi_l[k], pm1_l[k])
-                if wv:
-                    qacc.add(wv * phi_l[k], pm1_l[k])
-            exact_parts.append((nacc.num, nacc.den, pa.gcd_ht * qacc.num, qacc.den))
-
-    divisor_values = (pm1, pm1[leg == 1], r) if plan.exact else None
-    return ints, floats, exact_parts, divisor_values
+            phi_t = np.where(lost, phi_t // (q - 1) * q, phi_t)
+        phi_t //= t
+        inv_t = inv[idx]
+        naive = phi_t * inv_t
+        leg_ts = {disc: leg[idx] for disc, leg in legs.items()}
+        for b, keep, r in mine:
+            plan, pa = plans[b], plans[b].params[t]
+            if isinstance(keep, slice):
+                sub = slice(*np.searchsorted(idx, (keep.start, keep.stop)).tolist())
+            else:
+                sub = np.flatnonzero(np.isin(idx, keep))
+            pm1_b, phi_b, m2_b = pm1_t[sub], phi_t[sub], m2[sub]
+            leg_b = leg_ts[plan.dec.disc][sub]
+            r_b = r[mask[keep]]
+            w = heuristic.weights_w_vec(plan.dec, pa, pm1_b, leg_b)
+            l_num = sum(int(plan.cd_tables[d][np.gcd(r_b, d)].sum()) for d in plan.l_divs[t])
+            q_num = sum(int(plan.cd_tables[d][np.gcd(r_b, d)].sum()) for d in plan.q_divs[t])
+            ints, floats, exact_parts, _ = out[b]
+            ints[i] = (
+                pm1_b.size,
+                m2_b.sum(),
+                (leg_b == 1).sum(),
+                (leg_b[m2_b] == 1).sum(),
+                (r_b == t).sum(),
+                (r_b % t == 0).sum(),
+                heuristic.weights_r_vec(plan.dec, pa, pm1_b, leg_b).sum(),
+                l_num,
+                q_num,
+            )
+            floats[i] = float(naive[sub].sum()), pa.gcd_ht * float((w * phi_b * inv_t[sub]).sum())
+            if exact:
+                nacc, qacc = arith.ExactSum(), arith.ExactSum()
+                dens = pm1_b.tolist()
+                nacc.add_all(phi_b.tolist(), dens)
+                qacc.add_all((w * phi_b).tolist(), dens)
+                exact_parts.append((nacc.num, nacc.den, pa.gcd_ht * qacc.num, qacc.den))
+    return out
 
 
 def _sum_over_multiples(f: np.ndarray, primes: np.ndarray) -> None:
@@ -292,21 +364,23 @@ def _sum_over_multiples(f: np.ndarray, primes: np.ndarray) -> None:
             qa *= qa
 
 
-def sweep(
-    g: Rational,
+def sweeps(
+    gs,
     table: arith.PrimeTable,
     x: int,
     ts: tuple[int, ...] | list[int],
     *,
     threads: int = 1,
     exact: bool = False,
-) -> Sweep:
-    """One streamed pass over the counted primes p <= x for all t in ts.
+) -> list[Sweep]:
+    """One streamed pass over the primes p <= x for every base in gs and all t in ts.
 
-    Results are independent of ``threads``: the prime range is cut into
-    fixed shards and shard tallies are merged in range order.  Raises
-    LemmaViolation unless H = M exactly and 0 <= N <= R <= pi(x;t,1) for
-    every t.
+    Step k tallies the k-th shard of every base; the shards of one step
+    differ only by the bases' few excluded primes, so the work that does not
+    depend on g is done once per step.  Returns one Sweep per entry of gs
+    (a repeated base gets the same Sweep).  Results are independent of
+    ``threads``: steps are merged in shard order.  Raises LemmaViolation
+    unless H = M exactly and 0 <= N <= R <= pi(x;t,1) for every base and t.
     """
     if x < 2:
         raise DomainError(f"x must be >= 2, got {x}")
@@ -317,78 +391,77 @@ def sweep(
     ts = tuple(dict.fromkeys(int(t) for t in ts))
     if any(t < 1 for t in ts):
         raise DomainError("all t must be >= 1")
-    dec = decompose_g(g)
-    params = {t: derive_params(dec, t) for t in ts}
+    distinct = list(dict.fromkeys(gs))
+    plans = [_plan(g, ts) for g in distinct]
+    odd = table.primes_upto(x)[1:]
+    shards = [_shards(odd, x, g) for g in distinct]
+    steps = max(map(len, shards), default=0)
+    base = table.primes_upto(isqrt(x))
 
-    l_divs: dict[int, list[int]] = {}
-    q_divs: dict[int, list[int]] = {}
-    cd_tables: dict[int, np.ndarray] = {}
-    for t in ts:
-        ght = params[t].gcd_ht
-        g2t = gcd(2 * dec.h, t)
-        l_divs[t] = [d for d in range(1, ght + 1) if ght % d == 0]
-        q_divs[t] = [d for d in range(1, g2t + 1) if g2t % d == 0 and dec.h % d != 0]
-        for d in l_divs[t] + q_divs[t]:
-            if d not in cd_tables:
-                cd_tables[d] = arith.ramanujan_table(d)
+    def step(k: int) -> list[tuple | None]:
+        return _tally_step(plans, ts, [s[k] if k < len(s) else None for s in shards], odd, base, exact)
 
-    plan = _SweepPlan(
-        g=g,
-        dec=dec,
-        ts=ts,
-        params=params,
-        l_divs=l_divs,
-        q_divs=q_divs,
-        cd_tables=cd_tables,
-        base=table.primes_upto(isqrt(x)),
-        exact=exact,
-    )
-    shards = _counted_shards(table, x, g)
-
-    if threads > 1 and len(shards) > 1:
+    if threads > 1 and steps > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            tallies = list(pool.map(lambda s: _tally_shard(plan, s), shards))
+            tallies = list(pool.map(step, range(steps)))
     else:
-        tallies = [_tally_shard(plan, s) for s in shards]
+        tallies = [step(k) for k in range(steps)]
 
-    ints = np.zeros((len(ts), len(_COLUMNS)), dtype=np.int64)
-    for tally in tallies:
-        ints += tally[0]
-    columns = {name: dict(zip(ts, col)) for name, col in zip(_COLUMNS, ints.T.tolist())}
-    # fsum over the shards in shard order keeps the floats thread-independent
-    out = Sweep(
-        g=g,
-        x=x,
-        ts=ts,
-        dec=dec,
-        params=params,
-        counted=sum(len(s) for s in shards),
-        naive={t: fsum(tally[1][i, 0] for tally in tallies) for i, t in enumerate(ts)},
-        quad={t: fsum(tally[1][i, 1] for tally in tallies) for i, t in enumerate(ts)},
-        **columns,
-    )
-    if exact:
-        out.naive_exact, out.quad_exact = {}, {}
-        for i, t in enumerate(ts):
-            nacc, qacc = arith.ExactSum(), arith.ExactSum()
-            for tally in tallies:
-                nn, nd, qn, qd = tally[2][i]
-                nacc.add(nn, nd)
-                qacc.add(qn, qd)
-            out.naive_exact[t] = nacc.value()
-            out.quad_exact[t] = qacc.value()
-        empty = np.zeros(0, dtype=np.int64)
-        values = (np.concatenate([empty] + [tally[3][j] for tally in tallies]) for j in range(3))
-        counts = np.stack([np.bincount(v, minlength=x + 1) for v in values])
-        _sum_over_multiples(counts, table.primes_upto(x))
-        out.pi_all, out.split_all, out.R_all = counts
-    for t in ts:
-        if out.H(t) != out.M(t) or not 0 <= out.N[t] <= out.R[t] <= out.pi[t]:
-            raise LemmaViolation(
-                f"sweep invariant failed: g={g} t={t} x={x}: H={out.H(t)} M={out.M(t)} "
-                f"N={out.N[t]} R={out.R[t]} pi={out.pi[t]}"
-            )
-    return out
+    done = {}
+    for b, (plan, cuts) in enumerate(zip(plans, shards)):
+        own = [step[b] for step in tallies if step[b] is not None]
+        ints = np.zeros((len(ts), len(_COLUMNS)), dtype=np.int64)
+        for tally in own:
+            ints += tally[0]
+        columns = {name: dict(zip(ts, col)) for name, col in zip(_COLUMNS, ints.T.tolist())}
+        # fsum over the shards in shard order keeps the floats thread-independent
+        sw = Sweep(
+            g=plan.g,
+            x=x,
+            ts=ts,
+            dec=plan.dec,
+            params=plan.params,
+            counted=sum(hi - lo - drops.size for lo, hi, drops in cuts),
+            naive={t: fsum(tally[1][i, 0] for tally in own) for i, t in enumerate(ts)},
+            quad={t: fsum(tally[1][i, 1] for tally in own) for i, t in enumerate(ts)},
+            **columns,
+        )
+        if exact:
+            sw.naive_exact, sw.quad_exact = {}, {}
+            for i, t in enumerate(ts):
+                nacc, qacc = arith.ExactSum(), arith.ExactSum()
+                for tally in own:
+                    nn, nd, qn, qd = tally[2][i]
+                    nacc.add(nn, nd)
+                    qacc.add(qn, qd)
+                sw.naive_exact[t] = nacc.value()
+                sw.quad_exact[t] = qacc.value()
+            empty = np.zeros(0, dtype=np.int64)
+            values = (np.concatenate([empty] + [tally[3][j] for tally in own]) for j in range(3))
+            counts = np.stack([np.bincount(v, minlength=x + 1) for v in values])
+            _sum_over_multiples(counts, table.primes_upto(x))
+            sw.pi_all, sw.split_all, sw.R_all = counts
+        for t in ts:
+            if sw.H(t) != sw.M(t) or not 0 <= sw.N[t] <= sw.R[t] <= sw.pi[t]:
+                raise LemmaViolation(
+                    f"sweep invariant failed: g={plan.g} t={t} x={x}: H={sw.H(t)} M={sw.M(t)} "
+                    f"N={sw.N[t]} R={sw.R[t]} pi={sw.pi[t]}"
+                )
+        done[plan.g] = sw
+    return [done[g] for g in gs]
+
+
+def sweep(
+    g: Rational,
+    table: arith.PrimeTable,
+    x: int,
+    ts: tuple[int, ...] | list[int],
+    *,
+    threads: int = 1,
+    exact: bool = False,
+) -> Sweep:
+    """sweeps for the one base g."""
+    return sweeps((g,), table, x, ts, threads=threads, exact=exact)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -425,7 +498,7 @@ def verify_split_criterion(g: Rational, ts, x: int, table: arith.PrimeTable) -> 
     base = table.primes_upto(isqrt(x))
     checks = 0
     for ps in _counted_shards(table, x, g):
-        rs, _ = _shard_indexes(g, ps, base)
+        rs = _shard_indexes(g, ps, _factor_shard(ps - 1, base))
         for p, r in zip(ps.tolist(), rs.tolist()):
             n = p - 1
             a = _g_mod_p(g, p)

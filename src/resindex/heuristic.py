@@ -145,11 +145,5 @@ def moebius_m_sum_from_tallies(
     live = np.flatnonzero(num)
     nums, dens = num[live].tolist(), (m[live] // np.gcd(m[live], dec.h)).tolist()
     acc = arith.ExactSum()
-    # Blocks of 256 terms keep each block's denominator small, so the costly steps against
-    # the running one (the lcm of the m_h so far, ~1.44 x bits) come once per block.
-    for i in range(0, len(nums), 256):
-        block = arith.ExactSum()
-        for a, b in zip(nums[i : i + 256], dens[i : i + 256]):
-            block.add(a, b)
-        acc.add(block.num, block.den)
+    acc.add_all(nums, dens)
     return acc.value()

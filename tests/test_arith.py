@@ -261,6 +261,11 @@ def test_vectorized_modpow_matches_pow(rows, n):
     ]
     empty = np.zeros(0, dtype=np.int64)
     assert arith.pow_mod_vec(empty, empty, empty).size == 0
+    # short and full-length exponents in one array: most run out of bits before the last step
+    mixed = [(999999937, 12345, 0), (999999937, 12345, 1), (65537, 3, 2), (999999929, 7, 5)]
+    mixed += [(999999893, 2, 999999891), (999999937, 999999936, 999999936), (7, 3, 6)]
+    ps, bs, es = (np.array(col, dtype=np.int64) for col in zip(*mixed))
+    assert arith.pow_mod_vec(bs, es, ps).tolist() == [pow(b, e, p) for p, b, e in mixed]
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ from math import gcd
 import numpy as np
 import pytest
 
-from conftest import BASES
+from conftest import BASE_STRINGS, BASES
 from resindex import arith, cli, empirical, heuristic
 from resindex.decompose import decompose_g, derive_params, excluded_primes, parse_g
 from resindex.errors import CapabilityError, DomainError, LemmaViolation
@@ -220,6 +220,49 @@ def test_sweep_thread_determinism(table):
         assert a.quad_exact[t] == b.quad_exact[t]
     for name in ("pi_all", "split_all", "R_all"):
         assert np.array_equal(getattr(a, name), getattr(b, name)), name
+
+
+# every base's excluded primes (3, 5, 7, 99991) shift its shard cuts against those of base 2
+_SWEEPS_BASES = tuple(map(Fraction, (99991, Fraction(-7, 99991), Fraction(9, 25), 3**50, 1024, -64, 2, 2)))
+
+
+def test_shards_are_fixed_chunks_of_the_counted_primes(table, monkeypatch):
+    monkeypatch.setattr(empirical, "SHARD_PRIMES", 512)
+    for x in (10**5, 99991, 3):
+        for g in _SWEEPS_BASES[:-1]:
+            want = counted_primes(g, x, table)
+            got = [s.tolist() for s in empirical._counted_shards(table, x, g)]
+            assert got == [want[i : i + 512] for i in range(0, len(want), 512)], (x, g)
+
+
+def test_sweeps_equal_per_base_sweeps(table, monkeypatch):
+    monkeypatch.setattr(empirical, "SHARD_PRIMES", 512)
+    x, ts = 10**5, (1, 3, 4)
+    alone = [empirical.sweep(g, table, x, ts, exact=True) for g in _SWEEPS_BASES[:-1]]
+    alone.append(alone[-1])
+    for threads in (1, 3):
+        together = empirical.sweeps(_SWEEPS_BASES, table, x, ts, threads=threads, exact=True)
+        assert [sw.g for sw in together] == list(_SWEEPS_BASES)
+        for g, sw, want in zip(_SWEEPS_BASES, together, alone):
+            assert sw.counted == want.counted == len(counted_primes(g, x, table))
+            assert all(sw.pi[t] == empirical.count_progression(x, t, table, g=g) for t in ts)
+            for name in empirical._COLUMNS + ("naive", "quad", "naive_exact", "quad_exact"):
+                assert getattr(sw, name) == getattr(want, name), (threads, g, name)  # floats bitwise
+            for name in ("pi_all", "split_all", "R_all"):
+                assert np.array_equal(getattr(sw, name), getattr(want, name)), (threads, g, name)
+
+
+def test_report_factors_each_step_once(table, monkeypatch):
+    # one _factor_shard call per step serves all nine bases
+    calls = []
+    factor_shard = empirical._factor_shard
+    monkeypatch.setattr(empirical, "_factor_shard", lambda *a: calls.append(a) or factor_shard(*a))
+    monkeypatch.setattr(empirical, "SHARD_PRIMES", 512)
+    x = 20000
+    argv = ["report", "--x", str(x), "--t", "1", "--t", "2", "--format", "csv"]
+    assert cli.main(argv + [f"--g={g}" for g in BASE_STRINGS]) == 0
+    odd_primes = len(table.primes_upto(x)) - 1
+    assert len(calls) == -(-odd_primes // 512) > 1
 
 
 def test_sweep_invariant_violation_raises(small_table, monkeypatch, capsys):
