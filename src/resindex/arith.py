@@ -215,13 +215,20 @@ def v2(n: int) -> int:
 
 
 def moebius_sieve(limit: int) -> np.ndarray:
-    """Array m with m[n] = mu(n) for n <= limit (m[0] = 0)."""
+    """Array m with m[n] = mu(n) for n <= limit (m[0] = 0).
+
+    Sieves by the primes <= sqrt(limit) only: prod[n] is the product of
+    those dividing n, and n has one more prime factor exactly when
+    prod[n] < n, since two primes > sqrt(limit) exceed limit.
+    """
     mu = np.ones(limit + 1, dtype=np.int8)
     mu[0] = 0
-    for p in _simple_sieve(limit).tolist():
+    prod = np.ones(limit + 1, dtype=np.int64)
+    for p in _simple_sieve(isqrt(limit)).tolist():
         mu[p::p] *= -1
-        if p * p <= limit:  # beyond, p*p::p*p is an empty slice
-            mu[p * p :: p * p] = 0
+        mu[p * p :: p * p] = 0
+        prod[p::p] *= p
+    mu[prod < np.arange(limit + 1)] *= -1
     return mu
 
 

@@ -56,8 +56,7 @@ def _emit(rows: list[dict], fmt: str, out) -> None:
 def _cmd_count(args) -> int:
     g = parse_g(args.g)
     table = arith.build_prime_table(args.x)
-    sw = empirical.sweep(g, table, args.x, (args.t,), threads=args.threads)
-    empirical.verify_split_criterion(g, (args.t,), args.x, table)
+    sw = empirical.sweep(g, table, args.x, (args.t,), threads=args.threads, split=True)
     _emit(
         [{"g": args.g, "t": args.t, "x": args.x, "N": sw.N[args.t], "R": sw.R[args.t]}],
         args.format,

@@ -27,8 +27,11 @@ the masks t | p-1, 2t | p-1 and phi((p-1)/t)) are built once per step;
 sweep is sweeps for one base.  Every sweep ends by checking H = M exactly
 and 0 <= N <= R <= pi(x;t,1) for each base and t.  One vectorized kernel,
 _shard_indexes, finds r_g(p) for a whole shard from the prime factors of
-p-1 (_factor_shard); the sweep, the splitting-criterion check and
-residual_index all read r from it.  count_progression and
+p-1 (_factor_shard); the sweep and residual_index read r from it.  The
+splitting criterion t | r_g(p) <=> (p = 1 mod t and g^((p-1)/t) = 1 mod p)
+is checked per shard by _split_check, on built-in pow only: inside the
+sweep's pass on the r it has just found when split=True (as `count` asks),
+or standalone by verify_split_criterion.  count_progression and
 count_split_quadratic count without the kernel, as references for the
 sweep's pi and P_t columns.
 """
@@ -60,13 +63,6 @@ class ResidualIndexOutcome:
     p: int
     status: str  # "counted" or "excluded"
     index: int | None = None
-
-
-def _g_mod_p(g: Rational, p: int) -> int:
-    a = g.numerator % p
-    if g.denominator != 1:
-        a = a * pow(g.denominator, -1, p) % p
-    return a
 
 
 def residual_index(g: Rational, p: int, table: arith.PrimeTable) -> ResidualIndexOutcome:
@@ -200,6 +196,7 @@ class Sweep:
     Q_num: dict[int, int]
     naive: dict[int, float]
     quad: dict[int, float]
+    split_checks: int = 0
     naive_exact: dict[int, Fraction] | None = None
     quad_exact: dict[int, Fraction] | None = None
     pi_all: np.ndarray | None = None
@@ -258,6 +255,7 @@ def _tally_step(
     odd: np.ndarray,
     base: np.ndarray,
     exact: bool,
+    split: bool,
 ) -> list[tuple | None]:
     """Tallies of one shard of every base: shards[b] is base b's shard (see
     _shards), or None when base b has no shard in this step.
@@ -269,11 +267,13 @@ def _tally_step(
     base then reads its own primes from them, so every sum runs over the
     same values in the same order as for a base swept alone.
 
-    Entry b is None or (ints, floats, exact_parts, divisor_values).  ints is
-    int64 [len(ts), len(_COLUMNS)]; floats is [len(ts), 2] holding the naive
-    and weighted phi-sums.  When exact, exact_parts lists (naive num, naive
-    den, weighted num, weighted den) per t and divisor_values is (p-1, p-1
-    where (disc/p) = 1, r) as arrays.
+    Entry b is None or (ints, floats, exact_parts, divisor_values,
+    split_checks).  ints is int64 [len(ts), len(_COLUMNS)]; floats is
+    [len(ts), 2] holding the naive and weighted phi-sums.  When exact,
+    exact_parts lists (naive num, naive den, weighted num, weighted den) per
+    t and divisor_values is (p-1, p-1 where (disc/p) = 1, r) as arrays.
+    When split, each base's r is checked against the splitting criterion
+    (_split_check) and split_checks counts the (p, t) pairs; else it is 0.
     """
     live = [(b, shard) for b, shard in enumerate(shards) if shard is not None]
     lo = min(shard[0] for _, shard in live)
@@ -296,10 +296,11 @@ def _tally_step(
         if drops.size:
             keep = np.delete(np.arange(first, last), drops - first) - lo
         r = _shard_indexes(plans[b].g, ps[keep], qs[keep])
+        checks = _split_check(plans[b].g, ts, ps[keep], r) if split else 0
         leg = legs[plans[b].dec.disc][keep]
         divisor_values = (pm1[keep], pm1[keep][leg == 1], r) if exact else None
         ints = np.zeros((len(ts), len(_COLUMNS)), dtype=np.int64)
-        out[b] = ints, np.zeros((len(ts), 2)), [], divisor_values
+        out[b] = ints, np.zeros((len(ts), 2)), [], divisor_values, checks
         mine.append((b, keep, r))
 
     for i, t in enumerate(ts):
@@ -328,7 +329,7 @@ def _tally_step(
             w = heuristic.weights_w_vec(plan.dec, pa, pm1_b, leg_b)
             l_num = sum(int(plan.cd_tables[d][np.gcd(r_b, d)].sum()) for d in plan.l_divs[t])
             q_num = sum(int(plan.cd_tables[d][np.gcd(r_b, d)].sum()) for d in plan.q_divs[t])
-            ints, floats, exact_parts, _ = out[b]
+            ints, floats, exact_parts = out[b][:3]
             ints[i] = (
                 pm1_b.size,
                 m2_b.sum(),
@@ -372,6 +373,7 @@ def sweeps(
     *,
     threads: int = 1,
     exact: bool = False,
+    split: bool = False,
 ) -> list[Sweep]:
     """One streamed pass over the primes p <= x for every base in gs and all t in ts.
 
@@ -381,6 +383,8 @@ def sweeps(
     (a repeated base gets the same Sweep).  Results are independent of
     ``threads``: steps are merged in shard order.  Raises LemmaViolation
     unless H = M exactly and 0 <= N <= R <= pi(x;t,1) for every base and t.
+    split=True also checks the splitting criterion on every counted prime
+    and t as each shard's r is found, and counts the pairs in split_checks.
     """
     if x < 2:
         raise DomainError(f"x must be >= 2, got {x}")
@@ -399,7 +403,7 @@ def sweeps(
     base = table.primes_upto(isqrt(x))
 
     def step(k: int) -> list[tuple | None]:
-        return _tally_step(plans, ts, [s[k] if k < len(s) else None for s in shards], odd, base, exact)
+        return _tally_step(plans, ts, [s[k] if k < len(s) else None for s in shards], odd, base, exact, split)
 
     if threads > 1 and steps > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -422,6 +426,7 @@ def sweeps(
             dec=plan.dec,
             params=plan.params,
             counted=sum(hi - lo - drops.size for lo, hi, drops in cuts),
+            split_checks=sum(tally[4] for tally in own),
             naive={t: fsum(tally[1][i, 0] for tally in own) for i, t in enumerate(ts)},
             quad={t: fsum(tally[1][i, 1] for tally in own) for i, t in enumerate(ts)},
             **columns,
@@ -459,9 +464,10 @@ def sweep(
     *,
     threads: int = 1,
     exact: bool = False,
+    split: bool = False,
 ) -> Sweep:
     """sweeps for the one base g."""
-    return sweeps((g,), table, x, ts, threads=threads, exact=exact)[0]
+    return sweeps((g,), table, x, ts, threads=threads, exact=exact, split=split)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -489,6 +495,30 @@ def count_split_quadratic(
     )
 
 
+def _split_check(g: Rational, ts, ps: np.ndarray, r: np.ndarray) -> int:
+    """Check t | r <=> (p = 1 mod t and g^((p-1)/t) = 1 mod p) for the
+    kernel's residual indexes r of the counted primes ps and every t in ts.
+
+    The algebraic side uses built-in pow only, never the kernel's vector
+    routines, so a fault in those cannot pass on both sides.  Returns the
+    number of (p, t) pairs checked; raises LemmaViolation on a mismatch.
+    """
+    num, den = g.numerator, g.denominator
+    primes = ps.tolist()
+    for t in ts:
+        powers = (pow(num * pow(den, -1, p), (p - 1) // t, p) if (p - 1) % t == 0 else 0 for p in primes)
+        algebraic = np.fromiter(powers, dtype=np.int64, count=len(primes)) == 1
+        divides = r % t == 0
+        bad = np.flatnonzero(algebraic != divides)
+        if bad.size:
+            i = int(bad[0])
+            raise LemmaViolation(
+                f"splitting criterion failed: g={g} p={primes[i]} t={t}: "
+                f"t|r is {bool(divides[i])}, algebraic test is {bool(algebraic[i])}"
+            )
+    return len(primes) * len(ts)
+
+
 def verify_split_criterion(g: Rational, ts, x: int, table: arith.PrimeTable) -> int:
     """Assert t | r_g(p) <=> (p = 1 mod t and g^((p-1)/t) = 1 mod p).
 
@@ -496,19 +526,7 @@ def verify_split_criterion(g: Rational, ts, x: int, table: arith.PrimeTable) -> 
     number of (p, t) pairs checked, raises LemmaViolation on any mismatch.
     """
     base = table.primes_upto(isqrt(x))
-    checks = 0
-    for ps in _counted_shards(table, x, g):
-        rs = _shard_indexes(g, ps, _factor_shard(ps - 1, base))
-        for p, r in zip(ps.tolist(), rs.tolist()):
-            n = p - 1
-            a = _g_mod_p(g, p)
-            for t in ts:
-                divides = r % t == 0
-                algebraic = n % t == 0 and pow(a, n // t, p) == 1
-                if divides != algebraic:
-                    raise LemmaViolation(
-                        f"splitting criterion failed: g={g} p={p} t={t}: "
-                        f"t|r is {divides}, algebraic test is {algebraic}"
-                    )
-                checks += 1
-    return checks
+    return sum(
+        _split_check(g, ts, ps, _shard_indexes(g, ps, _factor_shard(ps - 1, base)))
+        for ps in _counted_shards(table, x, g)
+    )

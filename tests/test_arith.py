@@ -132,6 +132,16 @@ def test_phi_mu_against_definitions():
     assert arith.moebius_sieve(0).tolist() == [0] and arith.moebius_sieve(1).tolist() == [0, 1]
     for n in range(1, 10**4 + 1):
         assert arith.moebius(arith.factor_int(n)) == int(mu[n])
+    # beyond, against (-1)^omega(n) on squarefree n, sieved by every prime <= limit
+    for limit in (2, 3, 4, 10, 97, 10**5 + 3):
+        omega = np.zeros(limit + 1, dtype=np.int64)
+        squarefree = np.ones(limit + 1, dtype=bool)
+        for p in arith.build_prime_table(limit).primes.tolist():
+            omega[p::p] += 1
+            squarefree[p * p :: p * p] = False
+        want = np.where(squarefree, (-1) ** omega, 0)
+        want[0] = 0
+        assert np.array_equal(arith.moebius_sieve(limit), want), limit
 
 
 def test_divisors():

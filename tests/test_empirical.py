@@ -280,6 +280,43 @@ def test_split_criterion_verification(small_table):
     assert checks == 10 * len(counted_primes(parse_g("-2"), 2000, small_table))
 
 
+def test_sweep_split_check_counts_every_pair(table, monkeypatch):
+    # split=True checks every counted prime and t inside the pass and changes no tally
+    monkeypatch.setattr(empirical, "SHARD_PRIMES", 512)
+    x, ts = 10**5, (1, 2, 4, 5)
+    gs = (parse_g("9/25"), parse_g("-4"), Fraction(3**50), Fraction(1, 2**70), parse_g("2"))
+    plain = empirical.sweeps(gs, table, x, ts)
+    for threads in (1, 3):
+        for sw, want in zip(empirical.sweeps(gs, table, x, ts, threads=threads, split=True), plain):
+            assert want.split_checks == 0
+            assert sw.split_checks == sw.counted * len(ts) > 0
+            for name in empirical._COLUMNS + ("counted", "naive", "quad"):
+                assert getattr(sw, name) == getattr(want, name), (threads, sw.g, name)  # floats bitwise
+
+
+def test_count_factors_each_shard_once(table, monkeypatch):
+    # count checks the splitting criterion on the sweep's r instead of a second kernel pass
+    calls = []
+    factor_shard = empirical._factor_shard
+    monkeypatch.setattr(empirical, "_factor_shard", lambda *a: calls.append(a) or factor_shard(*a))
+    monkeypatch.setattr(empirical, "SHARD_PRIMES", 512)
+    x = 20000
+    assert cli.main(["count", "--g", "2", "--t", "2", "--x", str(x), "--threads", "2"]) == 0
+    odd_primes = len(table.primes_upto(x)) - 1
+    assert len(calls) == -(-odd_primes // 512) > 1
+
+
+def test_split_check_catches_kernel_faults(small_table, monkeypatch, capsys):
+    # a pow_mod_vec that claims g^e = 1 mod p for some primes corrupts r; the
+    # algebraic side runs on built-in pow, so the check must not agree with it
+    pow_mod_vec = arith.pow_mod_vec
+    monkeypatch.setattr(arith, "pow_mod_vec", lambda a, e, m: np.where(m % 7 == 3, 1, pow_mod_vec(a, e, m)))
+    with pytest.raises(LemmaViolation, match="splitting criterion"):
+        empirical.verify_split_criterion(parse_g("2"), (2,), 10**4, small_table)
+    assert cli.main(["count", "--g", "2", "--t", "2", "--x", str(10**4)]) == 3
+    assert "splitting criterion" in capsys.readouterr().err
+
+
 def test_sweep_bounds(small_table):
     with pytest.raises(CapabilityError):
         empirical.sweep(parse_g("2"), small_table, 10**5, (1,))
