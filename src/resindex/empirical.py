@@ -26,8 +26,11 @@ phi(p-1), 1/(p-1), the Legendre symbols of each distinct disc and, per t,
 the masks t | p-1, 2t | p-1 and phi((p-1)/t)) are built once per step;
 sweep is sweeps for one base.  Every sweep ends by checking H = M exactly
 and 0 <= N <= R <= pi(x;t,1) for each base and t.  One vectorized kernel,
-_shard_indexes, finds r_g(p) for a whole shard from the prime factors of
-p-1 (_factor_shard); the sweep and residual_index read r from it.  The
+_shard_indexes, finds r for a whole shard from the prime factors of p-1
+(_factor_shard).  It runs once per root and step: g = sign * g0^h has the
+root g0 or 1/g0 (_root), shared by all powers, inverses and negatives of
+g0, and _lift derives r_g(p) from the root's r in closed form.  The sweep,
+residual_index and verify_split_criterion all reach r that way.  The
 splitting criterion t | r_g(p) <=> (p = 1 mod t and g^((p-1)/t) = 1 mod p)
 is checked per shard by _split_check, on built-in pow only: inside the
 sweep's pass on the r it has just found when split=True (as `count` asks),
@@ -41,6 +44,7 @@ from __future__ import annotations
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from math import fsum, gcd, isqrt
 
 import numpy as np
@@ -77,8 +81,10 @@ def residual_index(g: Rational, p: int, table: arith.PrimeTable) -> ResidualInde
         raise DomainError(f"{p} is not prime")
     if p == 2 or (abs(g.numerator) * g.denominator) % p == 0:
         return ResidualIndexOutcome(p=p, status="excluded")
+    # +-1 has no decomposition; as +-1^1 its root 1 has r = p-1
+    dec = decompose_g(g) if abs(g) != 1 else GDecomposition(sign=int(g), g0=Fraction(1), h=1, e=0, disc=1)
     ps = np.array([p], dtype=np.int64)
-    r = _shard_indexes(g, ps, _factor_shard(ps - 1, table.primes_upto(isqrt(p))))
+    r = _indexes(dec, ps, _factor_shard(ps - 1, table.primes_upto(isqrt(p))))
     return ResidualIndexOutcome(p=p, status="counted", index=int(r[0]))
 
 
@@ -147,8 +153,10 @@ def _factor_shard(pm1: np.ndarray, base: np.ndarray) -> np.ndarray:
 def _shard_indexes(g: Rational, ps: np.ndarray, qs: np.ndarray) -> np.ndarray:
     """Residual indexes r_g(p) for an array of counted primes.
 
-    qs holds the prime columns of p-1 (see _factor_shard).  ord(g mod p)
-    starts at p-1 and loses each prime factor q while g^(order/q) = 1 mod p.
+    The one order loop; every caller runs it on a base's root (_root) and
+    lifts the result (_lift).  qs holds the prime columns of p-1 (see
+    _factor_shard).  ord(g mod p) starts at p-1 and loses each prime factor
+    q while g^(order/q) = 1 mod p.
     """
     pm1 = ps - 1
     a = arith.reduce_mod_vec(g.numerator, ps)
@@ -165,6 +173,32 @@ def _shard_indexes(g: Rational, ps: np.ndarray, qs: np.ndarray) -> np.ndarray:
             order[live] //= qs[live, j]
             live = live[order[live] % qs[live, j] == 0]
     return pm1 // order
+
+
+def _root(dec: GDecomposition) -> Rational:
+    """The base whose kernel run serves g = sign * g0^h: g0 or 1/g0, whichever
+    exceeds 1, since r(1/g) = r(g)."""
+    return max(dec.g0, 1 / dec.g0)
+
+
+def _lift(r0: np.ndarray, pm1: np.ndarray, dec: GDecomposition) -> np.ndarray:
+    """r_g(p) for g = sign * g0^h from r0 = r_{g0}(p), where pm1 = p-1.
+
+    ord(g0^h) = ord(g0) / gcd(ord(g0), h), so r(g0^h) = r0 * gcd((p-1)/r0, h).
+    -1 is a^((p-1)/2) for a primitive root a, so negating leaves the odd part
+    of r and moves only e = v2(r) against v = v2(p-1): e = v-1 becomes v
+    (r doubles), e = v becomes v-1 (r halves), a smaller e stays.
+    """
+    r = r0 * np.gcd(pm1 // r0, dec.h) if dec.h > 1 else r0
+    if dec.sign < 0:
+        low_r, low_pm1 = r & -r, pm1 & -pm1
+        r = np.where(2 * low_r == low_pm1, 2 * r, np.where(low_r == low_pm1, r // 2, r))
+    return r
+
+
+def _indexes(dec: GDecomposition, ps: np.ndarray, qs: np.ndarray) -> np.ndarray:
+    """r_g(p) for the decomposed base g: the kernel on its root, then _lift."""
+    return _lift(_shard_indexes(_root(dec), ps, qs), ps - 1, dec)
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +299,9 @@ def _tally_step(
     at a time, the primes with t | p-1 and 2t | p-1 and phi((p-1)/t) -- are
     built once, over the window of odd covering every base's shard.  Each
     base then reads its own primes from them, so every sum runs over the
-    same values in the same order as for a base swept alone.
+    same values in the same order as for a base swept alone.  The kernel
+    runs once per root (_root): bases with one root exclude the same primes,
+    so they share its shard and r, and each lifts its own r from it (_lift).
 
     Entry b is None or (ints, floats, exact_parts, divisor_values,
     split_checks).  ints is int64 [len(ts), len(_COLUMNS)]; floats is
@@ -290,14 +326,21 @@ def _tally_step(
 
     out: list[tuple | None] = [None] * len(plans)
     mine = []
+    roots: dict[Rational, tuple] = {}  # root -> (keep, its r): one kernel run per root
     for b, (first, last, drops) in live:
-        # base b's primes: a slice of the window, or an index array where it excludes some
-        keep = slice(first - lo, last - lo)
-        if drops.size:
-            keep = np.delete(np.arange(first, last), drops - first) - lo
-        r = _shard_indexes(plans[b].g, ps[keep], qs[keep])
+        dec = plans[b].dec
+        root = _root(dec)
+        if root not in roots:
+            # base b's primes: a slice of the window, or an index array where it
+            # excludes some; bases with one root exclude the same primes
+            keep = slice(first - lo, last - lo)
+            if drops.size:
+                keep = np.delete(np.arange(first, last), drops - first) - lo
+            roots[root] = keep, _shard_indexes(root, ps[keep], qs[keep])
+        keep, r0 = roots[root]
+        r = _lift(r0, pm1[keep], dec)
         checks = _split_check(plans[b].g, ts, ps[keep], r) if split else 0
-        leg = legs[plans[b].dec.disc][keep]
+        leg = legs[dec.disc][keep]
         divisor_values = (pm1[keep], pm1[keep][leg == 1], r) if exact else None
         ints = np.zeros((len(ts), len(_COLUMNS)), dtype=np.int64)
         out[b] = ints, np.zeros((len(ts), 2)), [], divisor_values, checks
@@ -505,9 +548,15 @@ def _split_check(g: Rational, ts, ps: np.ndarray, r: np.ndarray) -> int:
     """
     num, den = g.numerator, g.denominator
     primes = ps.tolist()
+    residues = [num * pow(den, -1, p) % p for p in primes]  # g mod p, once per shard
     for t in ts:
-        powers = (pow(num * pow(den, -1, p), (p - 1) // t, p) if (p - 1) % t == 0 else 0 for p in primes)
-        algebraic = np.fromiter(powers, dtype=np.int64, count=len(primes)) == 1
+        # only p = 1 mod t can pass; the others keep algebraic False
+        ones = (ps - 1) % t == 0
+        sel = ones.tolist()
+        exps = ((ps[ones] - 1) // t).tolist()
+        powers = map(pow, compress(residues, sel), exps, compress(primes, sel))
+        algebraic = np.zeros(ps.size, dtype=bool)
+        algebraic[ones] = np.fromiter(powers, dtype=np.int64, count=len(exps)) == 1
         divides = r % t == 0
         bad = np.flatnonzero(algebraic != divides)
         if bad.size:
@@ -526,7 +575,8 @@ def verify_split_criterion(g: Rational, ts, x: int, table: arith.PrimeTable) -> 
     number of (p, t) pairs checked, raises LemmaViolation on any mismatch.
     """
     base = table.primes_upto(isqrt(x))
+    dec = decompose_g(g)
     return sum(
-        _split_check(g, ts, ps, _shard_indexes(g, ps, _factor_shard(ps - 1, base)))
+        _split_check(g, ts, ps, _indexes(dec, ps, _factor_shard(ps - 1, base)))
         for ps in _counted_shards(table, x, g)
     )

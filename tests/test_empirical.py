@@ -1,8 +1,11 @@
+from dataclasses import replace
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import BASE_STRINGS, BASES
 from resindex import arith, cli, empirical, heuristic
@@ -41,12 +44,42 @@ def test_residual_index_examples(small_table):
 
 
 def test_residual_index_against_brute_force(small_table):
-    for g in (parse_g("2"), parse_g("-2"), parse_g("9/25"), parse_g("-27")):
+    bases = ("2", "-2", "9/25", "-27", "1/2", "8", "-4", "-1/4", str(2**12))
+    # +-1 are no CLI bases, but residual_index takes them
+    for g in [*map(parse_g, bases), Fraction(1), Fraction(-1)]:
         for p in counted_primes(g, 300, small_table):
             out = empirical.residual_index(g, p, small_table)
             assert out.index == brute_index(g, p)
             order = (p - 1) // out.index
             assert out.index * order == p - 1
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from((Fraction(2), Fraction(3), Fraction(5, 3), Fraction(12))),
+    st.integers(1, 12),
+    st.sampled_from((1, -1)),
+    st.booleans(),
+)
+def test_lift_equals_kernel(table, g0, h, sign, invert):
+    # r of +-g0^h and +-g0^-h lifted from the root's r equals the kernel run on g itself
+    g = sign * (1 / g0 if invert else g0) ** h
+    dec = decompose_g(g)
+    assert empirical._root(dec) == max(g0, 1 / g0)
+    x = 10**5
+    base = table.primes_upto(isqrt(x))
+    doubles = halves = False
+    for ps in empirical._counted_shards(table, x, g):
+        pm1 = ps - 1
+        qs = empirical._factor_shard(pm1, base)
+        r0 = empirical._shard_indexes(empirical._root(dec), ps, qs)
+        assert np.array_equal(empirical._lift(r0, pm1, dec), empirical._shard_indexes(g, ps, qs))
+        # e = v2(r(g0^h)) against v = v2(p-1): the sign step doubles r at e = v-1, halves it at e = v
+        rh = r0 * np.gcd(pm1 // r0, h)
+        low_r, low_pm1 = rh & -rh, pm1 & -pm1
+        doubles |= bool((2 * low_r == low_pm1).any())
+        halves |= bool((low_r == low_pm1).any())
+    assert doubles and halves
 
 
 # ---------------------------------------------------------------------------
@@ -265,6 +298,20 @@ def test_report_factors_each_step_once(table, monkeypatch):
     assert len(calls) == -(-odd_primes // 512) > 1
 
 
+def test_report_runs_the_kernel_once_per_root(table, monkeypatch):
+    # the nine bases have four roots, 2, 3, 5 and 5/3: one kernel run per root and step
+    calls = []
+    shard_indexes = empirical._shard_indexes
+    monkeypatch.setattr(empirical, "_shard_indexes", lambda g, *a: calls.append(g) or shard_indexes(g, *a))
+    monkeypatch.setattr(empirical, "SHARD_PRIMES", 512)
+    x = 20000
+    argv = ["report", "--x", str(x), "--t", "1", "--t", "2", "--format", "csv"]
+    assert cli.main(argv + [f"--g={g}" for g in BASE_STRINGS]) == 0
+    steps = -(-(len(table.primes_upto(x)) - 1) // 512)
+    assert len(calls) == 4 * steps > 4
+    assert set(calls) == {2, 3, 5, Fraction(5, 3)}
+
+
 def test_sweep_invariant_violation_raises(small_table, monkeypatch, capsys):
     # an M one off from H must stop the sweep, and the CLI must exit 3
     m_from_counts = heuristic.m_from_counts
@@ -315,6 +362,16 @@ def test_split_check_catches_kernel_faults(small_table, monkeypatch, capsys):
         empirical.verify_split_criterion(parse_g("2"), (2,), 10**4, small_table)
     assert cli.main(["count", "--g", "2", "--t", "2", "--x", str(10**4)]) == 3
     assert "splitting criterion" in capsys.readouterr().err
+
+
+def test_lift_is_certified(small_table, monkeypatch, capsys):
+    # a lift that skips the sign step gives -4 the r of 4; both split checks must catch it
+    lift = empirical._lift
+    monkeypatch.setattr(empirical, "_lift", lambda r0, pm1, dec: lift(r0, pm1, replace(dec, sign=1)))
+    assert cli.main(["count", "--g=-4", "--t", "2", "--x", str(10**4)]) == 3
+    assert "splitting criterion" in capsys.readouterr().err
+    with pytest.raises(LemmaViolation, match="splitting criterion"):
+        empirical.verify_split_criterion(parse_g("-4"), (2,), 10**4, small_table)
 
 
 def test_sweep_bounds(small_table):
