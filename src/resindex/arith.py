@@ -1,9 +1,12 @@
 """Elementary number-theoretic kernels.
 
 Sieving (segmented Eratosthenes), factorization, the multiplicative
-functions phi and mu, Ramanujan sums c_d(n), Jacobi and Legendre symbols,
-modular powers over int64 arrays and the logarithmic integral
-Li(x) = int_2^x dt/log t.
+functions phi and mu, Ramanujan sums c_d(n), the Jacobi symbol, modular
+powers over int64 arrays and the logarithmic integral Li(x) = int_2^x dt/log t.
+Every modular power comes from one routine: power_table builds, once per
+array of bases, the powers base^(d * 4^i) for every base-4 digit d and
+position i, and table_pow reads any exponents off it by one gather and one
+mulmod per digit; pow_mod_vec is the two for a single set of exponents.
 
 Everything here is deterministic; PrimeTable instances are immutable and
 safe to share between worker threads.
@@ -272,7 +275,7 @@ class ExactSum:
 
 
 # ---------------------------------------------------------------------------
-# Ramanujan sums and quadratic symbols
+# Ramanujan sums and the Jacobi symbol
 
 
 def _phi_small(n: int) -> int:
@@ -348,26 +351,42 @@ def reduce_mod_vec(n: int, mods: np.ndarray) -> np.ndarray:
     return out if n >= 0 else -out % mods
 
 
-def pow_mod_vec(base: np.ndarray, exp: np.ndarray, mod: np.ndarray) -> np.ndarray:
-    """base**exp % mod elementwise, for int64 arrays with 2 <= mod < 2**30."""
-    out = np.ones_like(mod)
-    if not out.size:
-        return out
-    base = base % mod
-    exp = exp.copy()
-    for _ in range(int(exp.max()).bit_length()):
-        odd = (exp & 1) == 1
-        out = np.where(odd, out * base % mod, out)
-        base = base * base % mod
-        exp >>= 1
+def power_table(base: np.ndarray, mod: np.ndarray, max_exp: int) -> np.ndarray:
+    """Fixed-base table for table_pow: tab[i, d, j] = base[j]**(d * 4**i) % mod[j].
+
+    One row i per base-4 digit of max_exp (at least one), d = 0..3, for int64
+    arrays base and mod with 2 <= mod < 2**30; a row costs three mulmods.
+    Stored as int32 (every residue is below 2**30) to halve its footprint.
+    """
+    rows = max(1, (int(max_exp).bit_length() + 1) // 2)
+    tab = np.empty((rows, 4, mod.size), dtype=np.int32)
+    tab[:, 0] = 1
+    b = base % mod  # base**(4**i) at row i
+    for row in tab:
+        b2 = b * b % mod
+        row[1], row[2], row[3] = b, b2, b2 * b % mod
+        b = b2 * b2 % mod
+    return tab
+
+
+def table_pow(tab: np.ndarray, idx: np.ndarray, exp: np.ndarray, mod: np.ndarray) -> np.ndarray:
+    """base[idx]**exp % mod[idx] from tab = power_table(base, mod, max_exp).
+
+    exp (every entry <= max_exp) and mod hold one entry per position in idx,
+    mod being the moduli at those positions.  Each base-4 digit of exp costs
+    one gather from the table and one mulmod; there are no squarings.
+    """
+    n = tab.shape[2]
+    out = np.ones(idx.size, dtype=np.int64)
+    for i in range((int(exp.max(initial=0)).bit_length() + 1) // 2):
+        out *= tab[i].reshape(-1).take(((exp >> 2 * i) & 3) * n + idx)
+        out %= mod
     return out
 
 
-def legendre_vec(d: int, ps: np.ndarray) -> np.ndarray:
-    """Legendre symbols (d/p) over an array of odd primes, by Euler's criterion."""
-    pm1 = ps - 1
-    s = pow_mod_vec(reduce_mod_vec(d, ps), pm1 >> 1, ps)
-    return np.where(s == pm1, -1, s)
+def pow_mod_vec(base: np.ndarray, exp: np.ndarray, mod: np.ndarray) -> np.ndarray:
+    """base**exp % mod elementwise, for int64 arrays with 2 <= mod < 2**30."""
+    return table_pow(power_table(base, mod, exp.max(initial=0)), np.arange(mod.size), exp, mod)
 
 
 # ---------------------------------------------------------------------------

@@ -22,21 +22,24 @@ count; no per-prime records are retained beyond the shard being processed.
 sweeps serves several bases in one pass: step k tallies the k-th shard of
 every base, and since those shards differ only by the bases' few excluded
 primes, the columns that do not depend on g (the prime factors of p-1,
-phi(p-1), 1/(p-1), the Legendre symbols of each distinct disc and, per t,
-the masks t | p-1, 2t | p-1 and phi((p-1)/t)) are built once per step;
-sweep is sweeps for one base.  Every sweep ends by checking H = M exactly
-and 0 <= N <= R <= pi(x;t,1) for each base and t.  One vectorized kernel,
-_shard_indexes, finds r for a whole shard from the prime factors of p-1
-(_factor_shard).  It runs once per root and step: g = sign * g0^h has the
-root g0 or 1/g0 (_root), shared by all powers, inverses and negatives of
-g0, and _lift derives r_g(p) from the root's r in closed form.  The sweep,
-residual_index and verify_split_criterion all reach r that way.  The
-splitting criterion t | r_g(p) <=> (p = 1 mod t and g^((p-1)/t) = 1 mod p)
-is checked per shard by _split_check, on built-in pow only: inside the
-sweep's pass on the r it has just found when split=True (as `count` asks),
-or standalone by verify_split_criterion.  count_progression and
-count_split_quadratic count without the kernel, as references for the
-sweep's pi and P_t columns.
+phi(p-1), 1/(p-1) and, per t, the masks t | p-1, 2t | p-1 and
+phi((p-1)/t)) are built once per step; sweep is sweeps for one base.
+Every sweep ends by checking H = M exactly and 0 <= N <= R <= pi(x;t,1)
+for each base and t.  One vectorized kernel, _shard_indexes, finds r for
+a whole shard from the prime factors of p-1 (_factor_shard), reading
+every power of its order loop off one table of the base mod p
+(arith.power_table).  It runs once per root and step: g = sign * g0^h has
+the root g0 or 1/g0 (_root), shared by all powers, inverses and negatives
+of g0, and _lift derives r_g(p) from the root's r in closed form.  The
+same run gives the Legendre symbol (g0/p) = (disc/p) of every such base,
+from the parity of the root's r.  The sweep, residual_index,
+verify_split_criterion and the weight oracle all reach r and (disc/p)
+that way.  The splitting criterion t | r_g(p) <=> (p = 1 mod t and
+g^((p-1)/t) = 1 mod p) is checked per shard by _split_check, on built-in
+pow only: inside the sweep's pass on the r it has just found when
+split=True (as `count` asks), or standalone by verify_split_criterion.
+count_progression and count_split_quadratic count without the kernel, as
+references for the sweep's pi and P_t columns.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
-from math import fsum, gcd, isqrt
+from math import fsum, gcd, isqrt, lcm
 
 import numpy as np
 
@@ -150,18 +153,24 @@ def _factor_shard(pm1: np.ndarray, base: np.ndarray) -> np.ndarray:
     return qs
 
 
-def _shard_indexes(g: Rational, ps: np.ndarray, qs: np.ndarray) -> np.ndarray:
-    """Residual indexes r_g(p) for an array of counted primes.
+def _shard_indexes(g: Rational, ps: np.ndarray, qs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Residual indexes r_g(p) and Legendre symbols (g/p) for an array of counted primes.
 
     The one order loop; every caller runs it on a base's root (_root) and
-    lifts the result (_lift).  qs holds the prime columns of p-1 (see
-    _factor_shard).  ord(g mod p) starts at p-1 and loses each prime factor
-    q while g^(order/q) = 1 mod p.
+    lifts r (_lift).  qs holds the prime columns of p-1 (see _factor_shard).
+    ord(g mod p) starts at p-1 and loses each prime factor q while
+    g^(order/q) = 1 mod p.  Every one of those powers is read off a single
+    power table of g mod p (arith.power_table), since no exponent exceeds
+    (p-1)/2.  The first test, q = 2 at order p-1, is Euler's criterion
+    g^((p-1)/2) = (g/p): it passes exactly where r comes out even, so the
+    symbol is read off r's parity.  For a root g0 = a/b, (g0/p) = (disc/p) at
+    every counted p, since ab is disc or disc/4 times a square prime to p.
     """
     pm1 = ps - 1
     a = arith.reduce_mod_vec(g.numerator, ps)
     if g.denominator != 1:
         a = a * arith.pow_mod_vec(arith.reduce_mod_vec(g.denominator, ps), ps - 2, ps) % ps
+    tab = arith.power_table(a, ps, int(pm1.max(initial=0)) >> 1)
     order = pm1.copy()
     for j in range(_FACTOR_COLUMNS):
         live = np.flatnonzero(qs[:, j] > 1)
@@ -169,10 +178,11 @@ def _shard_indexes(g: Rational, ps: np.ndarray, qs: np.ndarray) -> np.ndarray:
             break
         while live.size:
             q = qs[live, j]
-            live = live[arith.pow_mod_vec(a[live], order[live] // q, ps[live]) == 1]
+            live = live[arith.table_pow(tab, live, order[live] // q, ps[live]) == 1]
             order[live] //= qs[live, j]
             live = live[order[live] % qs[live, j] == 0]
-    return pm1 // order
+    r = pm1 // order
+    return r, 1 - 2 * (r & 1)
 
 
 def _root(dec: GDecomposition) -> Rational:
@@ -198,7 +208,7 @@ def _lift(r0: np.ndarray, pm1: np.ndarray, dec: GDecomposition) -> np.ndarray:
 
 def _indexes(dec: GDecomposition, ps: np.ndarray, qs: np.ndarray) -> np.ndarray:
     """r_g(p) for the decomposed base g: the kernel on its root, then _lift."""
-    return _lift(_shard_indexes(_root(dec), ps, qs), ps - 1, dec)
+    return _lift(_shard_indexes(_root(dec), ps, qs)[0], ps - 1, dec)
 
 
 # ---------------------------------------------------------------------------
@@ -254,32 +264,30 @@ class Sweep:
 
 @dataclass(frozen=True)
 class _SweepPlan:
-    """One base's share of a sweep: its parameters per t and the Ramanujan
-    sum divisors of its L and Q columns."""
+    """One base's share of a sweep: its parameters per t and the lookup
+    tables of its L and Q columns."""
 
     g: Rational
     dec: GDecomposition
     params: dict[int, HeuristicParams]
-    l_divs: dict[int, list[int]]
-    q_divs: dict[int, list[int]]
-    cd_tables: dict[int, np.ndarray]
+    lq_divs: np.ndarray
+    lq: dict[int, np.ndarray]
 
 
 def _plan(g: Rational, ts: tuple[int, ...]) -> _SweepPlan:
     dec = decompose_g(g)
     params = {t: derive_params(dec, t) for t in ts}
-    l_divs: dict[int, list[int]] = {}
-    q_divs: dict[int, list[int]] = {}
-    cd_tables: dict[int, np.ndarray] = {}
+    # L sums c_d(r) over d | (h,t), Q over the d | (2h,t) not dividing h.  Every
+    # such d divides D, the lcm over t of (2h,t), so c_d(r) = c_d(gcd(r, D)):
+    # lq[t] holds both sums at each divisor of D (lq_divs, ascending), and a
+    # base looks gcd(r, D) up in lq_divs once per shard for all t.
+    lq_divs = np.array(arith.divisors(arith.factor_int(lcm(*(gcd(2 * dec.h, t) for t in ts)))))
+    lq: dict[int, np.ndarray] = {}
     for t in ts:
-        ght = params[t].gcd_ht
-        g2t = gcd(2 * dec.h, t)
-        l_divs[t] = [d for d in range(1, ght + 1) if ght % d == 0]
-        q_divs[t] = [d for d in range(1, g2t + 1) if g2t % d == 0 and dec.h % d != 0]
-        for d in l_divs[t] + q_divs[t]:
-            if d not in cd_tables:
-                cd_tables[d] = arith.ramanujan_table(d)
-    return _SweepPlan(g=g, dec=dec, params=params, l_divs=l_divs, q_divs=q_divs, cd_tables=cd_tables)
+        lq[t] = np.zeros((2, lq_divs.size), dtype=np.int64)
+        for d in arith.divisors(arith.factor_int(gcd(2 * dec.h, t))):
+            lq[t][int(dec.h % d != 0)] += arith.ramanujan_table(d)[np.gcd(lq_divs, d)]
+    return _SweepPlan(g=g, dec=dec, params=params, lq_divs=lq_divs, lq=lq)
 
 
 def _tally_step(
@@ -295,13 +303,14 @@ def _tally_step(
     _shards), or None when base b has no shard in this step.
 
     The columns that do not depend on g -- the prime factors of p-1,
-    phi(p-1), 1/(p-1), the Legendre symbols of each distinct disc and, one t
-    at a time, the primes with t | p-1 and 2t | p-1 and phi((p-1)/t) -- are
-    built once, over the window of odd covering every base's shard.  Each
-    base then reads its own primes from them, so every sum runs over the
-    same values in the same order as for a base swept alone.  The kernel
-    runs once per root (_root): bases with one root exclude the same primes,
-    so they share its shard and r, and each lifts its own r from it (_lift).
+    phi(p-1), 1/(p-1) and, one t at a time, the primes with t | p-1 and
+    2t | p-1 and phi((p-1)/t) -- are built once, over the window of odd
+    covering every base's shard.  Each base then reads its own primes from
+    them, so every sum runs over the same values in the same order as for a
+    base swept alone.  The kernel runs once per root (_root): bases with one
+    root exclude the same primes and have the same (disc/p), so they share
+    its shard, r and Legendre column, and each lifts its own r from it
+    (_lift).
 
     Entry b is None or (ints, floats, exact_parts, divisor_values,
     split_checks).  ints is int64 [len(ts), len(_COLUMNS)]; floats is
@@ -322,29 +331,27 @@ def _tally_step(
         q = qs[:, j]
         phi -= np.where(q > 1, phi // q, 0)
     inv = 1.0 / pm1.astype(np.float64)
-    legs = {disc: arith.legendre_vec(disc, ps) for disc in {plans[b].dec.disc for b, _ in live}}
 
     out: list[tuple | None] = [None] * len(plans)
     mine = []
-    roots: dict[Rational, tuple] = {}  # root -> (keep, its r): one kernel run per root
+    roots: dict[Rational, tuple] = {}  # root -> (keep, its r, its (disc/p)): one kernel run per root
     for b, (first, last, drops) in live:
-        dec = plans[b].dec
-        root = _root(dec)
+        plan = plans[b]
+        root = _root(plan.dec)
         if root not in roots:
             # base b's primes: a slice of the window, or an index array where it
             # excludes some; bases with one root exclude the same primes
             keep = slice(first - lo, last - lo)
             if drops.size:
                 keep = np.delete(np.arange(first, last), drops - first) - lo
-            roots[root] = keep, _shard_indexes(root, ps[keep], qs[keep])
-        keep, r0 = roots[root]
-        r = _lift(r0, pm1[keep], dec)
-        checks = _split_check(plans[b].g, ts, ps[keep], r) if split else 0
-        leg = legs[dec.disc][keep]
+            roots[root] = keep, *_shard_indexes(root, ps[keep], qs[keep])
+        keep, r0, leg = roots[root]
+        r = _lift(r0, pm1[keep], plan.dec)
+        checks = _split_check(plan.g, ts, ps[keep], r) if split else 0
         divisor_values = (pm1[keep], pm1[keep][leg == 1], r) if exact else None
         ints = np.zeros((len(ts), len(_COLUMNS)), dtype=np.int64)
         out[b] = ints, np.zeros((len(ts), 2)), [], divisor_values, checks
-        mine.append((b, keep, r))
+        mine.append((b, keep, r, leg, np.searchsorted(plan.lq_divs, np.gcd(r, plan.lq_divs[-1]))))
 
     for i, t in enumerate(ts):
         mask = pm1 % t == 0
@@ -359,19 +366,17 @@ def _tally_step(
         phi_t //= t
         inv_t = inv[idx]
         naive = phi_t * inv_t
-        leg_ts = {disc: leg[idx] for disc, leg in legs.items()}
-        for b, keep, r in mine:
+        for b, keep, r, leg, r_div in mine:
             plan, pa = plans[b], plans[b].params[t]
             if isinstance(keep, slice):
                 sub = slice(*np.searchsorted(idx, (keep.start, keep.stop)).tolist())
             else:
                 sub = np.flatnonzero(np.isin(idx, keep))
             pm1_b, phi_b, m2_b = pm1_t[sub], phi_t[sub], m2[sub]
-            leg_b = leg_ts[plan.dec.disc][sub]
-            r_b = r[mask[keep]]
+            mask_b = mask[keep]
+            r_b, leg_b = r[mask_b], leg[mask_b]
             w = heuristic.weights_w_vec(plan.dec, pa, pm1_b, leg_b)
-            l_num = sum(int(plan.cd_tables[d][np.gcd(r_b, d)].sum()) for d in plan.l_divs[t])
-            q_num = sum(int(plan.cd_tables[d][np.gcd(r_b, d)].sum()) for d in plan.q_divs[t])
+            l_num, q_num = plan.lq[t][:, r_div[mask_b]].sum(axis=1)
             ints, floats, exact_parts = out[b][:3]
             ints[i] = (
                 pm1_b.size,
@@ -548,7 +553,8 @@ def _split_check(g: Rational, ts, ps: np.ndarray, r: np.ndarray) -> int:
     """
     num, den = g.numerator, g.denominator
     primes = ps.tolist()
-    residues = [num * pow(den, -1, p) % p for p in primes]  # g mod p, once per shard
+    # g mod p, once per shard
+    residues = [num % p for p in primes] if den == 1 else [num * pow(den, -1, p) % p for p in primes]
     for t in ts:
         # only p = 1 mod t can pass; the others keep algebraic False
         ones = (ps - 1) % t == 0

@@ -8,18 +8,19 @@ divisibility indicator, and per coset class into one histogram of indexes,
 from which every density is read as an exact Fraction.  The weight oracles
 locate the class of a base g in (Z/pZ)* via discrete logs over the smallest
 primitive root and check, for every t | p-1, the weights and (disc/p) that
-the sweep itself computes against that class's histogram.
+the sweep itself computes against that class's histogram; (disc/p) comes
+from the sweep's own kernel run on the base's root (empirical._shard_indexes).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 
 import numpy as np
 
-from . import arith, heuristic
+from . import arith, empirical, heuristic
 from .decompose import GDecomposition, Rational, decompose_g, derive_params, excluded_primes
 from .errors import DomainError, LemmaViolation
 
@@ -243,9 +244,11 @@ class _BaseWeights:
 
 
 def _base_weights(g: Rational, primes: np.ndarray) -> _BaseWeights:
+    """(disc/p) as the sweep reads it, from the kernel run on g's root, and the weights."""
     dec = decompose_g(g)
     pm1 = primes - 1
-    leg = arith.legendre_vec(dec.disc, primes)
+    base = arith.build_prime_table(max(2, isqrt(int(pm1[-1])))).primes
+    leg = empirical._shard_indexes(empirical._root(dec), primes, empirical._factor_shard(pm1, base))[1]
     ms = {m for n in pm1.tolist() for m in arith.divisors(arith.factor_int(n))}
     w, r = {}, {}
     for m in ms:

@@ -202,12 +202,10 @@ def test_kronecker_rejects_bad_p():
 
 
 def test_kronecker_matches_euler_criterion(small_table):
-    # the scalar reference jacobi and the sweep's legendre_vec, one call per d
     ps = small_table.primes[1:]
     for d in range(-100, 101):
         want = [euler_criterion(d, p) for p in ps.tolist()]
         assert [arith.jacobi(d, p) for p in ps.tolist()] == want, d
-        assert arith.legendre_vec(d, ps).tolist() == want, d
 
 
 # ---------------------------------------------------------------------------
@@ -266,8 +264,8 @@ def test_vectorized_modpow_matches_pow(rows, n):
     es = np.array([e for _, _, e in rows], dtype=np.int64)
     assert arith.pow_mod_vec(bs, es, ps).tolist() == [pow(b, e, p) for p, b, e in rows]
     assert arith.reduce_mod_vec(n, ps).tolist() == [n % p for p, _, _ in rows]
-    assert arith.legendre_vec(n, ps[ps > 2]).tolist() == [
-        arith.jacobi(n, p) for p, _, _ in rows if p > 2
+    assert [arith.jacobi(n, p) for p, _, _ in rows if p > 2] == [
+        euler_criterion(n, p) for p, _, _ in rows if p > 2
     ]
     empty = np.zeros(0, dtype=np.int64)
     assert arith.pow_mod_vec(empty, empty, empty).size == 0
@@ -276,6 +274,26 @@ def test_vectorized_modpow_matches_pow(rows, n):
     mixed += [(999999893, 2, 999999891), (999999937, 999999936, 999999936), (7, 3, 6)]
     ps, bs, es = (np.array(col, dtype=np.int64) for col in zip(*mixed))
     assert arith.pow_mod_vec(bs, es, ps).tolist() == [pow(b, e, p) for p, b, e in mixed]
+
+
+# the largest primes below 2**30, the bound on the moduli, and a few small ones
+_TABLE_PRIMES = (1073741789, 1073741783, 1073741741, 3, 5, 7, 65537)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_table_pow_matches_pow(data):
+    ps = data.draw(st.lists(st.sampled_from(_TABLE_PRIMES), max_size=12))
+    bs = [data.draw(st.integers(0, p - 1)) for p in ps]
+    max_exp = data.draw(st.integers(max([p - 1 for p in ps], default=0), 2**30))
+    idx = data.draw(st.lists(st.integers(0, len(ps) - 1), max_size=12)) if ps else []
+    es = [data.draw(st.one_of(st.sampled_from((0, 1, ps[i] - 1, max_exp)), st.integers(0, max_exp))) for i in idx]
+    ps_a, bs_a, idx_a, es_a = (np.array(col, dtype=np.int64) for col in (ps, bs, idx, es))
+    tab = arith.power_table(bs_a, ps_a, max_exp)
+    assert tab.dtype == np.int32 and tab.shape == (max(1, (max_exp.bit_length() + 1) // 2), 4, len(ps))
+    want = [pow(bs[i], e, ps[i]) for i, e in zip(idx, es)]
+    assert arith.table_pow(tab, idx_a, es_a, ps_a[idx_a]).tolist() == want
+    assert arith.pow_mod_vec(bs_a[idx_a], es_a, ps_a[idx_a]).tolist() == want
 
 
 # ---------------------------------------------------------------------------

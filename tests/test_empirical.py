@@ -72,14 +72,25 @@ def test_lift_equals_kernel(table, g0, h, sign, invert):
     for ps in empirical._counted_shards(table, x, g):
         pm1 = ps - 1
         qs = empirical._factor_shard(pm1, base)
-        r0 = empirical._shard_indexes(empirical._root(dec), ps, qs)
-        assert np.array_equal(empirical._lift(r0, pm1, dec), empirical._shard_indexes(g, ps, qs))
+        r0, _ = empirical._shard_indexes(empirical._root(dec), ps, qs)
+        assert np.array_equal(empirical._lift(r0, pm1, dec), empirical._shard_indexes(g, ps, qs)[0])
         # e = v2(r(g0^h)) against v = v2(p-1): the sign step doubles r at e = v-1, halves it at e = v
         rh = r0 * np.gcd(pm1 // r0, h)
         low_r, low_pm1 = rh & -rh, pm1 & -pm1
         doubles |= bool((2 * low_r == low_pm1).any())
         halves |= bool((low_r == low_pm1).any())
     assert doubles and halves
+
+
+def test_kernel_legendre_column_is_the_disc_symbol(table):
+    # the kernel's second column is (root/p), which must be (disc/p) at every counted p
+    x = 10**5
+    base = table.primes_upto(isqrt(x))
+    for g in (Fraction(2), Fraction(3), Fraction(12), Fraction(5, 3), Fraction(3 * 2**70), Fraction(5, 7**30)):
+        dec = decompose_g(g)
+        for ps in empirical._counted_shards(table, x, g):
+            leg = empirical._shard_indexes(empirical._root(dec), ps, empirical._factor_shard(ps - 1, base))[1]
+            assert leg.tolist() == [arith.jacobi(dec.disc, p) for p in ps.tolist()], (g, ps[0])
 
 
 # ---------------------------------------------------------------------------
@@ -354,10 +365,10 @@ def test_count_factors_each_shard_once(table, monkeypatch):
 
 
 def test_split_check_catches_kernel_faults(small_table, monkeypatch, capsys):
-    # a pow_mod_vec that claims g^e = 1 mod p for some primes corrupts r; the
+    # a table_pow that claims g^e = 1 mod p for some primes corrupts r; the
     # algebraic side runs on built-in pow, so the check must not agree with it
-    pow_mod_vec = arith.pow_mod_vec
-    monkeypatch.setattr(arith, "pow_mod_vec", lambda a, e, m: np.where(m % 7 == 3, 1, pow_mod_vec(a, e, m)))
+    table_pow = arith.table_pow
+    monkeypatch.setattr(arith, "table_pow", lambda tab, i, e, m: np.where(m % 7 == 3, 1, table_pow(tab, i, e, m)))
     with pytest.raises(LemmaViolation, match="splitting criterion"):
         empirical.verify_split_criterion(parse_g("2"), (2,), 10**4, small_table)
     assert cli.main(["count", "--g", "2", "--t", "2", "--x", str(10**4)]) == 3

@@ -1,6 +1,5 @@
 from fractions import Fraction
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,7 +13,7 @@ def weights(g, t, p):
     """(w(g,t;p), r(g,t;p)) for one prime, through the vectorized tables."""
     dec = decompose_g(g)
     pa = derive_params(dec, t)
-    leg = int(arith.legendre_vec(dec.disc, np.array([p], dtype=np.int64))[0])
+    leg = arith.jacobi(dec.disc, p)
     w = heuristic.weights_w_vec(dec, pa, p - 1, leg)
     r = heuristic.weights_r_vec(dec, pa, p - 1, leg)
     return int(w), int(r)

@@ -147,10 +147,16 @@ def test_suites_enumerate_each_group_once(monkeypatch):
 
 
 def test_weight_oracle_certifies_the_sweeps_legendre_symbol(monkeypatch):
-    from resindex import arith
+    # the oracle reads (disc/p) from the kernel the sweep runs; a flipped column must show
+    from resindex import empirical
 
-    legendre_vec = arith.legendre_vec
-    monkeypatch.setattr(arith, "legendre_vec", lambda d, ps: -legendre_vec(d, ps))
+    shard_indexes = empirical._shard_indexes
+
+    def flipped(*args):
+        r, leg = shard_indexes(*args)
+        return r, -leg
+
+    monkeypatch.setattr(empirical, "_shard_indexes", flipped)
     res = oracle.weight_oracle_suite([parse_g("2"), parse_g("-3")], 200)
     assert not res.ok
     assert any("parity of dlog(g0)" in v for v in res.violations)
