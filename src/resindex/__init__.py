@@ -28,13 +28,8 @@ from .decompose import (
 )
 from .density import DegreeResult, artin_constant, artin_density_A, kummer_degree
 from .empirical import (
-    ResidualIndexOutcome,
-    count_progression,
-    count_split_quadratic,
-    residual_index,
     sweep,
     sweeps,
-    verify_split_criterion,
 )
 
 __version__ = "0.1.0"
@@ -46,12 +41,9 @@ __all__ = [
     "HeuristicParams",
     "PrimeTable",
     "Rational",
-    "ResidualIndexOutcome",
     "artin_constant",
     "artin_density_A",
     "build_prime_table",
-    "count_progression",
-    "count_split_quadratic",
     "decompose_g",
     "derive_params",
     "euler_phi",
@@ -62,8 +54,6 @@ __all__ = [
     "parse_g",
     "quadratic_discriminant",
     "ramanujan_sum",
-    "residual_index",
     "sweep",
     "sweeps",
-    "verify_split_criterion",
 ]

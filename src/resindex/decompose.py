@@ -25,24 +25,29 @@ Rational = Fraction
 
 _G_RE = re.compile(r"^-?\d+(/\d+)?$")
 
+# A larger numerator or denominator can keep factor_int busy for minutes.
+_MAX_G_BITS = 1024
+
 
 def parse_g(text: str) -> Rational:
     """Parse '[-]a' or '[-]a/b' into a reduced rational base.
 
-    Rejects malformed strings, zero denominators and the excluded bases
-    -1, 0, 1.
+    Rejects malformed strings, a numerator or denominator over _MAX_G_BITS
+    bits, zero denominators and the excluded bases -1, 0, 1.
     """
     text = text.strip()
     if not _G_RE.match(text):
         raise ParseError(f"cannot parse base {text!r} (expected 'a' or 'a/b')")
-    if "/" in text:
-        num_s, den_s = text.split("/")
-        num, den = int(num_s), int(den_s)
-        if den == 0:
-            raise ParseError(f"zero denominator in {text!r}")
-        g = Fraction(num, den)
-    else:
-        g = Fraction(int(text))
+    num_s, _, den_s = text.partition("/")
+    try:  # int() itself refuses more than 4300 digits
+        num, den = int(num_s), int(den_s or 1)
+        if max(abs(num), den).bit_length() > _MAX_G_BITS:
+            raise ValueError
+    except ValueError:
+        raise ParseError(f"numerator or denominator of {text[:20]}... exceeds {_MAX_G_BITS} bits") from None
+    if den == 0:
+        raise ParseError(f"zero denominator in {text!r}")
+    g = Fraction(num, den)
     if g in (-1, 0, 1):
         raise ExcludedBaseError(f"base {g} is excluded (must avoid -1, 0, 1)")
     return g

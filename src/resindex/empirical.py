@@ -32,14 +32,11 @@ every power of its order loop off one table of the base mod p
 the root g0 or 1/g0 (_root), shared by all powers, inverses and negatives
 of g0, and _lift derives r_g(p) from the root's r in closed form.  The
 same run gives the Legendre symbol (g0/p) = (disc/p) of every such base,
-from the parity of the root's r.  The sweep, residual_index,
-verify_split_criterion and the weight oracle all reach r and (disc/p)
-that way.  The splitting criterion t | r_g(p) <=> (p = 1 mod t and
-g^((p-1)/t) = 1 mod p) is checked per shard by _split_check, on built-in
-pow only: inside the sweep's pass on the r it has just found when
-split=True (as `count` asks), or standalone by verify_split_criterion.
-count_progression and count_split_quadratic count without the kernel, as
-references for the sweep's pi and P_t columns.
+from the parity of the root's r.  The sweep and the weight oracle both
+reach r and (disc/p) that way.  With split=True (as `count` asks) the
+sweep also checks the splitting criterion t | r_g(p) <=> (p = 1 mod t and
+g^((p-1)/t) = 1 mod p) on each shard's r as soon as it is found
+(_split_check), with built-in pow only on the algebraic side.
 """
 
 from __future__ import annotations
@@ -63,46 +60,18 @@ SHARD_PRIMES = 8192
 _FACTOR_COLUMNS = 10
 
 
-@dataclass(frozen=True)
-class ResidualIndexOutcome:
-    """Result of reducing g mod one odd prime."""
-
-    p: int
-    status: str  # "counted" or "excluded"
-    index: int | None = None
-
-
-def residual_index(g: Rational, p: int, table: arith.PrimeTable) -> ResidualIndexOutcome:
-    """Index of the subgroup generated by g mod p inside (Z/pZ)*.
-
-    Excluded (p = 2 or p divides numerator or denominator of g) primes get
-    status 'excluded'; otherwise index * ord(g mod p) = p - 1.
-    """
-    if p > table.limit:
-        raise CapabilityError(f"p={p} exceeds table limit {table.limit}")
-    if not arith.is_prime(p):
-        raise DomainError(f"{p} is not prime")
-    if p == 2 or (abs(g.numerator) * g.denominator) % p == 0:
-        return ResidualIndexOutcome(p=p, status="excluded")
-    # +-1 has no decomposition; as +-1^1 its root 1 has r = p-1
-    dec = decompose_g(g) if abs(g) != 1 else GDecomposition(sign=int(g), g0=Fraction(1), h=1, e=0, disc=1)
-    ps = np.array([p], dtype=np.int64)
-    r = _indexes(dec, ps, _factor_shard(ps - 1, table.primes_upto(isqrt(p))))
-    return ResidualIndexOutcome(p=p, status="counted", index=int(r[0]))
-
-
 # ---------------------------------------------------------------------------
 # the shard kernel
 
 
-def _shards(odd: np.ndarray, x: int, g: Rational | None) -> list[tuple[int, int, np.ndarray]]:
+def _shards(odd: np.ndarray, x: int, g: Rational) -> list[tuple[int, int, np.ndarray]]:
     """The counted primes of g, cut into SHARD_PRIMES-sized shards in ascending order.
 
     odd holds the odd primes <= x.  Shard (lo, hi, drops) is odd[lo:hi] less
     the positions in drops, those of the primes dividing g's numerator or
-    denominator (none when g is None).
+    denominator.
     """
-    bad = [p for p in sorted(excluded_primes(g)) if 2 < p <= x] if g is not None else []
+    bad = [p for p in sorted(excluded_primes(g)) if 2 < p <= x]
     drops = np.searchsorted(odd, bad)
     starts = np.arange(0, odd.size - drops.size, SHARD_PRIMES)
     # counted prime number c (from 0) sits at position c plus the number of
@@ -110,14 +79,6 @@ def _shards(odd: np.ndarray, x: int, g: Rational | None) -> list[tuple[int, int,
     starts += np.searchsorted(drops - np.arange(drops.size), starts, side="right")
     cuts = [*starts.tolist(), odd.size]
     return [(lo, hi, drops[(lo <= drops) & (drops < hi)]) for lo, hi in zip(cuts, cuts[1:])]
-
-
-def _counted_shards(table: arith.PrimeTable, x: int, g: Rational | None):
-    """Odd primes p <= x, less those dividing g's numerator or denominator
-    when g is given, as SHARD_PRIMES-sized arrays in ascending order."""
-    odd = table.primes_upto(x)[1:]
-    for lo, hi, drops in _shards(odd, x, g):
-        yield np.delete(odd[lo:hi], drops - lo)
 
 
 def _factor_shard(pm1: np.ndarray, base: np.ndarray) -> np.ndarray:
@@ -204,11 +165,6 @@ def _lift(r0: np.ndarray, pm1: np.ndarray, dec: GDecomposition) -> np.ndarray:
         low_r, low_pm1 = r & -r, pm1 & -pm1
         r = np.where(2 * low_r == low_pm1, 2 * r, np.where(low_r == low_pm1, r // 2, r))
     return r
-
-
-def _indexes(dec: GDecomposition, ps: np.ndarray, qs: np.ndarray) -> np.ndarray:
-    """r_g(p) for the decomposed base g: the kernel on its root, then _lift."""
-    return _lift(_shard_indexes(_root(dec), ps, qs)[0], ps - 1, dec)
 
 
 # ---------------------------------------------------------------------------
@@ -518,31 +474,6 @@ def sweep(
     return sweeps((g,), table, x, ts, threads=threads, exact=exact, split=split)[0]
 
 
-# ---------------------------------------------------------------------------
-# reference counters and the splitting-criterion check
-
-
-def count_progression(x: int, t: int, table: arith.PrimeTable, g: Rational | None = None) -> int:
-    """pi(x;t,1): odd primes p <= x with p = 1 mod t (counted ones when g given)."""
-    if t < 1:
-        raise DomainError("t must be >= 1")
-    return sum(int(((ps - 1) % t == 0).sum()) for ps in _counted_shards(table, x, g))
-
-
-def count_split_quadratic(
-    x: int, t: int, disc: int, table: arith.PrimeTable, g: Rational | None = None
-) -> int:
-    """Primes p <= x with p = 1 mod t and (disc/p) = 1 (counted ones when g given)."""
-    if t < 1:
-        raise DomainError("t must be >= 1")
-    return sum(
-        1
-        for ps in _counted_shards(table, x, g)
-        for p in ps[(ps - 1) % t == 0].tolist()
-        if arith.jacobi(disc, p) == 1
-    )
-
-
 def _split_check(g: Rational, ts, ps: np.ndarray, r: np.ndarray) -> int:
     """Check t | r <=> (p = 1 mod t and g^((p-1)/t) = 1 mod p) for the
     kernel's residual indexes r of the counted primes ps and every t in ts.
@@ -573,16 +504,3 @@ def _split_check(g: Rational, ts, ps: np.ndarray, r: np.ndarray) -> int:
             )
     return len(primes) * len(ts)
 
-
-def verify_split_criterion(g: Rational, ts, x: int, table: arith.PrimeTable) -> int:
-    """Assert t | r_g(p) <=> (p = 1 mod t and g^((p-1)/t) = 1 mod p).
-
-    Checks every counted prime p <= x against every t in ts; returns the
-    number of (p, t) pairs checked, raises LemmaViolation on any mismatch.
-    """
-    base = table.primes_upto(isqrt(x))
-    dec = decompose_g(g)
-    return sum(
-        _split_check(g, ts, ps, _indexes(dec, ps, _factor_shard(ps - 1, base)))
-        for ps in _counted_shards(table, x, g)
-    )

@@ -4,12 +4,15 @@ Cyclic groups of order n are modeled additively as exponents 0..n-1 of a
 fixed generator; the index of an element a is gcd(a, n), so the identity
 has index n, and the unique element of order 2 (when n is even) is n/2.
 Each group is enumerated once: per (n, t) for the three routes of the
-divisibility indicator, and per coset class into one histogram of indexes,
-from which every density is read as an exact Fraction.  The weight oracles
-locate the class of a base g in (Z/pZ)* via discrete logs over the smallest
-primitive root and check, for every t | p-1, the weights and (disc/p) that
-the sweep itself computes against that class's histogram; (disc/p) comes
-from the sweep's own kernel run on the base's root (empirical._shard_indexes).
+divisibility indicator, and per coset class into one histogram of indexes
+(_class_indexes), from which rho and sigma, by counting and by Moebius
+inversion, are read as exact Fractions.  The weight oracle locates the
+class of a base g in (Z/pZ)* via discrete logs over the smallest primitive
+root and checks, for every t | p-1, the weights and (disc/p) that the sweep
+itself computes against that class's histogram; (disc/p) comes from the
+sweep's own kernel run on the base's root (empirical._shard_indexes).
+The four suites are the only way in: each runs its checks over a whole
+grid and returns them as one SuiteResult.
 """
 
 from __future__ import annotations
@@ -141,11 +144,6 @@ def _class_indexes(n: int, h: int, sign: int, parity: str) -> _ClassIndexes:
     return _ClassIndexes(n=n, hist=np.bincount(cls, minlength=n + 1), size=cls.size)
 
 
-def rho(sc: GroupScenario) -> Fraction:
-    """Fraction of the scenario's class with t-divisible index, by counting."""
-    return _class_indexes(sc.n, sc.h, sc.sign, sc.parity).rho(sc.t)
-
-
 def rho_closed(sc: GroupScenario) -> Fraction:
     """Closed forms of the coset densities.
 
@@ -181,20 +179,6 @@ def rho_closed(sc: GroupScenario) -> Fraction:
     if (v2n == tau and tau != e + 1) or (v2n >= tau + 1 and tau >= e + 1):
         return Fraction(0)
     return Fraction(gcd(2 * h, t), t)
-
-
-def sigma(sc: GroupScenario, mode: str = "direct") -> Fraction:
-    """Fraction of the class with index exactly t.
-
-    mode 'direct' counts index == t over the class; 'moebius' computes
-    sum_{d | n/t} mu(d) rho(scenario at dt).
-    """
-    if sc.n % sc.t:
-        raise DomainError(f"need t | n, got t={sc.t}, n={sc.n}")
-    if mode not in ("direct", "moebius"):
-        raise DomainError(f"unknown mode {mode!r}")
-    ci = _class_indexes(sc.n, sc.h, sc.sign, sc.parity)
-    return ci.sigma_direct(sc.t) if mode == "direct" else ci.sigma_moebius(sc.t)
 
 
 def sigma_closed_linear(n: int, h: int, t: int) -> Fraction:
@@ -344,7 +328,13 @@ def _weight_check(ctx: _GroupContext, t: int) -> WeightCheck:
 
 
 def _w_r_relations_hold(ctx: _GroupContext, t: int) -> bool:
-    """Both Moebius relations between w and r at one (g, p, t), times p-1 (every m | p-1)."""
+    """Both Moebius relations between w and r at one (g, p, t), times p-1 (every m | p-1):
+
+      sum_{d | (p-1)/t} mu(d) r(g,dt;p) (h,dt)/(dt)
+          == w(g,t;p) (h,t) phi((p-1)/t)/(p-1)
+    and
+      r(g,t;p) == t_h * sum_{d | (p-1)/t} w(g,dt;p) (h,dt) phi((p-1)/(dt))/(p-1).
+    """
     n = ctx.p - 1
     h = ctx.dec.h
     lhs = rhs = 0
@@ -355,36 +345,6 @@ def _w_r_relations_hold(ctx: _GroupContext, t: int) -> bool:
     pa = derive_params(ctx.dec, t)
     gevolg_ok = lhs == ctx.w[t] * pa.gcd_ht * arith.euler_phi(arith.factor_int(n // t))
     return gevolg_ok and ctx.r[t] * n == pa.t_h * rhs
-
-
-def _single_context(g: Rational, p: int, t: int) -> _GroupContext:
-    if not arith.is_prime(p) or p in excluded_primes(g):  # excluded_primes holds 2
-        raise DomainError(f"p={p} is not a counted prime for g={g}")
-    if t < 1 or (p - 1) % t:
-        raise DomainError(f"need t | p-1, got t={t}, p={p}")
-    return _group_context(_base_weights(g, np.array([p], dtype=np.int64)), 0)
-
-
-def verify_sigma_equals_w_mu(g: Rational, p: int, t: int) -> WeightCheck:
-    """Check the weight formulas against literal counts in (Z/pZ)*.
-
-    sigma(class of g, index = t) must equal
-    w(g,t;p) * (h,t) phi((p-1)/t)/(p-1), and rho(class, t | index) must
-    equal r(g,t;p) / t_h.
-    """
-    return _weight_check(_single_context(g, p, t), t)
-
-
-def verify_w_r_relations(g: Rational, p: int, t: int) -> bool:
-    """Exact Moebius relations tying the two weights together at one prime.
-
-    Checks
-      sum_{d | (p-1)/t} mu(d) r(g,dt;p) (h,dt)/(dt)
-          == w(g,t;p) (h,t) phi((p-1)/t)/(p-1)
-    and
-      r(g,t;p) == t_h * sum_{d | (p-1)/t} w(g,dt;p) (h,dt) phi((p-1)/(dt))/(p-1).
-    """
-    return _w_r_relations_hold(_single_context(g, p, t), t)
 
 
 # ---------------------------------------------------------------------------

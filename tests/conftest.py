@@ -16,3 +16,27 @@ def table():
 @pytest.fixture(scope="session")
 def small_table():
     return arith.build_prime_table(10**4)
+
+
+# brute-force references: the prime table and built-in pow only
+
+
+def counted_primes(g, x: int, table) -> list[int]:
+    """The odd primes p <= x that divide neither numerator nor denominator of g."""
+    return [p for p in table.primes_upto(x).tolist() if p != 2 and g.numerator * g.denominator % p]
+
+
+def brute_index(g, p: int) -> int:
+    """r_g(p) = (p-1) / ord(g mod p), the order found by repeated multiplication."""
+    a = g.numerator % p * pow(g.denominator, -1, p) % p
+    x, o = a, 1
+    while x != 1:
+        x = x * a % p
+        o += 1
+    return (p - 1) // o
+
+
+def euler_criterion(d: int, p: int) -> int:
+    """The Legendre symbol (d/p) for an odd prime p, as d^((p-1)/2) mod p."""
+    r = pow(d % p, (p - 1) // 2, p)
+    return 0 if r == 0 else (1 if r == 1 else -1)

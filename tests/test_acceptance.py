@@ -44,10 +44,10 @@ def sweeps6(table):
 
 def test_criterion_1_splitting_criterion(table):
     t0 = time.perf_counter()
-    checks = 0
-    for g in BASES:
-        checks += empirical.verify_split_criterion(g, range(1, 25), X5, table)
+    swept = empirical.sweeps(BASES, table, X5, range(1, 25), split=True)
     elapsed = time.perf_counter() - t0
+    assert all(sw.split_checks == sw.counted * 24 for sw in swept)
+    checks = sum(sw.split_checks for sw in swept)
     assert elapsed <= 60.0, f"criterion 1 runtime {elapsed:.1f}s exceeds 1 minute"
     _announce(1, f"splitting criterion exact on {checks} (p,t) pairs in {elapsed:.1f}s")
 

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import brute_index, euler_criterion
 from resindex import arith, empirical
 from resindex.errors import BoundError, CapabilityError, DomainError
 
@@ -42,13 +43,6 @@ def segmented_recount(limit: int, block: int = 10**4) -> int:
 
 def ramanujan_by_roots(d: int, n: int) -> complex:
     return sum(cmath.exp(2j * cmath.pi * k * n / d) for k in range(1, d + 1) if gcd(k, d) == 1)
-
-
-def euler_criterion(d: int, p: int) -> int:
-    r = pow(d % p, (p - 1) // 2, p)
-    if r == 0:
-        return 0
-    return 1 if r == 1 else -1
 
 
 # ---------------------------------------------------------------------------
@@ -187,56 +181,43 @@ def test_ramanujan_table():
 # quadratic symbols
 
 
-def test_kronecker_examples():
-    assert euler_criterion(8, 7) == 1
-    assert arith.jacobi(8, 7) == 1
-    assert euler_criterion(8, 5) == -1
-    assert arith.jacobi(8, 5) == -1
-    assert arith.jacobi(5, 5) == 0
-
-
-def test_kronecker_rejects_bad_p():
-    for n in (4, 2, 0, -3):
-        with pytest.raises(DomainError):
-            arith.jacobi(3, n)
-
-
-def test_kronecker_matches_euler_criterion(small_table):
-    ps = small_table.primes[1:]
-    for d in range(-100, 101):
-        want = [euler_criterion(d, p) for p in ps.tolist()]
-        assert [arith.jacobi(d, p) for p in ps.tolist()] == want, d
+def test_kronecker_examples(small_table):
+    # (8/7) = 1 and (8/5) = -1, read off the parity of the kernel's r for the root 2 of disc 8
+    ps = np.array([5, 7])
+    qs = empirical._factor_shard(ps - 1, small_table.primes_upto(2))
+    leg = empirical._shard_indexes(Fraction(2), ps, qs)[1]
+    assert leg.tolist() == [euler_criterion(8, p) for p in (5, 7)] == [-1, 1]
 
 
 # ---------------------------------------------------------------------------
 # multiplicative order
 
 
+def kernel_orders(g, ps: list[int], table) -> list[int]:
+    """ord(g mod p) at the ascending primes ps, from the kernel's residual indexes."""
+    ps = np.array(ps, dtype=np.int64)
+    qs = empirical._factor_shard(ps - 1, table.primes_upto(math.isqrt(int(ps[-1]))))
+    return ((ps - 1) // empirical._shard_indexes(g, ps, qs)[0]).tolist()
+
+
 def brute_order(a: int, p: int) -> int:
-    x, o = a % p, 1
-    while x != 1:
-        x = x * a % p
-        o += 1
-    return o
-
-
-def order_via_index(a: int, p: int, table) -> int:
-    return (p - 1) // empirical.residual_index(Fraction(a), p, table).index
+    return (p - 1) // brute_index(Fraction(a), p)
 
 
 def test_order_examples(small_table):
-    assert order_via_index(2, 7, small_table) == 3
-    assert order_via_index(5, 7, small_table) == brute_order(5, 7) == 6
-    assert order_via_index(1, 97, small_table) == 1
+    assert kernel_orders(Fraction(2), [7], small_table) == [3]
+    assert kernel_orders(Fraction(5), [7], small_table) == [brute_order(5, 7)] == [6]
+    # the bases 1 and p-1, of orders 1 and 2
+    assert kernel_orders(Fraction(1), [3, 97, 3511], small_table) == [1, 1, 1]
+    for p in (3, 97, 3511):
+        assert kernel_orders(Fraction(p - 1), [p], small_table) == [2]
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.sampled_from([3, 5, 7, 11, 13, 17, 101, 997, 3511]), st.integers(1, 10**6))
-def test_order_divides_p_minus_1(small_table, p, a):
-    a %= p
-    if a == 0:
-        a = 1
-    assert empirical.residual_index(Fraction(a), p, small_table).index * brute_order(a, p) == p - 1
+@given(st.integers(1, 10**6))
+def test_order_divides_p_minus_1(small_table, a):
+    ps = [p for p in (3, 5, 7, 11, 13, 17, 101, 997, 3511) if a % p]
+    assert kernel_orders(Fraction(a), ps, small_table) == [brute_order(a, p) for p in ps]
 
 
 # primes just below MAX_SIEVE_LIMIT, where a product of two residues nears
@@ -264,9 +245,6 @@ def test_vectorized_modpow_matches_pow(rows, n):
     es = np.array([e for _, _, e in rows], dtype=np.int64)
     assert arith.pow_mod_vec(bs, es, ps).tolist() == [pow(b, e, p) for p, b, e in rows]
     assert arith.reduce_mod_vec(n, ps).tolist() == [n % p for p, _, _ in rows]
-    assert [arith.jacobi(n, p) for p, _, _ in rows if p > 2] == [
-        euler_criterion(n, p) for p, _, _ in rows if p > 2
-    ]
     empty = np.zeros(0, dtype=np.int64)
     assert arith.pow_mod_vec(empty, empty, empty).size == 0
     # short and full-length exponents in one array: most run out of bits before the last step

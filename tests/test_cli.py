@@ -96,6 +96,18 @@ def test_error_exit_codes(capsys):
     assert code == 2
 
 
+def test_bases_too_large_to_factor_exit_2(capsys):
+    # past int()'s 4300-digit limit; two 21-digit prime factors, past the rho
+    # step budget; a 3898-digit composite, past the bound on a base's bits
+    for g in ("7" * 5000, "10000000000000000016800000000000000005031", str(3 * 10**3897 + 3)):
+        assert cli.main(["density", f"--g={g}", "--t", "1"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ")
+    # two 10-digit prime factors still split
+    code, out = run(capsys, "density", "--g", "1000000016000000063", "--t", "1")
+    assert code == 0 and "A=0.373955839" in out
+
+
 def test_verify_ok(capsys):
     code, out = run(capsys, "verify", "--max-n", "40", "--max-p", "60", "--g", "2", "--g", "-2")
     assert code == 0

@@ -25,9 +25,11 @@ def test_parse_rejects():
     for bad in ("1", "-1", "0", "5/5", "-3/3"):
         with pytest.raises(ExcludedBaseError):
             parse_g(bad)
-    for bad in ("", "x", "3.5", "1/2/3", "2/0", "+-3"):
+    big = 1 << 1024  # one bit past the bound, in numerator or denominator
+    for bad in ("", "x", "3.5", "1/2/3", "2/0", "+-3", str(big), f"-{big}", f"3/{big}", "9" * 5000):
         with pytest.raises(ParseError):
             parse_g(bad)
+    assert parse_g(f"-{big - 1}/{big - 3}") == Fraction(1 - big, big - 3)
 
 
 def test_decompose_examples():

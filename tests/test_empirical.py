@@ -7,51 +7,37 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import BASE_STRINGS, BASES
+from conftest import BASE_STRINGS, BASES, brute_index, counted_primes, euler_criterion
 from resindex import arith, cli, empirical, heuristic
-from resindex.decompose import decompose_g, derive_params, excluded_primes, parse_g
+from resindex.decompose import decompose_g, derive_params, parse_g
 from resindex.errors import CapabilityError, DomainError, LemmaViolation
 
 
-def brute_index(g, p: int) -> int:
-    a = g.numerator % p * pow(g.denominator, -1, p) % p
-    x, o = a, 1
-    while x != 1:
-        x = x * a % p
-        o += 1
-    return (p - 1) // o
-
-
-def counted_primes(g, x: int, table) -> list[int]:
-    bad = excluded_primes(g)
-    return [p for p in table.primes_upto(x).tolist() if p != 2 and p not in bad]
+def kernel_run(g, ps: list[int], table) -> tuple[np.ndarray, np.ndarray]:
+    """r_g(p) and (disc/p) at the ascending counted primes ps, as the sweep finds them:
+    the kernel on g's root, then the lift."""
+    dec, ps = decompose_g(g), np.array(ps, dtype=np.int64)
+    qs = empirical._factor_shard(ps - 1, table.primes_upto(isqrt(int(ps[-1]))))
+    r0, leg = empirical._shard_indexes(empirical._root(dec), ps, qs)
+    return empirical._lift(r0, ps - 1, dec), leg
 
 
 # ---------------------------------------------------------------------------
-# residual_index
+# residual indexes
 
 
 def test_residual_index_examples(small_table):
-    out = empirical.residual_index(parse_g("2"), 7, small_table)
-    assert (out.status, out.index) == ("counted", 2)
-    out = empirical.residual_index(parse_g("2"), 5, small_table)
-    assert (out.status, out.index) == ("counted", 1)
-    out = empirical.residual_index(parse_g("9/25"), 5, small_table)
-    assert out.status == "excluded" and out.index is None
-    assert empirical.residual_index(parse_g("2"), 2, small_table).status == "excluded"
-    with pytest.raises(DomainError):
-        empirical.residual_index(parse_g("2"), 9, small_table)
+    assert kernel_run(parse_g("2"), [5, 7], small_table)[0].tolist() == [1, 2]
+    # 2 and the primes dividing g are not counted
+    odd = small_table.primes_upto(13)[1:]
+    ((lo, hi, drops),) = empirical._shards(odd, 13, parse_g("9/25"))
+    assert np.delete(odd[lo:hi], drops - lo).tolist() == [7, 11, 13]
 
 
 def test_residual_index_against_brute_force(small_table):
-    bases = ("2", "-2", "9/25", "-27", "1/2", "8", "-4", "-1/4", str(2**12))
-    # +-1 are no CLI bases, but residual_index takes them
-    for g in [*map(parse_g, bases), Fraction(1), Fraction(-1)]:
-        for p in counted_primes(g, 300, small_table):
-            out = empirical.residual_index(g, p, small_table)
-            assert out.index == brute_index(g, p)
-            order = (p - 1) // out.index
-            assert out.index * order == p - 1
+    for g in map(parse_g, ("2", "-2", "9/25", "-27", "1/2", "8", "-4", "-1/4", str(2**12))):
+        ps = counted_primes(g, 300, small_table)
+        assert kernel_run(g, ps, small_table)[0].tolist() == [brute_index(g, p) for p in ps], g
 
 
 @settings(max_examples=40, deadline=None)
@@ -66,31 +52,23 @@ def test_lift_equals_kernel(table, g0, h, sign, invert):
     g = sign * (1 / g0 if invert else g0) ** h
     dec = decompose_g(g)
     assert empirical._root(dec) == max(g0, 1 / g0)
-    x = 10**5
-    base = table.primes_upto(isqrt(x))
-    doubles = halves = False
-    for ps in empirical._counted_shards(table, x, g):
-        pm1 = ps - 1
-        qs = empirical._factor_shard(pm1, base)
-        r0, _ = empirical._shard_indexes(empirical._root(dec), ps, qs)
-        assert np.array_equal(empirical._lift(r0, pm1, dec), empirical._shard_indexes(g, ps, qs)[0])
-        # e = v2(r(g0^h)) against v = v2(p-1): the sign step doubles r at e = v-1, halves it at e = v
-        rh = r0 * np.gcd(pm1 // r0, h)
-        low_r, low_pm1 = rh & -rh, pm1 & -pm1
-        doubles |= bool((2 * low_r == low_pm1).any())
-        halves |= bool((low_r == low_pm1).any())
-    assert doubles and halves
+    ps = np.array(counted_primes(g, 10**5, table))
+    pm1 = ps - 1
+    qs = empirical._factor_shard(pm1, table.primes_upto(isqrt(10**5)))
+    r0, _ = empirical._shard_indexes(empirical._root(dec), ps, qs)
+    assert np.array_equal(empirical._lift(r0, pm1, dec), empirical._shard_indexes(g, ps, qs)[0])
+    # e = v2(r(g0^h)) against v = v2(p-1): the sign step doubles r at e = v-1, halves it at e = v
+    rh = r0 * np.gcd(pm1 // r0, h)
+    low_r, low_pm1 = rh & -rh, pm1 & -pm1
+    assert (2 * low_r == low_pm1).any() and (low_r == low_pm1).any()
 
 
 def test_kernel_legendre_column_is_the_disc_symbol(table):
     # the kernel's second column is (root/p), which must be (disc/p) at every counted p
-    x = 10**5
-    base = table.primes_upto(isqrt(x))
     for g in (Fraction(2), Fraction(3), Fraction(12), Fraction(5, 3), Fraction(3 * 2**70), Fraction(5, 7**30)):
-        dec = decompose_g(g)
-        for ps in empirical._counted_shards(table, x, g):
-            leg = empirical._shard_indexes(empirical._root(dec), ps, empirical._factor_shard(ps - 1, base))[1]
-            assert leg.tolist() == [arith.jacobi(dec.disc, p) for p in ps.tolist()], (g, ps[0])
+        ps = counted_primes(g, 10**5, table)
+        disc = decompose_g(g).disc
+        assert kernel_run(g, ps, table)[1].tolist() == [euler_criterion(disc, p) for p in ps], g
 
 
 # ---------------------------------------------------------------------------
@@ -114,22 +92,22 @@ def test_count_divisible_examples(small_table):
 
 
 def test_count_progression(small_table):
-    assert empirical.count_progression(20, 4, small_table) == 3  # 5, 13, 17
-    assert empirical.count_progression(20, 1, small_table, g=parse_g("2")) == 7
-    assert empirical.count_progression(3, 5, small_table) == 0
+    assert empirical.sweep(parse_g("2"), small_table, 20, (1, 4)).pi == {1: 7, 4: 3}  # 5, 13, 17
+    assert empirical.sweep(parse_g("3"), small_table, 20, (4,)).pi == {4: 3}
+    assert empirical.sweep(parse_g("2"), small_table, 3, (5,)).pi == {5: 0}
 
 
 def test_count_split_quadratic(small_table):
-    assert empirical.count_split_quadratic(20, 1, 8, small_table, g=parse_g("2")) == 2  # 7, 17
-    assert empirical.count_split_quadratic(20, 4, 8, small_table, g=parse_g("2")) == 1  # 17
-    assert empirical.count_split_quadratic(5, 8, 8, small_table) == 0
+    # disc = 8: 7 and 17 split, 17 also in p = 1 mod 4
+    assert empirical.sweep(parse_g("2"), small_table, 20, (1, 4)).split == {1: 2, 4: 1}
+    assert empirical.sweep(parse_g("2"), small_table, 5, (8,)).split == {8: 0}
 
 
 def test_char_sums_examples(small_table):
     g = parse_g("2")
     # h = 1: only d = 1 contributes, L = pi(x;t,1)/t
     sw = empirical.sweep(g, small_table, 1000, (3,))
-    assert sw.L(3) == Fraction(empirical.count_progression(1000, 3, small_table, g=g), 3)
+    assert sw.L(3) == Fraction(sum(p % 3 == 1 for p in counted_primes(g, 1000, small_table)), 3)
     assert empirical.sweep(g, small_table, 20, (2,)).Q(2) == Fraction(-3, 2)
     # g = 8 (h = 3), t = 3: brute-force the Ramanujan sums
     g8 = parse_g("8")
@@ -168,7 +146,7 @@ def test_charactersum_closed_forms_per_prime(small_table):
         dec = decompose_g(g)
         for p in counted_primes(g, 800, small_table):
             r = brute_index(g, p)
-            leg = arith.jacobi(dec.disc, p)
+            leg = euler_criterion(dec.disc, p)
             for t in range(1, 9):
                 pa = derive_params(dec, t)
                 ght = pa.gcd_ht
@@ -244,11 +222,11 @@ def test_sum_over_multiples_matches_divisor_counting(n):
 def test_sweep_matches_single_ops(small_table):
     g = parse_g("-3")
     sw = empirical.sweep(g, small_table, 500, (1, 2, 3, 4))
+    primes = counted_primes(g, 500, small_table)
     for t in (1, 2, 3, 4):
-        assert sw.pi[t] == empirical.count_progression(500, t, small_table, g=g)
-        assert sw.split[t] == empirical.count_split_quadratic(
-            500, t, decompose_g(g).disc, small_table, g=g
-        )
+        ones = [p for p in primes if (p - 1) % t == 0]
+        assert sw.pi[t] == len(ones)
+        assert sw.split[t] == sum(euler_criterion(decompose_g(g).disc, p) == 1 for p in ones)
         assert 0 <= sw.N[t] <= sw.R[t] <= sw.pi[t]
 
 
@@ -273,9 +251,11 @@ _SWEEPS_BASES = tuple(map(Fraction, (99991, Fraction(-7, 99991), Fraction(9, 25)
 def test_shards_are_fixed_chunks_of_the_counted_primes(table, monkeypatch):
     monkeypatch.setattr(empirical, "SHARD_PRIMES", 512)
     for x in (10**5, 99991, 3):
+        odd = table.primes_upto(x)[1:]
         for g in _SWEEPS_BASES[:-1]:
             want = counted_primes(g, x, table)
-            got = [s.tolist() for s in empirical._counted_shards(table, x, g)]
+            cuts = empirical._shards(odd, x, g)
+            got = [np.delete(odd[lo:hi], drops - lo).tolist() for lo, hi, drops in cuts]
             assert got == [want[i : i + 512] for i in range(0, len(want), 512)], (x, g)
 
 
@@ -288,8 +268,9 @@ def test_sweeps_equal_per_base_sweeps(table, monkeypatch):
         together = empirical.sweeps(_SWEEPS_BASES, table, x, ts, threads=threads, exact=True)
         assert [sw.g for sw in together] == list(_SWEEPS_BASES)
         for g, sw, want in zip(_SWEEPS_BASES, together, alone):
-            assert sw.counted == want.counted == len(counted_primes(g, x, table))
-            assert all(sw.pi[t] == empirical.count_progression(x, t, table, g=g) for t in ts)
+            primes = counted_primes(g, x, table)
+            assert sw.counted == want.counted == len(primes)
+            assert all(sw.pi[t] == sum((p - 1) % t == 0 for p in primes) for t in ts)
             for name in empirical._COLUMNS + ("naive", "quad", "naive_exact", "quad_exact"):
                 assert getattr(sw, name) == getattr(want, name), (threads, g, name)  # floats bitwise
             for name in ("pi_all", "split_all", "R_all"):
@@ -334,8 +315,8 @@ def test_sweep_invariant_violation_raises(small_table, monkeypatch, capsys):
 
 
 def test_split_criterion_verification(small_table):
-    checks = empirical.verify_split_criterion(parse_g("-2"), range(1, 11), 2000, small_table)
-    assert checks == 10 * len(counted_primes(parse_g("-2"), 2000, small_table))
+    sw = empirical.sweep(parse_g("-2"), small_table, 2000, range(1, 11), split=True)
+    assert sw.split_checks == 10 * len(counted_primes(parse_g("-2"), 2000, small_table))
 
 
 def test_sweep_split_check_counts_every_pair(table, monkeypatch):
@@ -370,19 +351,19 @@ def test_split_check_catches_kernel_faults(small_table, monkeypatch, capsys):
     table_pow = arith.table_pow
     monkeypatch.setattr(arith, "table_pow", lambda tab, i, e, m: np.where(m % 7 == 3, 1, table_pow(tab, i, e, m)))
     with pytest.raises(LemmaViolation, match="splitting criterion"):
-        empirical.verify_split_criterion(parse_g("2"), (2,), 10**4, small_table)
+        empirical.sweep(parse_g("2"), small_table, 10**4, (2,), split=True)
     assert cli.main(["count", "--g", "2", "--t", "2", "--x", str(10**4)]) == 3
     assert "splitting criterion" in capsys.readouterr().err
 
 
 def test_lift_is_certified(small_table, monkeypatch, capsys):
-    # a lift that skips the sign step gives -4 the r of 4; both split checks must catch it
+    # a lift that skips the sign step gives -4 the r of 4; the split check must catch it
     lift = empirical._lift
     monkeypatch.setattr(empirical, "_lift", lambda r0, pm1, dec: lift(r0, pm1, replace(dec, sign=1)))
     assert cli.main(["count", "--g=-4", "--t", "2", "--x", str(10**4)]) == 3
     assert "splitting criterion" in capsys.readouterr().err
     with pytest.raises(LemmaViolation, match="splitting criterion"):
-        empirical.verify_split_criterion(parse_g("-4"), (2,), 10**4, small_table)
+        empirical.sweep(parse_g("-4"), small_table, 10**4, (2,), split=True)
 
 
 def test_sweep_bounds(small_table):
@@ -402,8 +383,9 @@ def test_sweep_bounds(small_table):
 
 
 def assert_counts_match_brute_force(g, x, ts, table):
-    sw = empirical.sweep(g, table, x, ts)
+    sw = empirical.sweep(g, table, x, ts, split=True)
     rs = [brute_index(g, p) for p in counted_primes(g, x, table)]
+    assert sw.split_checks == len(rs) * len(ts)
     for t in ts:
         assert sw.N[t] == sum(1 for r in rs if r == t)
         assert sw.R[t] == sum(1 for r in rs if r % t == 0)
@@ -418,4 +400,3 @@ def test_sweep_bases_beyond_int64(small_table):
     # numerator or denominator too large for int64 is reduced mod p first
     for g in (Fraction(3**50), Fraction(1, 2**70)):
         assert_counts_match_brute_force(g, 10**4, (1, 2, 5, 10), small_table)
-        assert empirical.verify_split_criterion(g, (1, 2, 5, 10), 10**4, small_table) > 0

@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,7 +16,7 @@ ROUTES = ("definition", "ramanujan", "characters")
 
 def test_cyclic_group_index_conventions():
     # the identity has full index: the class {gamma^12} in C_12 is {1}, of index exactly 12
-    assert oracle.sigma(oracle.GroupScenario(12, 12, 12, 1, "*")) == 1
+    assert oracle._class_indexes(12, 12, 1, "*").sigma_direct(12) == 1
 
 
 def test_indicator_examples():
@@ -40,74 +41,47 @@ def test_indicator_modes_agree(n, data):
 
 
 def test_rho_linear_examples():
-    assert oracle.rho(oracle.GroupScenario(12, 2, 4, 1, "*")) == Fraction(1, 2)
-    assert oracle.rho(oracle.GroupScenario(12, 1, 3, 1, "*")) == Fraction(1, 3)
-    assert oracle.rho(oracle.GroupScenario(12, 24, 1, 1, "*")) == 1
+    assert oracle._class_indexes(12, 2, 1, "*").rho(4) == Fraction(1, 2)
+    assert oracle._class_indexes(12, 1, 1, "*").rho(3) == Fraction(1, 3)
+    assert oracle._class_indexes(12, 24, 1, "*").rho(1) == 1
 
 
 def test_rho_signed_examples():
-    assert oracle.rho(oracle.GroupScenario(12, 4, 4, -1, "*")) == 0
-    assert oracle.rho(oracle.GroupScenario(12, 1, 2, -1, "*")) == Fraction(1, 2)
-    assert oracle.rho(oracle.GroupScenario(4, 1, 2, 1, "odd")) == 0
+    assert oracle._class_indexes(12, 4, -1, "*").rho(4) == 0
+    assert oracle._class_indexes(12, 1, -1, "*").rho(2) == Fraction(1, 2)
+    assert oracle._class_indexes(4, 1, 1, "odd").rho(2) == 0
     with pytest.raises(DomainError):
         oracle.GroupScenario(9, 1, 3, -1, "*")
 
 
 def test_rho_zero_when_t_does_not_divide_n():
-    assert oracle.rho(oracle.GroupScenario(10, 1, 3, 1, "even")) == 0
+    assert oracle._class_indexes(10, 1, 1, "even").rho(3) == 0
 
 
 def test_sigma_examples():
-    assert oracle.sigma(oracle.GroupScenario(12, 1, 2, 1, "*")) == Fraction(1, 6)
-    assert oracle.sigma(oracle.GroupScenario(12, 2, 2, 1, "*")) == Fraction(1, 3)
-    assert oracle.sigma(oracle.GroupScenario(12, 4, 2, 1, "*")) == 0
+    assert oracle._class_indexes(12, 1, 1, "*").sigma_direct(2) == Fraction(1, 6)
+    assert oracle._class_indexes(12, 2, 1, "*").sigma_direct(2) == Fraction(1, 3)
+    assert oracle._class_indexes(12, 4, 1, "*").sigma_direct(2) == 0
     assert oracle.sigma_closed_linear(12, 2, 2) == Fraction(1, 3)
     assert oracle.sigma_closed_linear(12, 4, 2) == 0
-    with pytest.raises(DomainError):
-        oracle.sigma(oracle.GroupScenario(12, 1, 2, 1, "*"), "nonsense")
 
 
-@settings(max_examples=250, deadline=None)
-@given(st.integers(1, 120), st.integers(1, 8), st.sampled_from([1, -1]), st.sampled_from(oracle.PARITIES), st.data())
-def test_rho_sigma_random_scenarios(n, h, sign, parity, data):
-    if sign < 0 and n % 2:
-        n += 1
-    divs = [t for t in range(1, n + 1) if n % t == 0]
-    t = data.draw(st.sampled_from(divs))
-    sc = oracle.GroupScenario(n, h, t, sign, parity)
-    assert oracle.rho(sc) == oracle.rho_closed(sc)
-    sig = oracle.sigma(sc, "direct")
-    assert sig == oracle.sigma(sc, "moebius")
-    if sign == 1 and parity == "*":
-        assert sig == oracle.sigma_closed_linear(n, h, t)
+def weight_check(g, p: int, t: int) -> oracle.WeightCheck:
+    """The weight oracle's check at one counted prime p of g and one t | p-1."""
+    return oracle._weight_check(oracle._group_context(oracle._base_weights(g, np.array([p])), 0), t)
 
 
 def test_weight_check_examples():
-    chk = oracle.verify_sigma_equals_w_mu(parse_g("2"), 7, 1)
+    chk = weight_check(parse_g("2"), 7, 1)
     assert chk.ok and chk.sigma_direct == 0 and chk.w == 0
-    chk = oracle.verify_sigma_equals_w_mu(parse_g("2"), 5, 1)
+    chk = weight_check(parse_g("2"), 5, 1)
     assert chk.ok and chk.sigma_direct == 1 and chk.w == 2 and chk.mu_factor == Fraction(1, 2)
-    chk = oracle.verify_sigma_equals_w_mu(parse_g("-4"), 13, 2)
-    assert chk.ok
-    with pytest.raises(DomainError):
-        oracle.verify_sigma_equals_w_mu(parse_g("2"), 7, 4)  # 4 does not divide 6
-    with pytest.raises(DomainError):
-        oracle.verify_sigma_equals_w_mu(parse_g("9/25"), 5, 1)  # excluded prime
+    assert weight_check(parse_g("-4"), 13, 2).ok
 
 
-@settings(max_examples=120, deadline=None)
-@given(
-    st.sampled_from([parse_g(s) for s in ("2", "8", "-2", "-4", "9/25", "-27")]),
-    st.sampled_from([3, 5, 7, 11, 13, 17, 19, 29, 37, 41, 61, 73]),
-    st.integers(1, 12),
-)
-def test_w_r_relations_random(g, p, t):
-    from resindex.decompose import excluded_primes
-
-    if p in excluded_primes(g) or (p - 1) % t:
-        return
-    assert oracle.verify_w_r_relations(g, p, t)
-    assert oracle.verify_sigma_equals_w_mu(g, p, t).ok
+def test_weight_oracle_on_six_bases():
+    res = oracle.weight_oracle_suite([parse_g(s) for s in ("2", "8", "-2", "-4", "9/25", "-27")], 73)
+    assert res.ok and res.checks > 0
 
 
 def test_small_suites_pass():
