@@ -55,13 +55,35 @@ def _nu(dec: GDecomposition, t: int, t_h: int) -> Fraction:
     return Fraction(1)
 
 
+def _disc_primes(dec: GDecomposition) -> list[int]:
+    """The primes with an odd exponent in g0, whose product D gives disc = D or 4D.
+
+    Read off the factorizations of g0's numerator and denominator, which
+    decompose_g has left in factor_int's cache, so disc is never factored.
+    """
+    g0 = dec.g0
+    return [q for n in (g0.numerator, g0.denominator) for q, e in arith.factor_int(n).factors if e % 2]
+
+
 def kummer_degree(dec: GDecomposition, t: int) -> DegreeResult:
-    """[Q(zeta_t, g^(1/t)) : Q] = phi(t) * t_h / nu, exactly."""
+    """[Q(zeta_t, g^(1/t)) : Q] = phi(t) * t_h / nu, exactly.
+
+    disc's primes are divided out of t before the cofactor is factored, so a
+    t that carries them (density_factor's k1*t) costs no factoring of them.
+    """
     if t < 1:
         raise DomainError("t must be >= 1")
     t_h = t // gcd(t, dec.h)
     nu = _nu(dec, t, t_h)
-    phi_t = arith.euler_phi(arith.factor_int(t))
+    rest, phi_t = t, 1
+    for q in _disc_primes(dec):
+        if rest % q == 0:
+            rest //= q
+            phi_t *= q - 1
+            while rest % q == 0:
+                rest //= q
+                phi_t *= q
+    phi_t *= arith.euler_phi(arith.factor_int(rest))
     degree = Fraction(phi_t * t_h) / nu
     if degree.denominator != 1:
         raise LemmaViolation(f"degree {degree} of Q(zeta_{t}, g^(1/{t})) is not an integer (nu={nu})")
@@ -71,7 +93,8 @@ def kummer_degree(dec: GDecomposition, t: int) -> DegreeResult:
 def density_factor(dec: GDecomposition, t: int) -> Fraction:
     """The exact rational C(g,t) with A(g,t) = C(g,t) * Artin's constant.
 
-    With P the primes dividing 2*t*h*disc, every squarefree k is k1*k2 with
+    With P the primes dividing 2*t*h*disc (disc's taken from g0, see
+    _disc_primes), every squarefree k is k1*k2 with
     k1 | prod(P) and k2 coprime to P; then nu(k1*k2*t) = nu(k1*t) and
     degree(k1*k2*t) = degree(k1*t) * k2*phi(k2), so the k2-sum is the Artin
     product without its factors at P:
@@ -80,7 +103,7 @@ def density_factor(dec: GDecomposition, t: int) -> Fraction:
     """
     if t < 1:
         raise DomainError("t must be >= 1")
-    primes = [q for q, _ in arith.factor_int(2 * t * dec.h * dec.disc).factors]
+    primes = sorted({q for q, _ in arith.factor_int(2 * t * dec.h).factors}.union(_disc_primes(dec)))
     if len(primes) > _MAX_FACTOR_PRIMES:
         raise CapabilityError(
             f"2*t*h*disc has {len(primes)} prime factors; at most {_MAX_FACTOR_PRIMES} are supported"

@@ -36,7 +36,9 @@ from the parity of the root's r.  The sweep and the weight oracle both
 reach r and (disc/p) that way.  With split=True (as `count` asks) the
 sweep also checks the splitting criterion t | r_g(p) <=> (p = 1 mod t and
 g^((p-1)/t) = 1 mod p) on each shard's r as soon as it is found
-(_split_check), with built-in pow only on the algebraic side.
+(_split_check).  Its algebraic side is a whole-shard square-and-multiply
+ladder of its own (_pow_ladder), kept apart from arith's power tables so
+that a fault in those cannot pass on both sides.
 """
 
 from __future__ import annotations
@@ -44,7 +46,6 @@ from __future__ import annotations
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress
 from math import fsum, gcd, isqrt, lcm
 
 import numpy as np
@@ -474,26 +475,40 @@ def sweep(
     return sweeps((g,), table, x, ts, threads=threads, exact=exact, split=split)[0]
 
 
+def _pow_ladder(b: np.ndarray, e: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """b**e % m elementwise by right-to-left square-and-multiply, for int64
+    arrays with 0 <= b < m < 2**30 (so every product is below 2**60)."""
+    acc = np.ones_like(m)
+    for _ in range(int(e.max(initial=0)).bit_length()):
+        acc = np.where(e & 1, acc * b % m, acc)
+        e = e >> 1
+        b = b * b % m
+    return acc
+
+
 def _split_check(g: Rational, ts, ps: np.ndarray, r: np.ndarray) -> int:
     """Check t | r <=> (p = 1 mod t and g^((p-1)/t) = 1 mod p) for the
     kernel's residual indexes r of the counted primes ps and every t in ts.
 
-    The algebraic side uses built-in pow only, never the kernel's vector
-    routines, so a fault in those cannot pass on both sides.  Returns the
-    number of (p, t) pairs checked; raises LemmaViolation on a mismatch.
+    The algebraic side is its own square-and-multiply ladder (_pow_ladder)
+    on g itself, never the kernel's table routines in arith, so a fault in
+    those cannot pass on both sides.  g = num/den is tested as
+    num^e = den^e mod p, which needs no inverse.  Returns the number of
+    (p, t) pairs checked; raises LemmaViolation on a mismatch.
     """
     num, den = g.numerator, g.denominator
     primes = ps.tolist()
-    # g mod p, once per shard
-    residues = [num % p for p in primes] if den == 1 else [num * pow(den, -1, p) % p for p in primes]
+    # numerator and denominator mod p, once per shard; Python % keeps any width exact
+    nums = np.fromiter(map(num.__mod__, primes), dtype=np.int64, count=len(primes))
+    dens = np.fromiter(map(den.__mod__, primes), dtype=np.int64, count=len(primes)) if den != 1 else None
     for t in ts:
         # only p = 1 mod t can pass; the others keep algebraic False
-        ones = (ps - 1) % t == 0
-        sel = ones.tolist()
-        exps = ((ps[ones] - 1) // t).tolist()
-        powers = map(pow, compress(residues, sel), exps, compress(primes, sel))
+        ones = np.flatnonzero((ps - 1) % t == 0)
+        m = ps[ones]
+        e = (m - 1) // t
+        rhs = 1 if dens is None else _pow_ladder(dens[ones], e, m)
         algebraic = np.zeros(ps.size, dtype=bool)
-        algebraic[ones] = np.fromiter(powers, dtype=np.int64, count=len(exps)) == 1
+        algebraic[ones] = _pow_ladder(nums[ones], e, m) == rhs
         divides = r % t == 0
         bad = np.flatnonzero(algebraic != divides)
         if bad.size:
@@ -503,4 +518,3 @@ def _split_check(g: Rational, ts, ps: np.ndarray, r: np.ndarray) -> int:
                 f"t|r is {bool(divides[i])}, algebraic test is {bool(algebraic[i])}"
             )
     return len(primes) * len(ts)
-

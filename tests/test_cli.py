@@ -1,10 +1,11 @@
 import csv
 import io
 import json
+import time
 
 import pytest
 
-from resindex import cli
+from resindex import arith, cli, density
 from resindex.decompose import decompose_g, parse_g
 
 ARTIN = 0.3739558136192023  # Artin's constant
@@ -141,6 +142,24 @@ def test_density_builds_one_artin_product(capsys, monkeypatch):
         c = density.density_factor(decompose_g(parse_g(g)), t)
         assert abs(data["artin_constant"] - ARTIN) <= 1e-4
         assert abs(data["A"] - float(c) * ARTIN) <= 1e-4, (g, t)
+
+
+def test_density_on_wide_bases(capsys):
+    # a 1024-bit prime over another: disc = 4PQ must never be factored (Pollard
+    # rho gives up on it after seconds), only P and Q, which Miller-Rabin proves
+    p, q = 2**1023 + 2**1000 + 863, 3 * 2**1022 + 1037
+    assert arith.is_prime(p) and arith.is_prime(q) and p * q % 4 == 3
+    t0 = time.perf_counter()
+    code, out = run(capsys, "density", f"--g={p}/{q}", "--t", "1")
+    assert code == 0 and "A=0.373955839" in out
+    assert time.perf_counter() - t0 < 10
+    dec = decompose_g(parse_g(f"{p}/{q}"))
+    want = [1, 2, 6, 8, 20, 12, 42, 32, 54, 40, 110, 48]  # t * phi(t): nu = 1 while disc does not divide t
+    assert [density.kummer_degree(dec, t).degree for t in range(1, 13)] == want
+    # with P and Q in t, as in density_factor's k1-sum: nu = 2 where disc = 4PQ divides t
+    for t in range(1, 13):
+        k, nu = density.kummer_degree(dec, p * q * t), 2 if t % 4 == 0 else 1
+        assert (k.degree, k.nu) == (want[t - 1] * p * (p - 1) * q * (q - 1) // nu, nu), t
 
 
 def test_verify_exit_code_on_violation(capsys, monkeypatch):

@@ -347,7 +347,7 @@ def test_count_factors_each_shard_once(table, monkeypatch):
 
 def test_split_check_catches_kernel_faults(small_table, monkeypatch, capsys):
     # a table_pow that claims g^e = 1 mod p for some primes corrupts r; the
-    # algebraic side runs on built-in pow, so the check must not agree with it
+    # algebraic side runs its own ladder, so the check must not agree with it
     table_pow = arith.table_pow
     monkeypatch.setattr(arith, "table_pow", lambda tab, i, e, m: np.where(m % 7 == 3, 1, table_pow(tab, i, e, m)))
     with pytest.raises(LemmaViolation, match="splitting criterion"):
@@ -364,6 +364,43 @@ def test_lift_is_certified(small_table, monkeypatch, capsys):
     assert "splitting criterion" in capsys.readouterr().err
     with pytest.raises(LemmaViolation, match="splitting criterion"):
         empirical.sweep(parse_g("-4"), small_table, 10**4, (2,), split=True)
+
+
+SPLIT_BASES = (Fraction(2), Fraction(-4), Fraction(9, 25), Fraction(3**50), Fraction(1, 2**70), Fraction(5, 7**30))
+
+
+@pytest.fixture(scope="module")
+def near_1e9():
+    """The 2180 primes in (10**9 - 45000, 10**9), ascending: residues near 2**30."""
+    return [p for p in range(10**9 - 44999, 10**9, 2) if arith.is_prime(p)]
+
+
+def test_split_check_ladder_on_primes_near_1e9(table, near_1e9):
+    # t = 1 takes the largest exponent, p-1, and every product comes near 2**60
+    ps, ts = np.array(near_1e9), range(1, 25)
+    for g in SPLIT_BASES:
+        r, _ = kernel_run(g, near_1e9, table)
+        assert empirical._split_check(g, ts, ps, r) == len(ps) * len(ts), g
+        # t | r flipped at one prime (at t = 2 at least) must be caught there
+        i = len(ps) // 3
+        bad = r.copy()
+        bad[i] += 1
+        with pytest.raises(LemmaViolation, match=f"g={g} p={ps[i]} t="):
+            empirical._split_check(g, ts, ps, bad)
+
+
+def test_split_check_needs_no_kernel_routine(table, near_1e9, monkeypatch):
+    # the algebraic side must not share a routine with the kernel that found r
+    ps, ts = np.array(near_1e9), range(1, 13)
+    rs = {g: kernel_run(g, near_1e9, table)[0] for g in SPLIT_BASES}
+
+    def broken(*args):
+        raise AssertionError("the split check reached a kernel routine")
+
+    for name in ("power_table", "table_pow", "pow_mod_vec", "reduce_mod_vec"):
+        monkeypatch.setattr(arith, name, broken)
+    for g, r in rs.items():
+        assert empirical._split_check(g, ts, ps, r) == len(ps) * len(ts), g
 
 
 def test_sweep_bounds(small_table):
