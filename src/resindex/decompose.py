@@ -16,7 +16,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 
 from . import arith
 from .errors import DomainError, ExcludedBaseError, ParseError
@@ -85,6 +85,16 @@ def _is_square(n: int) -> bool:
     return r * r == n
 
 
+def disc_primes(g0: Rational) -> list[int]:
+    """The primes with an odd exponent in g0 = m/n: those of D, the squarefree
+    part of m*n, whose product gives disc = D or 4D.
+
+    Read off factor_int's cache of m and n, which decompose_g fills, so disc
+    itself is never factored.
+    """
+    return [p for n in (g0.numerator, g0.denominator) for p, e in arith.factor_int(n).factors if e % 2]
+
+
 def quadratic_discriminant(g0: Rational) -> int:
     """Discriminant of Q(sqrt(g0)) for positive non-square g0 = m/n.
 
@@ -92,16 +102,9 @@ def quadratic_discriminant(g0: Rational) -> int:
     """
     if g0 <= 0:
         raise DomainError(f"g0 must be positive, got {g0}")
-    m, n = g0.numerator, g0.denominator
-    if _is_square(m) and _is_square(n):
+    if _is_square(g0.numerator) and _is_square(g0.denominator):
         raise DomainError(f"{g0} is a rational square; Q(sqrt(g0)) = Q")
-    d = 1
-    for p, e in arith.factor_int(m).factors:
-        if e % 2:
-            d *= p
-    for p, e in arith.factor_int(n).factors:
-        if e % 2:
-            d *= p
+    d = prod(disc_primes(g0))
     return d if d % 4 == 1 else 4 * d
 
 

@@ -20,7 +20,7 @@ from math import ceil, gcd
 import numpy as np
 
 from . import arith
-from .decompose import GDecomposition
+from .decompose import GDecomposition, disc_primes
 from .errors import CapabilityError, DomainError, LemmaViolation
 
 # density_factor sums 2**len(P) terms; 16 primes keep that under 65536.
@@ -55,16 +55,6 @@ def _nu(dec: GDecomposition, t: int, t_h: int) -> Fraction:
     return Fraction(1)
 
 
-def _disc_primes(dec: GDecomposition) -> list[int]:
-    """The primes with an odd exponent in g0, whose product D gives disc = D or 4D.
-
-    Read off the factorizations of g0's numerator and denominator, which
-    decompose_g has left in factor_int's cache, so disc is never factored.
-    """
-    g0 = dec.g0
-    return [q for n in (g0.numerator, g0.denominator) for q, e in arith.factor_int(n).factors if e % 2]
-
-
 def kummer_degree(dec: GDecomposition, t: int) -> DegreeResult:
     """[Q(zeta_t, g^(1/t)) : Q] = phi(t) * t_h / nu, exactly.
 
@@ -76,7 +66,7 @@ def kummer_degree(dec: GDecomposition, t: int) -> DegreeResult:
     t_h = t // gcd(t, dec.h)
     nu = _nu(dec, t, t_h)
     rest, phi_t = t, 1
-    for q in _disc_primes(dec):
+    for q in disc_primes(dec.g0):
         if rest % q == 0:
             rest //= q
             phi_t *= q - 1
@@ -94,7 +84,7 @@ def density_factor(dec: GDecomposition, t: int) -> Fraction:
     """The exact rational C(g,t) with A(g,t) = C(g,t) * Artin's constant.
 
     With P the primes dividing 2*t*h*disc (disc's taken from g0, see
-    _disc_primes), every squarefree k is k1*k2 with
+    disc_primes), every squarefree k is k1*k2 with
     k1 | prod(P) and k2 coprime to P; then nu(k1*k2*t) = nu(k1*t) and
     degree(k1*k2*t) = degree(k1*t) * k2*phi(k2), so the k2-sum is the Artin
     product without its factors at P:
@@ -103,7 +93,7 @@ def density_factor(dec: GDecomposition, t: int) -> Fraction:
     """
     if t < 1:
         raise DomainError("t must be >= 1")
-    primes = sorted({q for q, _ in arith.factor_int(2 * t * dec.h).factors}.union(_disc_primes(dec)))
+    primes = sorted({q for q, _ in arith.factor_int(2 * t * dec.h).factors}.union(disc_primes(dec.g0)))
     if len(primes) > _MAX_FACTOR_PRIMES:
         raise CapabilityError(
             f"2*t*h*disc has {len(primes)} prime factors; at most {_MAX_FACTOR_PRIMES} are supported"

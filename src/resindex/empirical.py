@@ -14,16 +14,17 @@ into all requested per-t tallies in a single streamed pass:
     arrays over m = 0..x counting the primes with m | p-1, those that also
     have (disc/p) = 1, and those with m | r_g(p))
 
-Primes are processed in fixed-size shards of each base's counted primes.
-Each shard yields one int64 array of its integer tallies (a row per t) and
-one float array of its phi-sums; the arrays are summed, and the floats
-fsum'med, in shard order, so output is identical for any worker-thread
-count; no per-prime records are retained beyond the shard being processed.
-sweeps serves several bases in one pass: step k tallies the k-th shard of
-every base, and since those shards differ only by the bases' few excluded
-primes, the columns that do not depend on g (the prime factors of p-1,
-phi(p-1), 1/(p-1) and, per t, the masks t | p-1, 2t | p-1 and
-phi((p-1)/t)) are built once per step; sweep is sweeps for one base.
+Step k of a sweep takes the chunk odd[k*SHARD_PRIMES : (k+1)*SHARD_PRIMES]
+of the odd primes <= x, the same for every base, and factors its p-1 once.
+Each base drops its own excluded primes from the chunk, and the bases
+that drop the same ones share one _tally_step, which builds the columns
+that do not depend on g (phi(p-1), 1/(p-1) and, per t, the masks t | p-1,
+2t | p-1 and phi((p-1)/t)) once for all of them; sweeps serves several
+bases in one pass and sweep is sweeps for one base.  A step yields, per
+base, one int64 array of its integer tallies (a row per t) and one float
+array of its phi-sums; the arrays are summed, and the floats fsum'med, in
+chunk order, so output is identical for any worker-thread count; no
+per-prime records are retained beyond the step being processed.
 Every sweep ends by checking H = M exactly and 0 <= N <= R <= pi(x;t,1)
 for each base and t.  One vectorized kernel, _shard_indexes, finds r for
 a whole shard from the prime factors of p-1 (_factor_shard), reading
@@ -52,9 +53,13 @@ import numpy as np
 
 from . import arith, heuristic
 from .decompose import GDecomposition, HeuristicParams, Rational, decompose_g, derive_params, excluded_primes
-from .errors import CapabilityError, DomainError, LemmaViolation
+from .errors import BoundError, CapabilityError, DomainError, LemmaViolation
 
 SHARD_PRIMES = 8192
+
+# exact=True holds three int64 arrays over m = 0..x and their bincount
+# temporaries: about 0.5 GB at x = 1e7, more than fits at larger x.
+_MAX_EXACT_X = 10**7
 
 # omega(p-1) <= 9 for p <= MAX_SIEVE_LIMIT = 1e9, since the product of the
 # first ten primes, 6469693230, exceeds it; ten columns always suffice.
@@ -63,23 +68,6 @@ _FACTOR_COLUMNS = 10
 
 # ---------------------------------------------------------------------------
 # the shard kernel
-
-
-def _shards(odd: np.ndarray, x: int, g: Rational) -> list[tuple[int, int, np.ndarray]]:
-    """The counted primes of g, cut into SHARD_PRIMES-sized shards in ascending order.
-
-    odd holds the odd primes <= x.  Shard (lo, hi, drops) is odd[lo:hi] less
-    the positions in drops, those of the primes dividing g's numerator or
-    denominator.
-    """
-    bad = [p for p in sorted(excluded_primes(g)) if 2 < p <= x]
-    drops = np.searchsorted(odd, bad)
-    starts = np.arange(0, odd.size - drops.size, SHARD_PRIMES)
-    # counted prime number c (from 0) sits at position c plus the number of
-    # excluded primes with at most c counted primes before them
-    starts += np.searchsorted(drops - np.arange(drops.size), starts, side="right")
-    cuts = [*starts.tolist(), odd.size]
-    return [(lo, hi, drops[(lo <= drops) & (drops < hi)]) for lo, hi in zip(cuts, cuts[1:])]
 
 
 def _factor_shard(pm1: np.ndarray, base: np.ndarray) -> np.ndarray:
@@ -248,110 +236,81 @@ def _plan(g: Rational, ts: tuple[int, ...]) -> _SweepPlan:
 
 
 def _tally_step(
-    plans: list[_SweepPlan],
-    ts: tuple[int, ...],
-    shards: list[tuple | None],
-    odd: np.ndarray,
-    base: np.ndarray,
-    exact: bool,
-    split: bool,
-) -> list[tuple | None]:
-    """Tallies of one shard of every base: shards[b] is base b's shard (see
-    _shards), or None when base b has no shard in this step.
+    plans: list[_SweepPlan], ts: tuple[int, ...], ps: np.ndarray, qs: np.ndarray, exact: bool, split: bool
+) -> list[tuple]:
+    """Tallies over the primes ps for every base in plans, each of which
+    counts every prime in ps; qs holds the prime columns of p-1 (see
+    _factor_shard).
 
-    The columns that do not depend on g -- the prime factors of p-1,
-    phi(p-1), 1/(p-1) and, one t at a time, the primes with t | p-1 and
-    2t | p-1 and phi((p-1)/t) -- are built once, over the window of odd
-    covering every base's shard.  Each base then reads its own primes from
-    them, so every sum runs over the same values in the same order as for a
-    base swept alone.  The kernel runs once per root (_root): bases with one
-    root exclude the same primes and have the same (disc/p), so they share
-    its shard, r and Legendre column, and each lifts its own r from it
-    (_lift).
+    The columns that do not depend on g -- phi(p-1), 1/(p-1) and, one t at a
+    time, the primes with t | p-1 and 2t | p-1 and phi((p-1)/t) -- are built
+    once for all bases.  The kernel runs once per root (_root): bases with
+    one root have the same (disc/p), so they share its r and Legendre
+    column, and each lifts its own r from it (_lift).
 
-    Entry b is None or (ints, floats, exact_parts, divisor_values,
-    split_checks).  ints is int64 [len(ts), len(_COLUMNS)]; floats is
-    [len(ts), 2] holding the naive and weighted phi-sums.  When exact,
-    exact_parts lists (naive num, naive den, weighted num, weighted den) per
-    t and divisor_values is (p-1, p-1 where (disc/p) = 1, r) as arrays.
-    When split, each base's r is checked against the splitting criterion
+    Entry b is (ints, floats, exact_parts, divisor_values, split_checks) for
+    plans[b].  ints is int64 [len(ts), len(_COLUMNS)]; floats is [len(ts), 2]
+    holding the naive and weighted phi-sums.  When exact, exact_parts lists
+    (naive num, naive den, weighted num, weighted den) per t and
+    divisor_values is (p-1, p-1 where (disc/p) = 1, r) as arrays.  When
+    split, each base's r is checked against the splitting criterion
     (_split_check) and split_checks counts the (p, t) pairs; else it is 0.
     """
-    live = [(b, shard) for b, shard in enumerate(shards) if shard is not None]
-    lo = min(shard[0] for _, shard in live)
-    hi = max(shard[1] for _, shard in live)
-    ps = odd[lo:hi]
     pm1 = ps - 1
-    qs = _factor_shard(pm1, base)
     phi = pm1.copy()  # phi(p-1) from the factor columns
     for j in range(_FACTOR_COLUMNS):
         q = qs[:, j]
         phi -= np.where(q > 1, phi // q, 0)
     inv = 1.0 / pm1.astype(np.float64)
 
-    out: list[tuple | None] = [None] * len(plans)
-    mine = []
-    roots: dict[Rational, tuple] = {}  # root -> (keep, its r, its (disc/p)): one kernel run per root
-    for b, (first, last, drops) in live:
-        plan = plans[b]
+    out, mine = [], []
+    roots: dict[Rational, tuple] = {}  # root -> (its r, its (disc/p)): one kernel run per root
+    for plan in plans:
         root = _root(plan.dec)
         if root not in roots:
-            # base b's primes: a slice of the window, or an index array where it
-            # excludes some; bases with one root exclude the same primes
-            keep = slice(first - lo, last - lo)
-            if drops.size:
-                keep = np.delete(np.arange(first, last), drops - first) - lo
-            roots[root] = keep, *_shard_indexes(root, ps[keep], qs[keep])
-        keep, r0, leg = roots[root]
-        r = _lift(r0, pm1[keep], plan.dec)
-        checks = _split_check(plan.g, ts, ps[keep], r) if split else 0
-        divisor_values = (pm1[keep], pm1[keep][leg == 1], r) if exact else None
+            roots[root] = _shard_indexes(root, ps, qs)
+        r0, leg = roots[root]
+        r = _lift(r0, pm1, plan.dec)
+        checks = _split_check(plan.g, ts, ps, r) if split else 0
+        divisor_values = (pm1, pm1[leg == 1], r) if exact else None
         ints = np.zeros((len(ts), len(_COLUMNS)), dtype=np.int64)
-        out[b] = ints, np.zeros((len(ts), 2)), [], divisor_values, checks
-        mine.append((b, keep, r, leg, np.searchsorted(plan.lq_divs, np.gcd(r, plan.lq_divs[-1]))))
+        out.append((ints, np.zeros((len(ts), 2)), [], divisor_values, checks))
+        mine.append((r, leg, np.searchsorted(plan.lq_divs, np.gcd(r, plan.lq_divs[-1]))))
 
     for i, t in enumerate(ts):
         mask = pm1 % t == 0
-        idx = np.flatnonzero(mask)
-        pm1_t = pm1[idx]
+        pm1_t = pm1[mask]
         m2 = pm1_t % (2 * t) == 0
         # phi((p-1)/t) = phi(p-1) / (t * prod over q | t, q not dividing (p-1)/t, of (q-1)/q)
-        phi_t = phi[idx]
+        phi_t = phi[mask]
         for q, _ in arith.factor_int(t).factors:
             lost = (pm1_t // t) % q != 0
             phi_t = np.where(lost, phi_t // (q - 1) * q, phi_t)
         phi_t //= t
-        inv_t = inv[idx]
-        naive = phi_t * inv_t
-        for b, keep, r, leg, r_div in mine:
-            plan, pa = plans[b], plans[b].params[t]
-            if isinstance(keep, slice):
-                sub = slice(*np.searchsorted(idx, (keep.start, keep.stop)).tolist())
-            else:
-                sub = np.flatnonzero(np.isin(idx, keep))
-            pm1_b, phi_b, m2_b = pm1_t[sub], phi_t[sub], m2[sub]
-            mask_b = mask[keep]
-            r_b, leg_b = r[mask_b], leg[mask_b]
-            w = heuristic.weights_w_vec(plan.dec, pa, pm1_b, leg_b)
-            l_num, q_num = plan.lq[t][:, r_div[mask_b]].sum(axis=1)
-            ints, floats, exact_parts = out[b][:3]
+        inv_t = inv[mask]
+        naive = float((phi_t * inv_t).sum())
+        for plan, (r, leg, r_div), (ints, floats, exact_parts, _, _) in zip(plans, mine, out):
+            pa = plan.params[t]
+            r_t, leg_t = r[mask], leg[mask]
+            w = heuristic.weights_w_vec(plan.dec, pa, pm1_t, leg_t)
+            l_num, q_num = plan.lq[t][:, r_div[mask]].sum(axis=1)
             ints[i] = (
-                pm1_b.size,
-                m2_b.sum(),
-                (leg_b == 1).sum(),
-                (leg_b[m2_b] == 1).sum(),
-                (r_b == t).sum(),
-                (r_b % t == 0).sum(),
-                heuristic.weights_r_vec(plan.dec, pa, pm1_b, leg_b).sum(),
+                pm1_t.size,
+                m2.sum(),
+                (leg_t == 1).sum(),
+                (leg_t[m2] == 1).sum(),
+                (r_t == t).sum(),
+                (r_t % t == 0).sum(),
+                heuristic.weights_r_vec(plan.dec, pa, pm1_t, leg_t).sum(),
                 l_num,
                 q_num,
             )
-            floats[i] = float(naive[sub].sum()), pa.gcd_ht * float((w * phi_b * inv_t[sub]).sum())
+            floats[i] = naive, pa.gcd_ht * float((w * phi_t * inv_t).sum())
             if exact:
                 nacc, qacc = arith.ExactSum(), arith.ExactSum()
-                dens = pm1_b.tolist()
-                nacc.add_all(phi_b.tolist(), dens)
-                qacc.add_all((w * phi_b).tolist(), dens)
+                dens = pm1_t.tolist()
+                nacc.add_all(phi_t.tolist(), dens)
+                qacc.add_all((w * phi_t).tolist(), dens)
                 exact_parts.append((nacc.num, nacc.den, pa.gcd_ht * qacc.num, qacc.den))
     return out
 
@@ -382,17 +341,23 @@ def sweeps(
 ) -> list[Sweep]:
     """One streamed pass over the primes p <= x for every base in gs and all t in ts.
 
-    Step k tallies the k-th shard of every base; the shards of one step
-    differ only by the bases' few excluded primes, so the work that does not
-    depend on g is done once per step.  Returns one Sweep per entry of gs
-    (a repeated base gets the same Sweep).  Results are independent of
-    ``threads``: steps are merged in shard order.  Raises LemmaViolation
+    Step k cuts the odd primes <= x at odd[k*SHARD_PRIMES : (k+1)*SHARD_PRIMES],
+    the same chunk for every base, and factors its p-1 once.  Each base
+    drops its own excluded primes from the chunk; the bases that drop the
+    same ones share a _tally_step, so the work that does not depend on g is
+    done once per step and drop set.  Returns one Sweep per entry of gs (a
+    repeated base gets the same Sweep).  Results are independent of
+    ``threads``: steps are merged in chunk order.  Raises LemmaViolation
     unless H = M exactly and 0 <= N <= R <= pi(x;t,1) for every base and t.
     split=True also checks the splitting criterion on every counted prime
-    and t as each shard's r is found, and counts the pairs in split_checks.
+    and t as each step's r is found, and counts the pairs in split_checks.
+    exact=True holds three int64 arrays over m = 0..x, so it is refused
+    above x = _MAX_EXACT_X.
     """
     if x < 2:
         raise DomainError(f"x must be >= 2, got {x}")
+    if exact and x > _MAX_EXACT_X:
+        raise CapabilityError(f"exact tallies hold arrays over m = 0..x; x={x} exceeds {_MAX_EXACT_X}")
     if x > table.limit:
         raise CapabilityError(f"x={x} exceeds table limit {table.limit}")
     if threads < 1:
@@ -400,37 +365,54 @@ def sweeps(
     ts = tuple(dict.fromkeys(int(t) for t in ts))
     if any(t < 1 for t in ts):
         raise DomainError("all t must be >= 1")
+    # no p <= MAX_SIEVE_LIMIT has t | p-1 for a t of more bits than that
+    # limit, and smaller t keep every modulus (2t, lcm(2^(e+1), t)) in int64
+    if any(t.bit_length() > arith.MAX_SIEVE_LIMIT.bit_length() for t in ts):
+        raise BoundError(f"all t must be below 2^{arith.MAX_SIEVE_LIMIT.bit_length()}")
     distinct = list(dict.fromkeys(gs))
     plans = [_plan(g, ts) for g in distinct]
     odd = table.primes_upto(x)[1:]
-    shards = [_shards(odd, x, g) for g in distinct]
-    steps = max(map(len, shards), default=0)
+    bads = [sorted(p for p in excluded_primes(g) if 2 < p <= x) for g in distinct]
+    starts = range(0, odd.size, SHARD_PRIMES)
     base = table.primes_upto(isqrt(x))
 
-    def step(k: int) -> list[tuple | None]:
-        return _tally_step(plans, ts, [s[k] if k < len(s) else None for s in shards], odd, base, exact, split)
+    def step(start: int) -> list[tuple]:
+        ps = odd[start : start + SHARD_PRIMES]
+        qs = _factor_shard(ps - 1, base)
+        first, last = int(ps[0]), int(ps[-1])
+        groups: dict[tuple[int, ...], list[int]] = {}  # excluded primes in the chunk -> the bases dropping them
+        for b, bad in enumerate(bads):
+            groups.setdefault(tuple(p for p in bad if first <= p <= last), []).append(b)
+        out = [None] * len(plans)
+        for drop, members in groups.items():
+            at = np.searchsorted(ps, drop)
+            # np.delete copies, and most chunks have no excluded prime in them
+            own = (np.delete(ps, at), np.delete(qs, at, axis=0)) if drop else (ps, qs)
+            for b, tally in zip(members, _tally_step([plans[b] for b in members], ts, *own, exact, split)):
+                out[b] = tally
+        return out
 
-    if threads > 1 and steps > 1:
+    if threads > 1 and len(starts) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            tallies = list(pool.map(step, range(steps)))
+            tallies = list(pool.map(step, starts))
     else:
-        tallies = [step(k) for k in range(steps)]
+        tallies = [step(start) for start in starts]
 
     done = {}
-    for b, (plan, cuts) in enumerate(zip(plans, shards)):
-        own = [step[b] for step in tallies if step[b] is not None]
+    for b, plan in enumerate(plans):
+        own = [step[b] for step in tallies]
         ints = np.zeros((len(ts), len(_COLUMNS)), dtype=np.int64)
         for tally in own:
             ints += tally[0]
         columns = {name: dict(zip(ts, col)) for name, col in zip(_COLUMNS, ints.T.tolist())}
-        # fsum over the shards in shard order keeps the floats thread-independent
+        # fsum over the steps in chunk order keeps the floats thread-independent
         sw = Sweep(
             g=plan.g,
             x=x,
             ts=ts,
             dec=plan.dec,
             params=plan.params,
-            counted=sum(hi - lo - drops.size for lo, hi, drops in cuts),
+            counted=odd.size - len(bads[b]),
             split_checks=sum(tally[4] for tally in own),
             naive={t: fsum(tally[1][i, 0] for tally in own) for i, t in enumerate(ts)},
             quad={t: fsum(tally[1][i, 1] for tally in own) for i, t in enumerate(ts)},

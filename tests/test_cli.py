@@ -97,6 +97,18 @@ def test_error_exit_codes(capsys):
     assert code == 2
 
 
+def test_t_beyond_the_sieve_exits_2(capsys):
+    # no sieved prime has t | p-1 for a t of 2^30 or more; 2^62 and 10^20
+    # used to overflow the int64 moduli 2t and t with a traceback
+    for t in ("1073741824", "4611686018427387904", "100000000000000000000"):
+        for command in ("count", "heuristic", "report"):
+            assert cli.main([command, "--g", "2", "--t", t, "--x", "1000"]) == 2, (command, t)
+            out, err = capsys.readouterr()
+            assert out == "" and err.startswith("error: ") and "Traceback" not in err
+    code, out = run(capsys, "count", "--g", "2", "--t", "1000000007", "--x", "1000")
+    assert code == 0 and out.strip() == "g=2 t=1000000007 x=1000 N=0 R=0"
+
+
 def test_bases_too_large_to_factor_exit_2(capsys):
     # past int()'s 4300-digit limit; two 21-digit prime factors, past the rho
     # step budget; a 3898-digit composite, past the bound on a base's bits

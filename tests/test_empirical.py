@@ -28,10 +28,8 @@ def kernel_run(g, ps: list[int], table) -> tuple[np.ndarray, np.ndarray]:
 
 def test_residual_index_examples(small_table):
     assert kernel_run(parse_g("2"), [5, 7], small_table)[0].tolist() == [1, 2]
-    # 2 and the primes dividing g are not counted
-    odd = small_table.primes_upto(13)[1:]
-    ((lo, hi, drops),) = empirical._shards(odd, 13, parse_g("9/25"))
-    assert np.delete(odd[lo:hi], drops - lo).tolist() == [7, 11, 13]
+    # 2 and the primes dividing g are not counted: 7, 11 and 13 are
+    assert empirical.sweep(parse_g("9/25"), small_table, 13, (1,)).counted == 3
 
 
 def test_residual_index_against_brute_force(small_table):
@@ -244,19 +242,47 @@ def test_sweep_thread_determinism(table):
         assert np.array_equal(getattr(a, name), getattr(b, name)), name
 
 
-# every base's excluded primes (3, 5, 7, 99991) shift its shard cuts against those of base 2
+# the bases drop different excluded primes (3, 5, 7, 99991) from chunks that base 2 counts whole
 _SWEEPS_BASES = tuple(map(Fraction, (99991, Fraction(-7, 99991), Fraction(9, 25), 3**50, 1024, -64, 2, 2)))
 
 
-def test_shards_are_fixed_chunks_of_the_counted_primes(table, monkeypatch):
+def test_steps_cut_the_odd_primes_into_shared_chunks(table, monkeypatch):
+    # step k covers odd[512k : 512(k+1)] for every base; each base gets that
+    # chunk less exactly its excluded primes, and the bases that drop the same
+    # primes of a chunk share one _tally_step call
     monkeypatch.setattr(empirical, "SHARD_PRIMES", 512)
-    for x in (10**5, 99991, 3):
-        odd = table.primes_upto(x)[1:]
-        for g in _SWEEPS_BASES[:-1]:
-            want = counted_primes(g, x, table)
-            cuts = empirical._shards(odd, x, g)
-            got = [np.delete(odd[lo:hi], drops - lo).tolist() for lo, hi, drops in cuts]
-            assert got == [want[i : i + 512] for i in range(0, len(want), 512)], (x, g)
+    calls = []
+    tally_step = empirical._tally_step
+    monkeypatch.setattr(
+        empirical,
+        "_tally_step",
+        lambda plans, ts, ps, *a: calls.append(([p.g for p in plans], ps.tolist())) or tally_step(plans, ts, ps, *a),
+    )
+    odd = table.primes_upto(10**5)[1:].tolist()
+    edges = Fraction(odd[512], odd[1023])  # excluded at the first and at the last position of chunk 1
+    cases = ((10**5, _SWEEPS_BASES + (edges,)), (99991, _SWEEPS_BASES), (3, (Fraction(3), Fraction(2))))
+    seen = {}
+    for x, gs in cases:
+        calls.clear()
+        empirical.sweeps(gs, table, x, (1, 2))
+        seen[x] = list(calls)
+        counted = {g: counted_primes(g, x, table) for g in gs}
+        chunks = [p for p in odd if p <= x]
+        chunks = [chunks[lo : lo + 512] for lo in range(0, len(chunks), 512)]
+        want = []
+        for chunk in chunks:
+            groups = {}
+            for g in dict.fromkeys(gs):
+                groups.setdefault(tuple(sorted(set(chunk) & set(counted[g]))), []).append(g)
+            want += [(members, list(ps)) for ps, members in groups.items()]
+        assert sorted(calls) == sorted(want), x
+        # each base's primes over all steps are its counted primes, each chunk's in one call
+        for g in gs:
+            got = [ps for members, ps in calls if g in members]
+            assert len(got) == len(chunks) and sum(got, []) == counted[g], (x, g)
+    # an excluded prime first and last in a chunk, and a group with no primes, were reached
+    assert ([edges], odd[513:1023]) in seen[10**5]
+    assert ([Fraction(3)], []) in seen[3]
 
 
 def test_sweeps_equal_per_base_sweeps(table, monkeypatch):
@@ -406,6 +432,9 @@ def test_split_check_needs_no_kernel_routine(table, near_1e9, monkeypatch):
 def test_sweep_bounds(small_table):
     with pytest.raises(CapabilityError):
         empirical.sweep(parse_g("2"), small_table, 10**5, (1,))
+    # the arrays over m = 0..x of exact=True are refused above 1e7 before any work
+    with pytest.raises(CapabilityError, match="exact tallies .* exceeds 10000000"):
+        empirical.sweep(parse_g("2"), small_table, 10**7 + 1, (1,), exact=True)
     with pytest.raises(DomainError):
         empirical.sweep(parse_g("2"), small_table, 1, (1,))
     assert empirical.sweep(parse_g("2"), small_table, 2, (1,)).counted == 0
