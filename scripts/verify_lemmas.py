@@ -6,7 +6,8 @@ Covers the three indicator routes and the character/Ramanujan identity
 360, h up to 8, both signs and all parity classes), and the weight
 oracles sigma = w*mu plus both w/r Moebius relations for the nine-base
 matrix over all counted primes up to 2000.  Exits 3 on any violation and
-2 on a size too small to check anything.
+2, before any suite runs, on a size too small to check anything or above
+the oracle's bounds.
 
     python scripts/verify_lemmas.py
 """
@@ -17,7 +18,7 @@ import time
 
 from resindex import oracle
 from resindex.decompose import parse_g
-from resindex.errors import DomainError
+from resindex.errors import ResindexError
 
 BASES = ("2", "3", "5", "8", "-2", "-3", "-4", "9/25", "1/2")
 
@@ -31,6 +32,12 @@ def main() -> int:
     args = ap.parse_args()
 
     gs = [parse_g(s) for s in BASES]
+    try:
+        for max_n in (args.max_n, args.rho_max_n):
+            oracle.check_sizes(max_n, args.max_h, gs, args.max_p)
+    except ResindexError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     failed = False
     for build in (
         lambda: oracle.indicator_suite(args.max_n),
@@ -39,11 +46,7 @@ def main() -> int:
         lambda: oracle.weight_oracle_suite(gs, args.max_p),
     ):
         t0 = time.perf_counter()
-        try:
-            res = build()
-        except DomainError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        res = build()
         status = "ok" if res.ok else "VIOLATION"
         print(f"{status:9s} {res.name}: {res.checks} checks, "
               f"{len(res.violations)} violations ({time.perf_counter() - t0:.1f}s)")

@@ -126,6 +126,7 @@ def _cmd_density(args) -> int:
 
 def _cmd_verify(args) -> int:
     gs = [parse_g(s) for s in (args.g or list(_DEFAULT_VERIFY_BASES))]
+    oracle.check_sizes(args.max_n, args.max_h, gs, args.max_p)
     suites = [
         oracle.indicator_suite(args.max_n),
         oracle.remark_suite(args.max_n),

@@ -61,6 +61,10 @@ SHARD_PRIMES = 8192
 # temporaries: about 0.5 GB at x = 1e7, more than fits at larger x.
 _MAX_EXACT_X = 10**7
 
+# A pool starts min(threads, steps) OS threads, each holding one step's
+# shard arrays, and x = 1e9 has about 6200 steps.
+_MAX_THREADS = 64
+
 # omega(p-1) <= 9 for p <= MAX_SIEVE_LIMIT = 1e9, since the product of the
 # first ten primes, 6469693230, exceeds it; ten columns always suffice.
 _FACTOR_COLUMNS = 10
@@ -352,7 +356,8 @@ def sweeps(
     split=True also checks the splitting criterion on every counted prime
     and t as each step's r is found, and counts the pairs in split_checks.
     exact=True holds three int64 arrays over m = 0..x, so it is refused
-    above x = _MAX_EXACT_X.
+    above x = _MAX_EXACT_X; threads above _MAX_THREADS are refused before
+    any pool exists.
     """
     if x < 2:
         raise DomainError(f"x must be >= 2, got {x}")
@@ -362,6 +367,8 @@ def sweeps(
         raise CapabilityError(f"x={x} exceeds table limit {table.limit}")
     if threads < 1:
         raise DomainError(f"threads must be >= 1, got {threads}")
+    if threads > _MAX_THREADS:
+        raise BoundError(f"threads must be <= {_MAX_THREADS}, got {threads}")
     ts = tuple(dict.fromkeys(int(t) for t in ts))
     if any(t < 1 for t in ts):
         raise DomainError("all t must be >= 1")

@@ -5,53 +5,46 @@ fixed generator; the index of an element a is gcd(a, n), so the identity
 has index n, and the unique element of order 2 (when n is even) is n/2.
 Each group is enumerated once: per (n, t) for the three routes of the
 divisibility indicator, and per coset class into one histogram of indexes
-(_class_indexes), from which rho and sigma, by counting and by Moebius
-inversion, are read as exact Fractions.  The weight oracle locates the
-class of a base g in (Z/pZ)* via discrete logs over the smallest primitive
-root and checks, for every t | p-1, the weights and (disc/p) that the sweep
-itself computes against that class's histogram; (disc/p) comes from the
-sweep's own kernel run on the base's root (empirical._shard_indexes).
-The four suites are the only way in: each runs its checks over a whole
-grid and returns them as one SuiteResult.
+(_class_indexes).  Every index divides n, so both coset suites read that
+histogram on the divisor lattice of n (_lattice, cached per n): the
+divisors t, the divisibility matrix [t_i | t_j], the Moebius matrix
+mu(t_j/t_i) and phi(n/t).  There rho = divides @ hist, sigma comes back
+by Moebius inversion as mob @ rho, and each density is compared with its
+closed form or weight as cross-multiplied integers.  The weight oracle
+locates the class of a base g in (Z/pZ)* via discrete logs over the
+smallest primitive root and checks, for every t | p-1 up to MAX_T, the
+weights and (disc/p) that the sweep itself computes against that class's
+histogram; (disc/p) comes from the sweep's own kernel run on the base's
+root (empirical._shard_indexes).  The four suites are the only way in:
+each runs its checks over a whole grid and returns them as one
+SuiteResult.  check_sizes refuses up front, as the suites do, a size that
+checks nothing or exceeds its bound (_MAX_N, _MAX_H, _MAX_P).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from functools import lru_cache
 from math import gcd, isqrt
 
 import numpy as np
 
 from . import arith, empirical, heuristic
 from .decompose import GDecomposition, Rational, decompose_g, derive_params, excluded_primes
-from .errors import DomainError, LemmaViolation
+from .errors import BoundError, DomainError, LemmaViolation
 
 PARITIES = ("*", "even", "odd")
 
 # largest t the weight oracle checks at each prime
 MAX_T = 24
 
-
-@dataclass(frozen=True)
-class GroupScenario:
-    """One coset-density question: the class {sign * gamma^(parity)h} in C_n."""
-
-    n: int
-    h: int
-    t: int
-    sign: int
-    parity: str  # "*", "even" or "odd"
-
-    def __post_init__(self):
-        if self.parity not in PARITIES:
-            raise DomainError(f"parity must be one of {PARITIES}")
-        if self.sign not in (1, -1):
-            raise DomainError("sign must be +1 or -1")
-        if self.sign < 0 and self.n % 2:
-            raise DomainError("sign -1 needs a group of even order")
-        if min(self.n, self.h, self.t) < 1:
-            raise DomainError("n, h, t must be >= 1")
+# The indicator suite's cost grows like max_n^3, the coset-density suite's
+# like max_n * max_h, and the weight oracle's discrete logs step through
+# every p <= max_p once per base: at these bounds each suite takes seconds
+# to minutes, not hours.
+_MAX_N = 1000
+_MAX_H = 64
+_MAX_P = 10**4
 
 
 def _indexes(n: int) -> np.ndarray:
@@ -101,7 +94,36 @@ def indicator_routes(n: int, t: int) -> tuple[np.ndarray, np.ndarray, np.ndarray
 
 
 # ---------------------------------------------------------------------------
-# coset densities: one index histogram per class, and the closed forms
+# coset densities: one index histogram per class on the divisor lattice
+
+
+@dataclass(frozen=True)
+class _Lattice:
+    """The divisors t of n, ascending, with divides[i, j] = [t_i | t_j],
+    mob[i, j] = mu(t_j/t_i) where t_i | t_j (else 0) and phi[i] = phi(n/t_i)."""
+
+    divs: np.ndarray
+    divides: np.ndarray
+    mob: np.ndarray
+    phi: np.ndarray
+
+
+# n <= max(_MAX_N, _MAX_P - 1) bounds the cache: about 16 MiB for every p - 1, p <= _MAX_P
+@lru_cache(maxsize=None)
+def _lattice(n: int) -> _Lattice:
+    fac = arith.factor_int(n)
+    divs = np.array(arith.divisors(fac), dtype=np.int64)
+    quot = divs[None, :] // divs[:, None]
+    divides = (quot * divs[:, None] == divs[None, :]).astype(np.int64)
+    mob, phi = divides.copy(), n // divs
+    for q, _ in fac.factors:
+        mob[quot % (q * q) == 0] = 0
+        mob[quot % q == 0] *= -1
+        phi = np.where(phi % q == 0, phi // q * (q - 1), phi)
+    lat = _Lattice(divs=divs, divides=divides, mob=mob, phi=phi)
+    for a in (divs, divides, mob, phi):
+        a.flags.writeable = False  # shared by every caller through the cache
+    return lat
 
 
 def _class_progression(n: int, h: int, sign: int, parity: str) -> tuple[int, int]:
@@ -113,41 +135,18 @@ def _class_progression(n: int, h: int, sign: int, parity: str) -> tuple[int, int
     return off, step
 
 
-@dataclass(frozen=True)
-class _ClassIndexes:
-    """Histogram of the indexes over one coset class: hist[i] elements have index i."""
-
-    n: int
-    hist: np.ndarray
-    size: int
-
-    def rho(self, t: int) -> Fraction:
-        """Share of the class with t | index; 0 when t does not divide n."""
-        return Fraction(int(self.hist[t::t].sum()), self.size)
-
-    def sigma_direct(self, t: int) -> Fraction:
-        return Fraction(int(self.hist[t]), self.size)
-
-    def sigma_moebius(self, t: int) -> Fraction:
-        """sum_{d | n/t} mu(d) rho(dt), the Moebius inversion of rho."""
-        total = 0
-        for d in arith.divisors(arith.factor_int(self.n // t)):
-            md = arith.moebius(arith.factor_int(d))
-            if md:
-                total += md * int(self.hist[d * t :: d * t].sum())
-        return Fraction(total, self.size)
-
-
-def _class_indexes(n: int, h: int, sign: int, parity: str) -> _ClassIndexes:
+def _class_indexes(n: int, h: int, sign: int, parity: str) -> np.ndarray:
+    """hist[i]: the elements of the class {sign * gamma^(parity)h} in C_n of index
+    the i-th divisor of n (the enumeration: one bincount of its indexes)."""
     off, step = _class_progression(n, h, sign, parity)
-    cls = _indexes(n)[off::step]
-    return _ClassIndexes(n=n, hist=np.bincount(cls, minlength=n + 1), size=cls.size)
+    return np.bincount(_indexes(n)[off::step], minlength=n + 1)[_lattice(n).divs]
 
 
-def rho_closed(sc: GroupScenario) -> Fraction:
-    """Closed forms of the coset densities.
+def rho_closed(n: int, h: int, sign: int, parity: str) -> np.ndarray:
+    """t * rho at every divisor t of n: the closed forms of the coset densities.
 
-    With tau = v2(t), e = v2(h) and n the group order:
+    rho is the share of the class {sign * gamma^(parity)h} in C_n whose index
+    t divides.  With tau = v2(t), e = v2(h) and n the group order:
       (+1, *)    (t,h)/t
       (+1, even) (2h,t)/t
       (+1, odd)  2(h,t)/t - (2h,t)/t
@@ -155,103 +154,28 @@ def rho_closed(sc: GroupScenario) -> Fraction:
       (-1, even) 0 if v2(n) = tau and tau <= e+1, else (2h,t)/t
       (-1, odd)  0 if (v2(n) = tau and tau != e+1)
                    or (v2(n) >= tau+1 and tau >= e+1), else (2h,t)/t
-    and 0 whenever t does not divide n.
     """
-    n, h, t = sc.n, sc.h, sc.t
-    if n % t:
-        return Fraction(0)
-    tau, e = arith.v2(t), arith.v2(h)
-    v2n = arith.v2(n)
-    if sc.sign == 1:
-        if sc.parity == "*":
-            return Fraction(gcd(t, h), t)
-        if sc.parity == "even":
-            return Fraction(gcd(2 * h, t), t)
-        return Fraction(2 * gcd(h, t), t) - Fraction(gcd(2 * h, t), t)
-    if sc.parity == "*":
-        if v2n == tau and tau <= e:
-            return Fraction(0)
-        return Fraction(gcd(t, h), t)
-    if sc.parity == "even":
-        if v2n == tau and tau <= e + 1:
-            return Fraction(0)
-        return Fraction(gcd(2 * h, t), t)
-    if (v2n == tau and tau != e + 1) or (v2n >= tau + 1 and tau >= e + 1):
-        return Fraction(0)
-    return Fraction(gcd(2 * h, t), t)
+    t = _lattice(n).divs
+    ht, h2t = np.gcd(h, t), np.gcd(2 * h, t)
+    if sign == 1:
+        return {"*": ht, "even": h2t, "odd": 2 * ht - h2t}[parity]
+    tau, e, v2n = np.frexp(t & -t)[1] - 1, arith.v2(h), arith.v2(n)  # frexp of 2^tau is exact
+    if parity == "*":
+        return np.where((v2n == tau) & (tau <= e), 0, ht)
+    if parity == "even":
+        return np.where((v2n == tau) & (tau <= e + 1), 0, h2t)
+    return np.where(((v2n == tau) & (tau != e + 1)) | ((v2n >= tau + 1) & (tau >= e + 1)), 0, h2t)
 
 
-def sigma_closed_linear(n: int, h: int, t: int) -> Fraction:
-    """Closed form for sigma on G^h: (h,t) phi(n/t)/n if (n/t, h_t) = 1 else 0."""
-    if n % t:
-        raise DomainError("need t | n")
-    h_t = h // gcd(h, t)
-    q = n // t
-    if gcd(q, h_t) != 1:
-        return Fraction(0)
-    return Fraction(gcd(h, t) * arith.euler_phi(arith.factor_int(q)), n)
+def sigma_closed_linear(n: int, h: int) -> np.ndarray:
+    """n * sigma on G^h at every divisor t of n: (h,t) phi(n/t) if (n/t, h_t) = 1, else 0."""
+    lat = _lattice(n)
+    ht = np.gcd(h, lat.divs)
+    return np.where(np.gcd(n // lat.divs, h // ht) == 1, ht * lat.phi, 0)
 
 
 # ---------------------------------------------------------------------------
 # concrete-group weight oracles
-
-
-@dataclass(frozen=True)
-class WeightCheck:
-    """Outcome of checking the weight formulas against one (g, p, t).
-
-    ok demands both identities: the exact-index one,
-    sigma == w * mu_factor, and the divisible-index one, rho == r / t_h.
-    """
-
-    g: Rational
-    p: int
-    t: int
-    sigma_direct: Fraction
-    w: int
-    mu_factor: Fraction
-    rho_direct: Fraction
-    r: int
-    ok: bool
-
-
-@dataclass(frozen=True)
-class _BaseWeights:
-    """A base over counted primes: (disc/p), and w(g,m;p), r(g,m;p) for every m | some p-1."""
-
-    g: Rational
-    dec: GDecomposition
-    primes: np.ndarray
-    leg: np.ndarray
-    w: dict[int, np.ndarray]
-    r: dict[int, np.ndarray]
-
-
-def _base_weights(g: Rational, primes: np.ndarray) -> _BaseWeights:
-    """(disc/p) as the sweep reads it, from the kernel run on g's root, and the weights."""
-    dec = decompose_g(g)
-    pm1 = primes - 1
-    base = arith.build_prime_table(max(2, isqrt(int(pm1[-1])))).primes
-    leg = empirical._shard_indexes(empirical._root(dec), primes, empirical._factor_shard(pm1, base))[1]
-    ms = {m for n in pm1.tolist() for m in arith.divisors(arith.factor_int(n))}
-    w, r = {}, {}
-    for m in ms:
-        pa = derive_params(dec, m)
-        w[m] = heuristic.weights_w_vec(dec, pa, pm1, leg)
-        r[m] = heuristic.weights_r_vec(dec, pa, pm1, leg)
-    return _BaseWeights(g=g, dec=dec, primes=primes, leg=leg, w=w, r=r)
-
-
-@dataclass(frozen=True)
-class _GroupContext:
-    """(Z/pZ)* for one base: the index histogram of g's class, and w, r at every m | p-1."""
-
-    g: Rational
-    dec: GDecomposition
-    p: int
-    indexes: _ClassIndexes
-    w: dict[int, int]
-    r: dict[int, int]
 
 
 def _smallest_primitive_root(p: int, fac_pm1: arith.Factorization) -> int:
@@ -278,73 +202,29 @@ def _dlogs(p: int, root: int, targets: tuple[int, ...]) -> dict[int, int]:
     return out
 
 
-def _group_context(base: _BaseWeights, i: int) -> _GroupContext:
-    """Locate the class of g mod the i-th prime of base by discrete logs over the
-    smallest primitive root: (disc/p) must match the parity of dlog(g0), and
-    g itself must land in the class."""
-    g, dec = base.g, base.dec
-    p = int(base.primes[i])
+def _locate_class(g: Rational, dec: GDecomposition, p: int, leg: int) -> np.ndarray:
+    """The index histogram of g's class in (Z/pZ)*, located by discrete logs over
+    the smallest primitive root: (disc/p) = leg must match the parity of
+    dlog(g0), and g itself must land in the class."""
     n = p - 1
-    fac = arith.factor_int(n)
-    root = _smallest_primitive_root(p, fac)
+    root = _smallest_primitive_root(p, arith.factor_int(n))
     g0_mod, g_mod = (x.numerator * pow(x.denominator, -1, p) % p for x in (dec.g0, g))
     logs = _dlogs(p, root, (g0_mod, g_mod))
-    leg = int(base.leg[i])
     if (leg == 1) != (logs[g0_mod] % 2 == 0):
         raise LemmaViolation(f"(disc/p) does not match the parity of dlog(g0) at p={p}, g={g}")
     parity = "even" if leg == 1 else "odd"
     off, step = _class_progression(n, dec.h, dec.sign, parity)
     if (logs[g_mod] - off) % step:
         raise LemmaViolation(f"g={g} mod {p} is not in its predicted class")
-    divs = arith.divisors(fac)
-    return _GroupContext(
-        g=g,
-        dec=dec,
-        p=p,
-        indexes=_class_indexes(n, dec.h, dec.sign, parity),
-        w={m: int(base.w[m][i]) for m in divs},
-        r={m: int(base.r[m][i]) for m in divs},
-    )
+    return _class_indexes(n, dec.h, dec.sign, parity)
 
 
-def _weight_check(ctx: _GroupContext, t: int) -> WeightCheck:
-    """sigma(index = t) == w(g,t;p) (h,t) phi((p-1)/t)/(p-1) and rho(t | index) == r(g,t;p)/t_h."""
-    n = ctx.p - 1
-    pa = derive_params(ctx.dec, t)
-    sig, rho_direct = ctx.indexes.sigma_direct(t), ctx.indexes.rho(t)
-    mu_factor = Fraction(pa.gcd_ht * arith.euler_phi(arith.factor_int(n // t)), n)
-    w, r = ctx.w[t], ctx.r[t]
-    return WeightCheck(
-        g=ctx.g,
-        p=ctx.p,
-        t=t,
-        sigma_direct=sig,
-        w=w,
-        mu_factor=mu_factor,
-        rho_direct=rho_direct,
-        r=r,
-        ok=sig == w * mu_factor and rho_direct == Fraction(r, pa.t_h),
-    )
-
-
-def _w_r_relations_hold(ctx: _GroupContext, t: int) -> bool:
-    """Both Moebius relations between w and r at one (g, p, t), times p-1 (every m | p-1):
-
-      sum_{d | (p-1)/t} mu(d) r(g,dt;p) (h,dt)/(dt)
-          == w(g,t;p) (h,t) phi((p-1)/t)/(p-1)
-    and
-      r(g,t;p) == t_h * sum_{d | (p-1)/t} w(g,dt;p) (h,dt) phi((p-1)/(dt))/(p-1).
-    """
-    n = ctx.p - 1
-    h = ctx.dec.h
-    lhs = rhs = 0
-    for d in arith.divisors(arith.factor_int(n // t)):
-        m = d * t
-        lhs += arith.moebius(arith.factor_int(d)) * ctx.r[m] * gcd(h, m) * (n // m)
-        rhs += ctx.w[m] * gcd(h, m) * arith.euler_phi(arith.factor_int(n // m))
-    pa = derive_params(ctx.dec, t)
-    gevolg_ok = lhs == ctx.w[t] * pa.gcd_ht * arith.euler_phi(arith.factor_int(n // t))
-    return gevolg_ok and ctx.r[t] * n == pa.t_h * rhs
+def _weights(dec: GDecomposition, p: int, leg: int) -> tuple[np.ndarray, np.ndarray]:
+    """w(g,m;p) and r(g,m;p) at every divisor m of p-1, from the case tables the sweep runs."""
+    pas = [derive_params(dec, m) for m in _lattice(p - 1).divs.tolist()]
+    w = [heuristic.weights_w_vec(dec, pa, p - 1, leg) for pa in pas]
+    r = [heuristic.weights_r_vec(dec, pa, p - 1, leg) for pa in pas]
+    return np.array(w, dtype=np.int64), np.array(r, dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -362,10 +242,38 @@ class SuiteResult:
         return not self.violations
 
 
+def _check_size(name: str, value: int, low: int, high: int) -> None:
+    if value < low:
+        raise DomainError(f"{name} must be >= {low}, got {value}")
+    if value > high:
+        raise BoundError(f"{name} must be <= {high}, got {value}")
+
+
+def _counted_primes(gs, max_p: int) -> list[np.ndarray]:
+    """The counted primes p <= max_p of each base; a base with none checks nothing."""
+    _check_size("max_p", max_p, 3, _MAX_P)
+    odd = arith.build_prime_table(max_p).primes[1:]
+    out = []
+    for g in gs:
+        counted = odd[~np.isin(odd, [p for p in excluded_primes(g) if p <= max_p])]
+        if not counted.size:
+            raise DomainError(f"base {g} has no counted prime <= {max_p}")
+        out.append(counted)
+    return out
+
+
+def check_sizes(max_n: int, max_h: int, gs, max_p: int) -> None:
+    """Refuse, before any suite runs, what the suites would refuse at these sizes:
+    a size that checks nothing, one above its bound, or a base with no
+    counted prime <= max_p."""
+    _check_size("max_n", max_n, 1, _MAX_N)
+    _check_size("max_h", max_h, 1, _MAX_H)
+    _counted_primes(gs, max_p)
+
+
 def indicator_suite(max_n: int) -> SuiteResult:
     """All three indicator routes agree for every n <= max_n, t | n, gamma."""
-    if max_n < 1:
-        raise DomainError(f"max_n must be >= 1, got {max_n}")
+    _check_size("max_n", max_n, 1, _MAX_N)
     res = SuiteResult(name="indicator", checks=0, violations=[])
     for n in range(1, max_n + 1):
         for t in arith.divisors(arith.factor_int(n)):
@@ -382,8 +290,7 @@ def indicator_suite(max_n: int) -> SuiteResult:
 
 def remark_suite(max_n: int) -> SuiteResult:
     """sum_{ord chi = d} chi(gamma) == c_d(index(gamma)) for n <= max_n, d | n."""
-    if max_n < 1:
-        raise DomainError(f"max_n must be >= 1, got {max_n}")
+    _check_size("max_n", max_n, 1, _MAX_N)
     res = SuiteResult(name="character-ramanujan", checks=0, violations=[])
     for n in range(1, max_n + 1):
         idx = _indexes(n)
@@ -396,28 +303,36 @@ def remark_suite(max_n: int) -> SuiteResult:
 
 
 def rho_sigma_suite(max_n: int, max_h: int = 8) -> SuiteResult:
-    """Enumerated coset densities match every closed form on the full grid."""
-    if min(max_n, max_h) < 1:
-        raise DomainError(f"max_n and max_h must be >= 1, got {max_n} and {max_h}")
+    """Enumerated coset densities match every closed form on the full grid.
+
+    Per class and divisor t of n: rho against rho_closed, sigma against its
+    Moebius inversion from rho and, on G^h itself, against sigma_closed_linear.
+    """
+    _check_size("max_n", max_n, 1, _MAX_N)
+    _check_size("max_h", max_h, 1, _MAX_H)
     res = SuiteResult(name="coset-density", checks=0, violations=[])
     for n in range(1, max_n + 1):
-        divs = arith.divisors(arith.factor_int(n))
+        lat = _lattice(n)
         for h in range(1, max_h + 1):
             for sign in (1, -1):
                 if sign < 0 and n % 2:
                     continue
                 for parity in PARITIES:
-                    ci = _class_indexes(n, h, sign, parity)
-                    for t in divs:
-                        sc = GroupScenario(n=n, h=h, t=t, sign=sign, parity=parity)
-                        if ci.rho(t) != rho_closed(sc):
-                            res.violations.append(f"rho mismatch at {sc}")
-                        sig_d = ci.sigma_direct(t)
-                        if sig_d != ci.sigma_moebius(t):
-                            res.violations.append(f"sigma routes disagree at {sc}")
-                        if sign == 1 and parity == "*" and sig_d != sigma_closed_linear(n, h, t):
-                            res.violations.append(f"sigma closed form fails at {sc}")
-                        res.checks += 3
+                    hist = _class_indexes(n, h, sign, parity)
+                    size = int(hist.sum())
+                    rho = lat.divides @ hist
+                    fails = [
+                        ("rho mismatch", rho * lat.divs != rho_closed(n, h, sign, parity) * size),
+                        ("sigma routes disagree", lat.mob @ rho != hist),
+                    ]
+                    if sign == 1 and parity == "*":
+                        fails.append(("sigma closed form fails", hist * n != sigma_closed_linear(n, h) * size))
+                    for what, bad in fails:
+                        res.violations.extend(
+                            f"{what} at n={n}, h={h}, sign={sign}, parity={parity}, t={t}"
+                            for t in lat.divs[bad].tolist()
+                        )
+                    res.checks += 3 * lat.divs.size
     return res
 
 
@@ -426,35 +341,41 @@ def weight_oracle_suite(gs, max_p: int) -> SuiteResult:
 
     For each base: sigma == w * mu and rho == r / t_h on the concrete
     group, plus both Moebius relations between w and r (the one expressing
-    r uses the t_h factor as a multiplier, which the enumeration forces).
+    r uses the t_h factor as a multiplier, which the enumeration forces):
+
+      sum_{d | (p-1)/t} mu(d) r(g,dt;p) (h,dt)/(dt)
+          == w(g,t;p) (h,t) phi((p-1)/t)/(p-1)
+    and
+      r(g,t;p) == t_h * sum_{d | (p-1)/t} w(g,dt;p) (h,dt) phi((p-1)/(dt))/(p-1).
     """
-    if max_p < 3:
-        raise DomainError(f"max_p must be >= 3, got {max_p}")
     res = SuiteResult(name="weight-oracle", checks=0, violations=[])
-    primes = [p for p in range(3, max_p + 1) if arith.is_prime(p)]
-    for g in gs:
-        bad = excluded_primes(g)
-        counted = [p for p in primes if p not in bad]
-        if not counted:
-            raise DomainError(f"base {g} has no counted prime <= {max_p}")
-        base = _base_weights(g, np.array(counted, dtype=np.int64))
-        for i, p in enumerate(base.primes.tolist()):
+    for g, primes in zip(gs, _counted_primes(gs, max_p)):
+        dec = decompose_g(g)
+        pm1 = primes - 1
+        base = arith.build_prime_table(max(2, isqrt(int(pm1[-1])))).primes
+        legs = empirical._shard_indexes(empirical._root(dec), primes, empirical._factor_shard(pm1, base))[1]
+        for p, leg in zip(primes.tolist(), legs.tolist()):
             try:
-                ctx = _group_context(base, i)
+                hist = _locate_class(g, dec, p, leg)
             except LemmaViolation as exc:
                 res.violations.append(str(exc))
                 continue
-            for t in arith.divisors(arith.factor_int(p - 1)):
-                if t > MAX_T:
-                    break
-                check = _weight_check(ctx, t)
-                if not check.ok:
-                    res.violations.append(
-                        f"weight formulas disagree with counting at g={g}, p={p}, t={t}: "
-                        f"sigma={check.sigma_direct} vs w*mu={check.w * check.mu_factor}, "
-                        f"rho={check.rho_direct} vs r/t_h={check.r}/t_h"
-                    )
-                if not _w_r_relations_hold(ctx, t):
-                    res.violations.append(f"w/r Moebius relations fail at g={g}, p={p}, t={t}")
-                res.checks += 3
+            n, lat = p - 1, _lattice(p - 1)
+            w, r = _weights(dec, p, leg)
+            ht = np.gcd(dec.h, lat.divs)
+            t_h, size = lat.divs // ht, int(hist.sum())
+            w_mu = w * ht * lat.phi  # (p-1) * w * mu
+            rho = lat.divides @ hist
+            counted = (hist * n == w_mu * size) & (rho * t_h == r * size)
+            related = (lat.mob @ (r * ht * (n // lat.divs)) == w_mu) & (r * n == t_h * (lat.divides @ w_mu))
+            k = int(np.searchsorted(lat.divs, MAX_T, side="right"))
+            for i in np.flatnonzero(~counted[:k]).tolist():
+                res.violations.append(
+                    f"weight formulas disagree with counting at g={g}, p={p}, t={lat.divs[i]}: "
+                    f"sigma={hist[i]}/{size} vs w*mu={w_mu[i]}/{n}, rho={rho[i]}/{size} vs r/t_h={r[i]}/{t_h[i]}"
+                )
+            res.violations.extend(
+                f"w/r Moebius relations fail at g={g}, p={p}, t={t}" for t in lat.divs[:k][~related[:k]].tolist()
+            )
+            res.checks += 3 * k
     return res

@@ -140,6 +140,32 @@ def test_verify_rejects_sizes_that_check_nothing(capsys):
         assert out == "" and f"base {g} has no counted prime <= 3" in err
 
 
+def test_sizes_beyond_their_bounds_exit_2(capsys, monkeypatch):
+    # refused before any suite runs and before any thread pool exists
+    from resindex import empirical, oracle
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a thread pool was started")
+
+    monkeypatch.setattr(empirical, "ThreadPoolExecutor", no_pool)
+    cases = [
+        ["verify", "--max-n", str(oracle._MAX_N + 1)],
+        ["verify", "--max-h", str(oracle._MAX_H + 1)],
+        ["verify", "--max-p", str(oracle._MAX_P + 1)],
+        ["verify", "--max-p", "100000000000000000000"],
+        ["verify", "--max-n", "800", "--max-p", "5"],  # base 9/25 has no counted prime <= 5
+    ]
+    for command in ("count", "heuristic", "report"):
+        for threads in (empirical._MAX_THREADS + 1, 10**6):
+            cases.append([command, "--g", "2", "--t", "1", "--x", "100000", "--threads", str(threads)])
+    for argv in cases:
+        t0 = time.perf_counter()
+        code = cli.main(argv)
+        out, err = capsys.readouterr()
+        assert code == 2 and out == "" and err.startswith("error: "), argv
+        assert time.perf_counter() - t0 < 1, argv
+
+
 def test_density_builds_one_artin_product(capsys, monkeypatch):
     from resindex import density
 

@@ -6,17 +6,39 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from resindex import oracle
-from resindex.decompose import parse_g
-from resindex.errors import DomainError
+from conftest import euler_criterion
+from resindex import cli, oracle
+from resindex.decompose import decompose_g, parse_g
+from resindex.errors import BoundError, DomainError
 
 
 ROUTES = ("definition", "ramanujan", "characters")
 
 
+def densities(n: int, h: int, sign: int, parity: str) -> dict[int, tuple[Fraction, Fraction]]:
+    """{t: (rho, sigma)} over the divisors t of n for one class, read off the suite's arrays."""
+    lat = oracle._lattice(n)
+    hist = oracle._class_indexes(n, h, sign, parity)
+    rho = lat.divides @ hist
+    assert np.array_equal(lat.mob @ rho, hist)  # sigma by Moebius inversion
+    size = int(hist.sum())
+    return {t: (Fraction(int(a), size), Fraction(int(b), size)) for t, a, b in zip(lat.divs.tolist(), rho, hist)}
+
+
 def test_cyclic_group_index_conventions():
     # the identity has full index: the class {gamma^12} in C_12 is {1}, of index exactly 12
-    assert oracle._class_indexes(12, 12, 1, "*").sigma_direct(12) == 1
+    assert densities(12, 12, 1, "*")[12][1] == 1
+
+
+def test_lattice_of_12():
+    lat = oracle._lattice(12)
+    assert lat.divs.tolist() == [1, 2, 3, 4, 6, 12]
+    assert lat.phi.tolist() == [4, 2, 2, 2, 1, 1]  # phi(12 / t)
+    assert lat.divides[1].tolist() == [0, 1, 0, 1, 1, 1]  # the multiples of 2
+    assert lat.mob[1].tolist() == [0, 1, 0, -1, -1, 1]  # mu(t/2) for t = 2, 4, 6, 12
+    assert lat.mob[0].tolist() == [1, -1, -1, 0, 1, 0]  # mu(t)
+    with pytest.raises(ValueError):
+        lat.mob[0, 0] = 0  # cached arrays are shared, so read-only
 
 
 def test_indicator_examples():
@@ -40,43 +62,83 @@ def test_indicator_modes_agree(n, data):
     assert f_def.tolist() == [int(math.gcd(gamma, n) % t == 0) for gamma in range(n)]
 
 
+def rho(n: int, h: int, sign: int, parity: str, t: int) -> Fraction:
+    """rho of one class at t | n, enumerated; asserted equal to its closed form first."""
+    closed = oracle.rho_closed(n, h, sign, parity)[oracle._lattice(n).divs.tolist().index(t)]
+    value = densities(n, h, sign, parity)[t][0]
+    assert value == Fraction(int(closed), t)
+    return value
+
+
 def test_rho_linear_examples():
-    assert oracle._class_indexes(12, 2, 1, "*").rho(4) == Fraction(1, 2)
-    assert oracle._class_indexes(12, 1, 1, "*").rho(3) == Fraction(1, 3)
-    assert oracle._class_indexes(12, 24, 1, "*").rho(1) == 1
+    assert rho(12, 2, 1, "*", 4) == Fraction(1, 2)
+    assert rho(12, 1, 1, "*", 3) == Fraction(1, 3)
+    assert rho(12, 24, 1, "*", 1) == 1
 
 
 def test_rho_signed_examples():
-    assert oracle._class_indexes(12, 4, -1, "*").rho(4) == 0
-    assert oracle._class_indexes(12, 1, -1, "*").rho(2) == Fraction(1, 2)
-    assert oracle._class_indexes(4, 1, 1, "odd").rho(2) == 0
-    with pytest.raises(DomainError):
-        oracle.GroupScenario(9, 1, 3, -1, "*")
+    assert rho(12, 4, -1, "*", 4) == 0
+    assert rho(12, 1, -1, "*", 2) == Fraction(1, 2)
+    assert rho(4, 1, 1, "odd", 2) == 0
 
 
 def test_rho_zero_when_t_does_not_divide_n():
-    assert oracle._class_indexes(10, 1, 1, "even").rho(3) == 0
+    # every index divides n: the lattice of 10 holds the whole class, and no index is a multiple of 3
+    d = densities(10, 1, 1, "even")
+    assert 3 not in d and sum(sigma for _, sigma in d.values()) == 1
 
 
 def test_sigma_examples():
-    assert oracle._class_indexes(12, 1, 1, "*").sigma_direct(2) == Fraction(1, 6)
-    assert oracle._class_indexes(12, 2, 1, "*").sigma_direct(2) == Fraction(1, 3)
-    assert oracle._class_indexes(12, 4, 1, "*").sigma_direct(2) == 0
-    assert oracle.sigma_closed_linear(12, 2, 2) == Fraction(1, 3)
-    assert oracle.sigma_closed_linear(12, 4, 2) == 0
+    assert densities(12, 1, 1, "*")[2][1] == Fraction(1, 6)
+    assert densities(12, 2, 1, "*")[2][1] == Fraction(1, 3)
+    assert densities(12, 4, 1, "*")[2][1] == 0
+    assert oracle.sigma_closed_linear(12, 2)[1] == 4  # t = 2: 12 * sigma = 12 * 1/3
+    assert oracle.sigma_closed_linear(12, 4)[1] == 0
 
 
-def weight_check(g, p: int, t: int) -> oracle.WeightCheck:
-    """The weight oracle's check at one counted prime p of g and one t | p-1."""
-    return oracle._weight_check(oracle._group_context(oracle._base_weights(g, np.array([p])), 0), t)
+def test_closed_form_fault_names_the_case(monkeypatch):
+    rho_closed = oracle.rho_closed
+
+    def corrupted(n, h, sign, parity):
+        out = rho_closed(n, h, sign, parity)
+        return out + 1 if (sign, parity) == (-1, "even") else out
+
+    monkeypatch.setattr(oracle, "rho_closed", corrupted)
+    res = oracle.rho_sigma_suite(12, 2)
+    cases = {(n, h, t) for n in range(2, 13, 2) for h in (1, 2) for t in range(1, n + 1) if n % t == 0}
+    assert sorted(res.violations) == sorted(
+        f"rho mismatch at n={n}, h={h}, sign=-1, parity=even, t={t}" for n, h, t in cases
+    )
+
+
+def weight_check(g, p: int, t: int) -> tuple[Fraction, int, Fraction]:
+    """sigma, w(g,t;p) and mu = (h,t) phi((p-1)/t)/(p-1) at one counted prime p of g and t | p-1,
+    as the weight oracle reads them; (disc/p) by Euler's criterion."""
+    dec = decompose_g(g)
+    leg = euler_criterion(dec.disc, p)
+    lat = oracle._lattice(p - 1)
+    i = lat.divs.tolist().index(t)
+    hist = oracle._locate_class(g, dec, p, leg)
+    w, _ = oracle._weights(dec, p, leg)
+    sigma = Fraction(int(hist[i]), int(hist.sum()))
+    return sigma, int(w[i]), Fraction(math.gcd(dec.h, t) * int(lat.phi[i]), p - 1)
 
 
 def test_weight_check_examples():
-    chk = weight_check(parse_g("2"), 7, 1)
-    assert chk.ok and chk.sigma_direct == 0 and chk.w == 0
-    chk = weight_check(parse_g("2"), 5, 1)
-    assert chk.ok and chk.sigma_direct == 1 and chk.w == 2 and chk.mu_factor == Fraction(1, 2)
-    assert weight_check(parse_g("-4"), 13, 2).ok
+    sigma, w, mu = weight_check(parse_g("2"), 7, 1)
+    assert sigma == 0 and w == 0
+    sigma, w, mu = weight_check(parse_g("2"), 5, 1)
+    assert sigma == 1 and w == 2 and mu == Fraction(1, 2) and sigma == w * mu
+    sigma, w, mu = weight_check(parse_g("-4"), 13, 2)
+    assert sigma == w * mu
+    for g, p in (("2", 7), ("2", 5), ("-4", 13)):
+        assert oracle.weight_oracle_suite([parse_g(g)], p).ok
+
+
+def test_default_check_counts():
+    assert oracle.rho_sigma_suite(200, 8).checks == 133560
+    res = oracle.weight_oracle_suite([parse_g(g) for g in cli._DEFAULT_VERIFY_BASES], 500)
+    assert res.ok and res.checks == 8205
 
 
 def test_weight_oracle_on_six_bases():
@@ -101,6 +163,15 @@ def test_suites_reject_sizes_that_check_nothing():
         (oracle.weight_oracle_suite, ([parse_g("2")], 2)),
     ):
         with pytest.raises(DomainError):
+            suite(*args)
+    for suite, args in (
+        (oracle.indicator_suite, (oracle._MAX_N + 1,)),
+        (oracle.remark_suite, (10**20,)),
+        (oracle.rho_sigma_suite, (oracle._MAX_N + 1, 8)),
+        (oracle.rho_sigma_suite, (10, oracle._MAX_H + 1)),
+        (oracle.weight_oracle_suite, ([parse_g("2")], oracle._MAX_P + 1)),
+    ):
+        with pytest.raises(BoundError):
             suite(*args)
 
 

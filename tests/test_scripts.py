@@ -38,6 +38,10 @@ def test_verify_lemmas_small(monkeypatch, capsys):
     assert run_script(monkeypatch, "verify_lemmas.py", "--max-n", "-3", "--max-p", "10") == 2
     # bases 3, -3 and 9/25 have no counted prime <= 3
     assert run_script(monkeypatch, "verify_lemmas.py", *argv[:-2], "--max-p", "3") == 2
+    # over the bound on max-p: refused up front, no traceback
+    assert run_script(monkeypatch, "verify_lemmas.py", *argv[:-2], "--max-p", "100000000000000000000") == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ")
 
 
 def test_public_names_resolve():
