@@ -55,6 +55,7 @@ def _emit(rows: list[dict], fmt: str, out) -> None:
 
 def _cmd_count(args) -> int:
     g = parse_g(args.g)
+    empirical.check_args(args.x, (args.t,), threads=args.threads)
     table = arith.build_prime_table(args.x)
     sw = empirical.sweep(g, table, args.x, (args.t,), threads=args.threads, split=True)
     _emit(
@@ -67,6 +68,7 @@ def _cmd_count(args) -> int:
 
 def _cmd_heuristic(args) -> int:
     g = parse_g(args.g)
+    empirical.check_args(args.x, (args.t,), threads=args.threads)
     table = arith.build_prime_table(args.x)
     sw = empirical.sweep(g, table, args.x, (args.t,), threads=args.threads)
     t = args.t
@@ -150,12 +152,14 @@ def _cmd_verify(args) -> int:
 def _cmd_report(args) -> int:
     gs = [parse_g(s) for s in args.g]
     ts = args.t or [1]
+    empirical.check_args(args.x, ts, threads=args.threads)
+    # every A(g,t) before any prime is sieved, so a tolerance they refuse exits 2 up front
+    densities = [[density.artin_density_A(dec, t, args.tol) for t in ts] for dec in map(decompose_g, gs)]
     table = arith.build_prime_table(args.x)
     li = arith.log_integral(args.x)
     rows = []
-    for g_text, sw in zip(args.g, empirical.sweeps(gs, table, args.x, ts, threads=args.threads)):
-        for t in ts:
-            a = density.artin_density_A(sw.dec, t, args.tol)
+    for g_text, sw, a_row in zip(args.g, empirical.sweeps(gs, table, args.x, ts, threads=args.threads), densities):
+        for t, a in zip(ts, a_row):
             if args.format == "json":
                 row = {
                     "g": str(sw.g),

@@ -53,7 +53,7 @@ import numpy as np
 
 from . import arith, heuristic
 from .decompose import GDecomposition, HeuristicParams, Rational, decompose_g, derive_params, excluded_primes
-from .errors import BoundError, CapabilityError, DomainError, LemmaViolation
+from .errors import BoundError, CapabilityError, DomainError, LemmaViolation, check_range
 
 SHARD_PRIMES = 8192
 
@@ -333,6 +333,25 @@ def _sum_over_multiples(f: np.ndarray, primes: np.ndarray) -> None:
             qa *= qa
 
 
+def check_args(x: int, ts, *, threads: int = 1, exact: bool = False) -> tuple[int, ...]:
+    """Refuse, before any prime table or pool exists, what sweeps refuses at these arguments
+    (exact=True holds three int64 arrays over m = 0..x, so x above _MAX_EXACT_X), and
+    return ts as sweeps reads them: ints, each once, in order."""
+    if x < 2:
+        raise DomainError(f"x must be >= 2, got {x}")
+    if exact and x > _MAX_EXACT_X:
+        raise CapabilityError(f"exact tallies hold arrays over m = 0..x; x={x} exceeds {_MAX_EXACT_X}")
+    check_range("threads", threads, 1, _MAX_THREADS)
+    ts = tuple(dict.fromkeys(int(t) for t in ts))
+    if any(t < 1 for t in ts):
+        raise DomainError("all t must be >= 1")
+    # no p <= MAX_SIEVE_LIMIT has t | p-1 for a t of more bits than that
+    # limit, and smaller t keep every modulus (2t, lcm(2^(e+1), t)) in int64
+    if any(t.bit_length() > arith.MAX_SIEVE_LIMIT.bit_length() for t in ts):
+        raise BoundError(f"all t must be below 2^{arith.MAX_SIEVE_LIMIT.bit_length()}")
+    return ts
+
+
 def sweeps(
     gs,
     table: arith.PrimeTable,
@@ -355,27 +374,11 @@ def sweeps(
     unless H = M exactly and 0 <= N <= R <= pi(x;t,1) for every base and t.
     split=True also checks the splitting criterion on every counted prime
     and t as each step's r is found, and counts the pairs in split_checks.
-    exact=True holds three int64 arrays over m = 0..x, so it is refused
-    above x = _MAX_EXACT_X; threads above _MAX_THREADS are refused before
-    any pool exists.
+    Refuses what check_args refuses, and x above the table's limit.
     """
-    if x < 2:
-        raise DomainError(f"x must be >= 2, got {x}")
-    if exact and x > _MAX_EXACT_X:
-        raise CapabilityError(f"exact tallies hold arrays over m = 0..x; x={x} exceeds {_MAX_EXACT_X}")
+    ts = check_args(x, ts, threads=threads, exact=exact)
     if x > table.limit:
         raise CapabilityError(f"x={x} exceeds table limit {table.limit}")
-    if threads < 1:
-        raise DomainError(f"threads must be >= 1, got {threads}")
-    if threads > _MAX_THREADS:
-        raise BoundError(f"threads must be <= {_MAX_THREADS}, got {threads}")
-    ts = tuple(dict.fromkeys(int(t) for t in ts))
-    if any(t < 1 for t in ts):
-        raise DomainError("all t must be >= 1")
-    # no p <= MAX_SIEVE_LIMIT has t | p-1 for a t of more bits than that
-    # limit, and smaller t keep every modulus (2t, lcm(2^(e+1), t)) in int64
-    if any(t.bit_length() > arith.MAX_SIEVE_LIMIT.bit_length() for t in ts):
-        raise BoundError(f"all t must be below 2^{arith.MAX_SIEVE_LIMIT.bit_length()}")
     distinct = list(dict.fromkeys(gs))
     plans = [_plan(g, ts) for g in distinct]
     odd = table.primes_upto(x)[1:]

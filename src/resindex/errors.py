@@ -1,4 +1,4 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the range check on sizes.
 
 The CLI maps these onto exit codes: input problems (parse/domain/bound/
 capability) exit with status 2, a failed exact identity exits with 3.
@@ -31,3 +31,11 @@ class CapabilityError(ResindexError, ValueError):
 
 class LemmaViolation(ResindexError, RuntimeError):
     """An identity that must hold exactly failed on concrete data."""
+
+
+def check_range(name: str, value: int, low: int, high: int) -> None:
+    """Refuse a size below low as a DomainError and one above high as a BoundError."""
+    if value < low:
+        raise DomainError(f"{name} must be >= {low}, got {value}")
+    if value > high:
+        raise BoundError(f"{name} must be <= {high}, got {value}")

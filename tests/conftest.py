@@ -1,3 +1,6 @@
+import cmath
+import math
+
 import pytest
 
 from resindex import arith
@@ -40,3 +43,13 @@ def euler_criterion(d: int, p: int) -> int:
     """The Legendre symbol (d/p) for an odd prime p, as d^((p-1)/2) mod p."""
     r = pow(d % p, (p - 1) // 2, p)
     return 0 if r == 0 else (1 if r == 1 else -1)
+
+
+def brute_indicator(n: int, t: int) -> list[int]:
+    """[t | index(gamma)] in C_n for gamma = 0..n-1, the index being gcd(gamma, n) (n at gamma = 0)."""
+    return [int(math.gcd(gamma, n) % t == 0) for gamma in range(n)]
+
+
+def character_sum(d: int, gamma: int) -> complex:
+    """The sum of chi(gamma) over the characters chi of order exactly d: zeta_d^(u gamma) over the units u mod d."""
+    return sum(cmath.exp(2j * cmath.pi * u * gamma / d) for u in range(1, d + 1) if math.gcd(u, d) == 1)

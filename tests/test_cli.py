@@ -166,6 +166,22 @@ def test_sizes_beyond_their_bounds_exit_2(capsys, monkeypatch):
         assert time.perf_counter() - t0 < 1, argv
 
 
+def test_bad_arguments_exit_2_before_the_sieve(capsys, monkeypatch):
+    # a sieve to 1e8 takes seconds, so every sweep argument and tolerance is refused before it
+    def no_sieve(limit):
+        raise AssertionError(f"a prime table to {limit} was built")
+
+    monkeypatch.setattr(arith, "build_prime_table", no_sieve)
+    cases = [["report", "--g", "2", "--t", "1", "--x", "100000000", "--tol", tol] for tol in ("0", "nan", "1e-9")]
+    for command in ("count", "heuristic", "report"):
+        cases.append([command, "--g", "2", "--t", "1", "--x", "100000000", "--threads", "65"])
+        cases.append([command, "--g", "2", "--t", "1073741824", "--x", "100000000"])
+    for argv in cases:
+        assert cli.main(argv) == 2, argv
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: "), argv
+
+
 def test_density_builds_one_artin_product(capsys, monkeypatch):
     from resindex import density
 

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import euler_criterion
-from resindex import cli, oracle
+from conftest import brute_indicator, character_sum, euler_criterion
+from resindex import arith, cli, oracle
 from resindex.decompose import decompose_g, parse_g
 from resindex.errors import BoundError, DomainError
 
@@ -41,25 +41,77 @@ def test_lattice_of_12():
         lat.mob[0, 0] = 0  # cached arrays are shared, so read-only
 
 
+def indicator_routes(n: int) -> dict[int, tuple[list[int], list[int]]]:
+    """{t: (ramanujan, characters)} over the divisors t of n: the indicator of t | index(gamma),
+    gamma = 0..n-1, summed over the rows d | t of the tables the indicator suite reads."""
+    lat = oracle._lattice(n)
+    ram, char = oracle._character_table(n)
+    col = lat.divs[:, None]
+    ram, char = lat.divides.T @ ram, lat.divides.T @ char / col
+    assert not np.any(ram % col) and np.allclose(char, np.round(char.real), atol=1e-6)
+    rows = zip(lat.divs.tolist(), (ram // col).tolist(), np.round(char.real).astype(int).tolist())
+    return {t: (r, c) for t, r, c in rows}
+
+
 def test_indicator_examples():
-    for route, f in zip(ROUTES, oracle.indicator_routes(12, 4)):
+    routes = indicator_routes(12)
+    for route, f in zip(ROUTES, (brute_indicator(12, 4), *routes[4])):
         assert f[4] == 1 and f[8] == 1 and f[1] == 0, route
-    for route, f in zip(ROUTES, oracle.indicator_routes(12, 3)):
+    for route, f in zip(ROUTES, (brute_indicator(12, 3), *routes[3])):
         assert f[4] == 0 and f[3] == 1, route
-    for route, f in zip(ROUTES, oracle.indicator_routes(12, 6)):
+    for route, f in zip(ROUTES, (brute_indicator(12, 6), *routes[6])):
         assert f[0] == 1, route  # identity has full index
-    with pytest.raises(DomainError):
-        oracle.indicator_routes(12, 5)
+    assert 5 not in routes  # one row per divisor of n
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.integers(1, 100), st.data())
 def test_indicator_modes_agree(n, data):
-    divs = [t for t in range(1, n + 1) if n % t == 0]
+    divs = oracle._lattice(n).divs.tolist()
     t = data.draw(st.sampled_from(divs))
-    f_def, f_ram, f_char = oracle.indicator_routes(n, t)
-    assert f_def.tolist() == f_ram.tolist() == f_char.tolist()
-    assert f_def.tolist() == [int(math.gcd(gamma, n) % t == 0) for gamma in range(n)]
+    f_ram, f_char = indicator_routes(n)[t]
+    assert f_ram == f_char == brute_indicator(n, t)
+    # each character row d | t is the literal per-gamma sum over the units mod d
+    _, char = oracle._character_table(n)
+    for d, row in zip(divs, char):
+        if t % d == 0:
+            assert np.allclose(row, [character_sum(d, gamma) for gamma in range(n)], atol=1e-9), d
+
+
+def test_character_sums_built_once_per_divisor(monkeypatch):
+    calls, sums = [], oracle._character_sums
+    monkeypatch.setattr(oracle, "_character_sums", lambda d: calls.append(d) or sums(d))
+    assert oracle.indicator_suite(12).ok and oracle.remark_suite(12).ok
+    rows = [d for n in range(1, 13) for d in range(1, n + 1) if n % d == 0]
+    assert calls == rows + rows  # one sum per row of each n's table, never one per t
+
+
+def test_character_fault_names_the_case(monkeypatch):
+    sums, clean = oracle._character_sums, oracle.indicator_suite(12).checks
+
+    def without_unit_2(d):  # the characters of order 5 lose chi_2
+        return sums(d) - np.exp(4j * np.pi * np.arange(d) / d) if d == 5 else sums(d)
+
+    monkeypatch.setattr(oracle, "_character_sums", without_unit_2)
+    res = oracle.remark_suite(12)
+    assert res.violations == [f"character sum != ramanujan sum at n={n}, d=5" for n in (5, 10)]
+    cases = ((5, 5), (10, 5), (10, 10))
+    res = oracle.indicator_suite(12)
+    assert res.violations == [f"character route drifted at n={n}, t={t}" for n, t in cases]
+    assert res.checks == clean - sum(3 * n for n, _ in cases)  # a drifted route adds no checks
+
+
+def test_ramanujan_fault_names_the_case(monkeypatch):
+    table = arith.ramanujan_table
+    monkeypatch.setattr(arith, "ramanujan_table", lambda d: table(d) + 3 * (d == 3))  # c_3 off by 3
+    res = oracle.remark_suite(6)
+    assert res.violations == [f"character sum != ramanujan sum at n={n}, d=3" for n in (3, 6)]
+    # t = 3 sums one shifted row, still a multiple of 3; t = 6 does not
+    assert oracle.indicator_suite(6).violations == [
+        "indicator routes disagree at n=3, t=3",
+        "indicator routes disagree at n=6, t=3",
+        "ramanujan route not integral at n=6, t=6",
+    ]
 
 
 def rho(n: int, h: int, sign: int, parity: str, t: int) -> Fraction:
@@ -136,6 +188,8 @@ def test_weight_check_examples():
 
 
 def test_default_check_counts():
+    assert oracle.indicator_suite(200).checks == 361491
+    assert oracle.remark_suite(200).checks == 120497
     assert oracle.rho_sigma_suite(200, 8).checks == 133560
     res = oracle.weight_oracle_suite([parse_g(g) for g in cli._DEFAULT_VERIFY_BASES], 500)
     assert res.ok and res.checks == 8205
