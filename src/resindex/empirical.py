@@ -8,7 +8,8 @@ into all requested per-t tallies in a single streamed pass:
     R_{g,t}(x)   primes with t | r_g(p)
     pi(x;t,1)    counted primes p = 1 mod t
     P_t(x)       counted primes p = 1 mod t with (disc/p) = 1
-    L, Q         first/second-order character sums via Ramanujan sums
+    L, Q         first/second-order character sums: Ramanujan sums of r
+                 over d | (h,t), and over the d | (2h,t) not dividing h
     sum r(g,t;p), naive and weighted phi-sums (floats; exact=True adds
     exact rationals and the divisor tallies pi_all, split_all, R_all: int64
     arrays over m = 0..x counting the primes with m | p-1, those that also
@@ -47,7 +48,7 @@ from __future__ import annotations
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from math import fsum, gcd, isqrt, lcm
+from math import fsum, gcd, isqrt
 
 import numpy as np
 
@@ -197,9 +198,11 @@ class Sweep:
     R_all: np.ndarray | None = None
 
     def L(self, t: int) -> Fraction:
+        """(1/t) * sum over p = 1 mod t of sum over d | (h,t) of c_d(r_g(p))."""
         return Fraction(self.L_num[t], t)
 
     def Q(self, t: int) -> Fraction:
+        """(1/t) * sum over p = 1 mod t of sum over d | (2h,t), d not dividing h, of c_d(r_g(p))."""
         return Fraction(self.Q_num[t], t)
 
     def M(self, t: int) -> Fraction:
@@ -213,30 +216,16 @@ class Sweep:
 
 @dataclass(frozen=True)
 class _SweepPlan:
-    """One base's share of a sweep: its parameters per t and the lookup
-    tables of its L and Q columns."""
+    """One base's share of a sweep: its decomposition and its parameters per t."""
 
     g: Rational
     dec: GDecomposition
     params: dict[int, HeuristicParams]
-    lq_divs: np.ndarray
-    lq: dict[int, np.ndarray]
 
 
 def _plan(g: Rational, ts: tuple[int, ...]) -> _SweepPlan:
     dec = decompose_g(g)
-    params = {t: derive_params(dec, t) for t in ts}
-    # L sums c_d(r) over d | (h,t), Q over the d | (2h,t) not dividing h.  Every
-    # such d divides D, the lcm over t of (2h,t), so c_d(r) = c_d(gcd(r, D)):
-    # lq[t] holds both sums at each divisor of D (lq_divs, ascending), and a
-    # base looks gcd(r, D) up in lq_divs once per shard for all t.
-    lq_divs = np.array(arith.divisors(arith.factor_int(lcm(*(gcd(2 * dec.h, t) for t in ts)))))
-    lq: dict[int, np.ndarray] = {}
-    for t in ts:
-        lq[t] = np.zeros((2, lq_divs.size), dtype=np.int64)
-        for d in arith.divisors(arith.factor_int(gcd(2 * dec.h, t))):
-            lq[t][int(dec.h % d != 0)] += arith.ramanujan_table(d)[np.gcd(lq_divs, d)]
-    return _SweepPlan(g=g, dec=dec, params=params, lq_divs=lq_divs, lq=lq)
+    return _SweepPlan(g=g, dec=dec, params={t: derive_params(dec, t) for t in ts})
 
 
 def _tally_step(
@@ -279,7 +268,7 @@ def _tally_step(
         divisor_values = (pm1, pm1[leg == 1], r) if exact else None
         ints = np.zeros((len(ts), len(_COLUMNS)), dtype=np.int64)
         out.append((ints, np.zeros((len(ts), 2)), [], divisor_values, checks))
-        mine.append((r, leg, np.searchsorted(plan.lq_divs, np.gcd(r, plan.lq_divs[-1]))))
+        mine.append((r, leg))
 
     for i, t in enumerate(ts):
         mask = pm1 % t == 0
@@ -293,11 +282,14 @@ def _tally_step(
         phi_t //= t
         inv_t = inv[mask]
         naive = float((phi_t * inv_t).sum())
-        for plan, (r, leg, r_div), (ints, floats, exact_parts, _, _) in zip(plans, mine, out):
+        for plan, (r, leg), (ints, floats, exact_parts, _, _) in zip(plans, mine, out):
             pa = plan.params[t]
             r_t, leg_t = r[mask], leg[mask]
             w = heuristic.weights_w_vec(plan.dec, pa, pm1_t, leg_t)
-            l_num, q_num = plan.lq[t][:, r_div[mask]].sum(axis=1)
+            # sum over d | k of c_d(r) = k [k | r], at k = (h,t) for L and k = (2h,t) for L + Q
+            g2t = gcd(2 * plan.dec.h, t)
+            l_num = pa.gcd_ht * (r_t % pa.gcd_ht == 0).sum()
+            q_num = g2t * (r_t % g2t == 0).sum() - l_num
             ints[i] = (
                 pm1_t.size,
                 m2.sum(),

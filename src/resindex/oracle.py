@@ -10,6 +10,8 @@ suites read one table per n with a row per d | n (_character_table):
 c_d(index(gamma)) and the literal sum of the characters of order d, taken
 over the units once per residue mod d (_character_sums).  The remark suite
 compares the rows; the indicator suite sums the rows d | t at each t | n.
+Its Ramanujan route certifies the identity sum over d | k of c_d(r) =
+k [k | r] from which the sweep reads its L and Q columns.
 Each coset class is enumerated into one histogram of indexes
 (_class_indexes): rho = divides @ hist, sigma = mob @ rho, and each density
 is compared with its closed form or weight as cross-multiplied integers.

@@ -9,13 +9,12 @@ the statistical bands stated with each criterion.
 
 import math
 import time
-from fractions import Fraction
 
 import pytest
 
-from conftest import BASE_STRINGS, BASES
+from conftest import BASES
 from resindex import arith, cli, density, empirical, heuristic, oracle
-from resindex.decompose import decompose_g, derive_params
+from resindex.decompose import decompose_g
 
 TS = tuple(range(1, 13))
 X5 = 10**5

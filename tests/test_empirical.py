@@ -120,19 +120,22 @@ def test_char_sums_examples(small_table):
 
 
 def test_r_decomposition_with_higher_characters(small_table):
-    # R = L + Q + (1/t) sum over d | t, d not dividing 2h of c_d(r)
-    x = 3000
-    for g in (parse_g("2"), parse_g("-4"), parse_g("9/25")):
-        dec = decompose_g(g)
-        for t in (1, 2, 3, 4, 6, 8, 12):
-            sw = empirical.sweep(g, small_table, x, (t,))
-            high = Fraction(0)
-            divs = [d for d in range(1, t + 1) if t % d == 0 and (2 * dec.h) % d != 0]
-            for p in counted_primes(g, x, small_table):
-                if (p - 1) % t == 0:
-                    r = brute_index(g, p)
-                    high += Fraction(sum(arith.ramanujan_sum(d, r) for d in divs), t)
-            assert sw.R[t] == sw.L(t) + sw.Q(t) + high
+    # t R = sum over d | t of c_d(r), split into L (d | (h,t)), Q (d | (2h,t), d not
+    # dividing h) and the rest (d not dividing 2h), each brute-forced on its own
+    x, ts = 3000, (1, 2, 3, 4, 6, 8, 12)
+    for g in map(parse_g, ("2", "-4", "9/25", "-8", "64", "-64", "5/3")):
+        h = decompose_g(g).h
+        sw = empirical.sweep(g, small_table, x, ts)
+        rs = [(p, brute_index(g, p)) for p in counted_primes(g, x, small_table)]
+        for t in ts:
+            r_t = [r for p, r in rs if (p - 1) % t == 0]
+            parts = [Fraction(0)] * 3  # L, Q, higher
+            for d in range(1, t + 1):
+                if t % d == 0:
+                    part = 0 if h % d == 0 else 1 if 2 * h % d == 0 else 2
+                    parts[part] += Fraction(sum(arith.ramanujan_sum(d, r) for r in r_t), t)
+            assert (sw.L(t), sw.Q(t)) == tuple(parts[:2]), (g, t)
+            assert sw.R[t] == sum(parts), (g, t)
 
 
 def test_charactersum_closed_forms_per_prime(small_table):

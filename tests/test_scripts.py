@@ -1,5 +1,6 @@
 """Smoke tests: both scripts run in-process at tiny sizes."""
 
+import ast
 import runpy
 import sys
 from pathlib import Path
@@ -9,7 +10,8 @@ import pytest
 import resindex
 from resindex import cli
 
-SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPTS = ROOT / "scripts"
 
 
 def run_script(monkeypatch, name: str, *argv: str) -> int:
@@ -47,3 +49,21 @@ def test_verify_lemmas_small(monkeypatch, capsys):
 def test_public_names_resolve():
     for name in resindex.__all__:
         assert getattr(resindex, name) is not None
+
+
+def test_no_unused_imports():
+    # every name an import binds is read in its module; __init__ only re-exports
+    paths = sorted(ROOT.glob("src/resindex/*.py")) + sorted(SCRIPTS.glob("*.py")) + sorted(ROOT.glob("tests/*.py"))
+    unused = []
+    for path in paths:
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import) or (isinstance(node, ast.ImportFrom) and node.module != "__future__"):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in read:
+                        unused.append(f"{path.relative_to(ROOT)}:{node.lineno}: {name}")
+    assert unused == []
