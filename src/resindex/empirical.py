@@ -18,14 +18,16 @@ into all requested per-t tallies in a single streamed pass:
 Step k of a sweep takes the chunk odd[k*SHARD_PRIMES : (k+1)*SHARD_PRIMES]
 of the odd primes <= x, the same for every base, and factors its p-1 once.
 Each base drops its own excluded primes from the chunk, and the bases
-that drop the same ones share one _tally_step, which builds the columns
-that do not depend on g (phi(p-1), 1/(p-1) and, per t, the masks t | p-1,
-2t | p-1 and phi((p-1)/t)) once for all of them; sweeps serves several
-bases in one pass and sweep is sweeps for one base.  A step yields, per
-base, one int64 array of its integer tallies (a row per t) and one float
-array of its phi-sums; the arrays are summed, and the floats fsum'med, in
-chunk order, so output is identical for any worker-thread count; no
-per-prime records are retained beyond the step being processed.
+that drop the same ones share one _tally_step.  It builds the index of
+the primes with t | p-1, phi((p-1)/t), pi and pi2 once per t; the
+Legendre column, split and split2 once per t and root; and N, R, L, Q,
+sum_r and the weighted phi-sum once per t and (root, sign, h), which g
+and 1/g share.  sweeps serves several bases in one pass and sweep is
+sweeps for one base.  A step yields, per base, one int64 array of its
+integer tallies (a row per t) and one float array of its phi-sums; the
+arrays are summed, and the floats fsum'med, in chunk order, so output is
+identical for any worker-thread count; no per-prime records are retained
+beyond the step being processed.
 Every sweep ends by checking H = M exactly and 0 <= N <= R <= pi(x;t,1)
 for each base and t.  One vectorized kernel, _shard_indexes, finds r for
 a whole shard from the prime factors of p-1 (_factor_shard), reading
@@ -216,16 +218,27 @@ class Sweep:
 
 @dataclass(frozen=True)
 class _SweepPlan:
-    """One base's share of a sweep: its decomposition and its parameters per t."""
+    """One base's share of a sweep: its decomposition, its parameters per t,
+    its root (_root) and its tally key (sign, h).  _lift, derive_params and
+    both weight case tables read only sign, h and e = v2(h), so g and 1/g,
+    with one root and one key, share every tally."""
 
     g: Rational
     dec: GDecomposition
     params: dict[int, HeuristicParams]
+    root: Rational
+    key: tuple[int, int]
 
 
 def _plan(g: Rational, ts: tuple[int, ...]) -> _SweepPlan:
     dec = decompose_g(g)
-    return _SweepPlan(g=g, dec=dec, params={t: derive_params(dec, t) for t in ts})
+    params = {t: derive_params(dec, t) for t in ts}
+    return _SweepPlan(g=g, dec=dec, params=params, root=_root(dec), key=(dec.sign, dec.h))
+
+
+def _multiples(v: np.ndarray, k: int) -> int:
+    """The number of entries of v divisible by k."""
+    return v.size if k == 1 else int(np.count_nonzero(v % k == 0))
 
 
 def _tally_step(
@@ -235,19 +248,21 @@ def _tally_step(
     counts every prime in ps; qs holds the prime columns of p-1 (see
     _factor_shard).
 
-    The columns that do not depend on g -- phi(p-1), 1/(p-1) and, one t at a
-    time, the primes with t | p-1 and 2t | p-1 and phi((p-1)/t) -- are built
-    once for all bases.  The kernel runs once per root (_root): bases with
-    one root have the same (disc/p), so they share its r and Legendre
-    column, and each lifts its own r from it (_lift).
+    Each column is built once at the widest level it does not depend on.
+    Per step: phi(p-1) and 1/(p-1).  Per t: the index of the primes with
+    t | p-1, the mask 2t | p-1 within them, phi((p-1)/t), the naive sum,
+    pi and pi2.  Per root (_root): one kernel run, and per t its Legendre
+    column, split and split2.  Per root and key (_SweepPlan): the lifted r
+    (_lift) and, per t, N, R, L, Q, sum_r and the weighted phi-sum, one
+    row that the bases with that root and key share.  When split, each
+    base's own g is checked against its r (_split_check).
 
     Entry b is (ints, floats, exact_parts, divisor_values, split_checks) for
     plans[b].  ints is int64 [len(ts), len(_COLUMNS)]; floats is [len(ts), 2]
     holding the naive and weighted phi-sums.  When exact, exact_parts lists
     (naive num, naive den, weighted num, weighted den) per t and
     divisor_values is (p-1, p-1 where (disc/p) = 1, r) as arrays.  When
-    split, each base's r is checked against the splitting criterion
-    (_split_check) and split_checks counts the (p, t) pairs; else it is 0.
+    split, split_checks counts the (p, t) pairs checked; else it is 0.
     """
     pm1 = ps - 1
     phi = pm1.copy()  # phi(p-1) from the factor columns
@@ -256,58 +271,65 @@ def _tally_step(
         phi -= np.where(q > 1, phi // q, 0)
     inv = 1.0 / pm1.astype(np.float64)
 
-    out, mine = [], []
-    roots: dict[Rational, tuple] = {}  # root -> (its r, its (disc/p)): one kernel run per root
+    # root -> (its r, its (disc/p), its rows); a row is key -> (its first plan, its r, its tallies)
+    roots: dict[Rational, tuple] = {}
+    out = []
     for plan in plans:
-        root = _root(plan.dec)
-        if root not in roots:
-            roots[root] = _shard_indexes(root, ps, qs)
-        r0, leg = roots[root]
-        r = _lift(r0, pm1, plan.dec)
-        checks = _split_check(plan.g, ts, ps, r) if split else 0
-        divisor_values = (pm1, pm1[leg == 1], r) if exact else None
-        ints = np.zeros((len(ts), len(_COLUMNS)), dtype=np.int64)
-        out.append((ints, np.zeros((len(ts), 2)), [], divisor_values, checks))
-        mine.append((r, leg))
+        kernel = roots.get(plan.root)
+        if kernel is None:
+            kernel = roots[plan.root] = *_shard_indexes(plan.root, ps, qs), {}
+        r0, leg, rows = kernel
+        row = rows.get(plan.key)
+        if row is None:
+            r = _lift(r0, pm1, plan.dec)
+            divisor_values = (pm1, pm1[leg == 1], r) if exact else None
+            ints = np.zeros((len(ts), len(_COLUMNS)), dtype=np.int64)
+            row = rows[plan.key] = plan, r, (ints, np.zeros((len(ts), 2)), [], divisor_values)
+        _, r, tallies = row
+        out.append(tallies + (_split_check(plan.g, ts, ps, r) if split else 0,))
 
     for i, t in enumerate(ts):
-        mask = pm1 % t == 0
-        pm1_t = pm1[mask]
+        at = np.flatnonzero(pm1 % t == 0)
+        pm1_t = pm1.take(at)
         m2 = pm1_t % (2 * t) == 0
+        pi, pi2 = at.size, np.count_nonzero(m2)
         # phi((p-1)/t) = phi(p-1) / (t * prod over q | t, q not dividing (p-1)/t, of (q-1)/q)
-        phi_t = phi[mask]
+        phi_t = phi.take(at)
         for q, _ in arith.factor_int(t).factors:
             lost = (pm1_t // t) % q != 0
             phi_t = np.where(lost, phi_t // (q - 1) * q, phi_t)
         phi_t //= t
-        inv_t = inv[mask]
+        inv_t = inv.take(at)
         naive = float((phi_t * inv_t).sum())
-        for plan, (r, leg), (ints, floats, exact_parts, _, _) in zip(plans, mine, out):
-            pa = plan.params[t]
-            r_t, leg_t = r[mask], leg[mask]
-            w = heuristic.weights_w_vec(plan.dec, pa, pm1_t, leg_t)
-            # sum over d | k of c_d(r) = k [k | r], at k = (h,t) for L and k = (2h,t) for L + Q
-            g2t = gcd(2 * plan.dec.h, t)
-            l_num = pa.gcd_ht * (r_t % pa.gcd_ht == 0).sum()
-            q_num = g2t * (r_t % g2t == 0).sum() - l_num
-            ints[i] = (
-                pm1_t.size,
-                m2.sum(),
-                (leg_t == 1).sum(),
-                (leg_t[m2] == 1).sum(),
-                (r_t == t).sum(),
-                (r_t % t == 0).sum(),
-                heuristic.weights_r_vec(plan.dec, pa, pm1_t, leg_t).sum(),
-                l_num,
-                q_num,
-            )
-            floats[i] = naive, pa.gcd_ht * float((w * phi_t * inv_t).sum())
-            if exact:
-                nacc, qacc = arith.ExactSum(), arith.ExactSum()
-                dens = pm1_t.tolist()
-                nacc.add_all(phi_t.tolist(), dens)
-                qacc.add_all((w * phi_t).tolist(), dens)
-                exact_parts.append((nacc.num, nacc.den, pa.gcd_ht * qacc.num, qacc.den))
+        for _, leg, rows in roots.values():
+            leg_t = leg.take(at)
+            up = leg_t == 1
+            split_t, split2_t = np.count_nonzero(up), np.count_nonzero(up & m2)
+            for plan, r, (ints, floats, exact_parts, _) in rows.values():
+                pa = plan.params[t]
+                r_t = r.take(at)
+                w = heuristic.weights_w_vec(plan.dec, pa, pm1_t, leg_t)
+                # sum over d | k of c_d(r) = k [k | r], at k = (h,t) for L and k = (2h,t) for L + Q
+                g2t = gcd(2 * plan.dec.h, t)
+                l_num = pa.gcd_ht * _multiples(r_t, pa.gcd_ht)
+                ints[i] = (
+                    pi,
+                    pi2,
+                    split_t,
+                    split2_t,
+                    np.count_nonzero(r_t == t),
+                    _multiples(r_t, t),
+                    heuristic.weights_r_vec(plan.dec, pa, pm1_t, leg_t).sum(),
+                    l_num,
+                    g2t * _multiples(r_t, g2t) - l_num,
+                )
+                floats[i] = naive, pa.gcd_ht * float((w * phi_t * inv_t).sum())
+                if exact:
+                    nacc, qacc = arith.ExactSum(), arith.ExactSum()
+                    dens = pm1_t.tolist()
+                    nacc.add_all(phi_t.tolist(), dens)
+                    qacc.add_all((w * phi_t).tolist(), dens)
+                    exact_parts.append((nacc.num, nacc.den, pa.gcd_ht * qacc.num, qacc.den))
     return out
 
 

@@ -42,6 +42,12 @@ from .errors import DomainError
 # the weight case tables, over arrays of p-1 and (disc/p) (or single ints)
 
 
+def _gate(pm1: np.ndarray | int, m: int, q: int, h_t: int) -> np.ndarray | bool:
+    """p = 1 mod m and ((p-1)/q, h_t) = 1; every gcd is 1 when h_t = 1."""
+    cond = pm1 % m == 0
+    return cond & (np.gcd(pm1 // q, h_t) == 1) if h_t > 1 else cond
+
+
 def weights_w_vec(
     dec: GDecomposition, pa: HeuristicParams, pm1: np.ndarray | int, leg: np.ndarray | int
 ) -> np.ndarray:
@@ -57,20 +63,18 @@ def weights_w_vec(
     """
     t = pa.t
     if dec.sign > 0:
-        cond = (pm1 % t == 0) & (np.gcd(pm1 // t, pa.h_t) == 1)
+        cond = _gate(pm1, t, t, pa.h_t)
         if pa.eps1 == 0:
             return np.where(cond, 1, 0)
         even = 1 - ((pm1 >> dec.e) & 1)
         return np.where(cond, 1 + pa.eps1 * even * leg, 0)
     if pa.h_t % 2 == 1:
-        m = lcm(1 << (dec.e + 1), t)
-        cond = (pm1 % m == 0) & (np.gcd(pm1 // t, pa.h_t) == 1)
+        cond = _gate(pm1, lcm(1 << (dec.e + 1), t), t, pa.h_t)
         if pa.eps1 == 0:
             return np.where(cond, 1, 0)
         sgn = 1 - 2 * ((pm1 >> (dec.e + 1)) & 1)
         return np.where(cond, 1 + pa.eps1 * sgn * leg, 0)
-    cond = (pm1 % (2 * t) == 0) & (np.gcd(pm1 // (2 * t), pa.h_t) == 1)
-    return np.where(cond, 2, 0)
+    return np.where(_gate(pm1, 2 * t, 2 * t, pa.h_t), 2, 0)
 
 
 def weights_r_vec(

@@ -1,4 +1,5 @@
 import cmath
+import functools
 import math
 
 import pytest
@@ -37,6 +38,20 @@ def brute_index(g, p: int) -> int:
         x = x * a % p
         o += 1
     return (p - 1) // o
+
+
+@functools.lru_cache(maxsize=None)
+def trial_divisors(n: int) -> tuple[int, ...]:
+    """The divisors of n >= 1, ascending, by trial division."""
+    small = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
+    return tuple(small + [n // d for d in reversed(small) if d * d != n])
+
+
+def divisor_index(g, p: int) -> int:
+    """r_g(p) as (p-1)/d for the least divisor d of p-1 with g^d = 1 mod p: brute_index
+    without the walk through every power, for primes where that walk is too slow."""
+    a = g.numerator % p * pow(g.denominator, -1, p) % p
+    return (p - 1) // next(d for d in trial_divisors(p - 1) if pow(a, d, p) == 1)
 
 
 def euler_criterion(d: int, p: int) -> int:

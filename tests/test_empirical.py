@@ -1,3 +1,4 @@
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from math import gcd, isqrt
@@ -7,7 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import BASE_STRINGS, BASES, brute_index, counted_primes, euler_criterion
+from conftest import (
+    BASE_STRINGS,
+    BASES,
+    brute_index,
+    counted_primes,
+    divisor_index,
+    euler_criterion,
+    trial_divisors,
+)
 from resindex import arith, cli, empirical, heuristic
 from resindex.decompose import decompose_g, derive_params, parse_g
 from resindex.errors import CapabilityError, DomainError, LemmaViolation
@@ -245,8 +254,11 @@ def test_sweep_thread_determinism(table):
         assert np.array_equal(getattr(a, name), getattr(b, name)), name
 
 
-# the bases drop different excluded primes (3, 5, 7, 99991) from chunks that base 2 counts whole
-_SWEEPS_BASES = tuple(map(Fraction, (99991, Fraction(-7, 99991), Fraction(9, 25), 3**50, 1024, -64, 2, 2)))
+# the bases drop different excluded primes (3, 5, 7, 99991) from chunks that base 2 counts
+# whole, and 1/2 shares base 2's tally
+_SWEEPS_BASES = tuple(
+    map(Fraction, (99991, Fraction(-7, 99991), Fraction(9, 25), 3**50, 1024, -64, Fraction(1, 2), 2, 2))
+)
 
 
 def test_steps_cut_the_odd_primes_into_shared_chunks(table, monkeypatch):
@@ -331,6 +343,21 @@ def test_report_runs_the_kernel_once_per_root(table, monkeypatch):
     steps = -(-(len(table.primes_upto(x)) - 1) // 512)
     assert len(calls) == 4 * steps > 4
     assert set(calls) == {2, 3, 5, Fraction(5, 3)}
+
+
+def test_report_tallies_once_per_key(table, monkeypatch):
+    # 2 and 1/2 have one root, sign and h, so the nine bases have eight tallies: one
+    # weights_w_vec call per key, t and step
+    calls = []
+    weights_w_vec = heuristic.weights_w_vec
+    monkeypatch.setattr(heuristic, "weights_w_vec", lambda dec, *a: calls.append(dec) or weights_w_vec(dec, *a))
+    monkeypatch.setattr(empirical, "SHARD_PRIMES", 512)
+    x = 20000
+    argv = ["report", "--x", str(x), "--t", "1", "--t", "2", "--format", "csv"]
+    assert cli.main(argv + [f"--g={g}" for g in BASE_STRINGS]) == 0
+    steps = -(-(len(table.primes_upto(x)) - 1) // 512)
+    assert len(calls) == 8 * 2 * steps > 16
+    assert len({(empirical._root(dec), dec.sign, dec.h) for dec in calls}) == 8
 
 
 def test_sweep_invariant_violation_raises(small_table, monkeypatch, capsys):
@@ -463,6 +490,54 @@ def assert_counts_match_brute_force(g, x, ts, table):
 def test_sweep_matches_brute_force(small_table):
     for g in BASES:
         assert_counts_match_brute_force(g, 5000, tuple(range(1, 13)), small_table)
+
+
+def test_every_column_matches_brute_force(table, monkeypatch):
+    # every integer column against scalar references, for bases that share a root and
+    # bases that share a tally (2 and 1/2, 5/3 and 3/5): pi, pi2, split and split2 by
+    # Euler's criterion, sum_r by the r case table one prime at a time, N and R from
+    # divisor_index and L_num and Q_num as its Ramanujan sums; at t = 1024 and 4096 some
+    # shards hold no p = 1 mod t
+    monkeypatch.setattr(empirical, "SHARD_PRIMES", 512)
+    x, ts = 10**5, tuple(range(1, 13)) + (1024, 4096)
+    gs = tuple(map(parse_g, ("2", "1/2", "8", "-2", "-4", "5/3", "3/5", "9/25", "-3")))
+    odd = table.primes_upto(x)[1:]
+    shards = [odd[lo : lo + 512] for lo in range(0, odd.size, 512)]
+    for t in (1024, 4096):
+        hits = [((shard - 1) % t == 0).any() for shard in shards]
+        assert any(hits) and not all(hits), t
+    for g, sw in zip(gs, empirical.sweeps(gs, table, x, ts)):
+        dec = decompose_g(g)
+        primes = counted_primes(g, x, table)
+        rs = [divisor_index(g, p) for p in primes]
+        assert sw.counted == len(primes)
+        for t in ts:
+            pa = derive_params(dec, t)
+            ones = [(p, r, euler_criterion(dec.disc, p)) for p, r in zip(primes, rs) if (p - 1) % t == 0]
+            twos = [leg for p, _, leg in ones if (p - 1) % (2 * t) == 0]
+            low = Counter(r for _, r, _ in ones)
+            ght, g2t = pa.gcd_ht, gcd(2 * dec.h, t)
+            want = {
+                "pi": len(ones),
+                "pi2": len(twos),
+                "split": sum(leg == 1 for _, _, leg in ones),
+                "split2": twos.count(1),
+                "N": rs.count(t),
+                "R": sum(r % t == 0 for r in rs),
+                "sum_r": sum(int(heuristic.weights_r_vec(dec, pa, p - 1, leg)) for p, _, leg in ones),
+                "L_num": sum(n * arith.ramanujan_sum(d, r) for r, n in low.items() for d in trial_divisors(ght)),
+                "Q_num": sum(
+                    n * arith.ramanujan_sum(d, r)
+                    for r, n in low.items()
+                    for d in trial_divisors(g2t)
+                    if dec.h % d
+                ),
+            }
+            assert {name: getattr(sw, name)[t] for name in empirical._COLUMNS} == want, (g, t)
+    # the reference itself, against the walk through every power
+    for g in gs:
+        ps = counted_primes(g, 3000, table)
+        assert [divisor_index(g, p) for p in ps] == [brute_index(g, p) for p in ps], g
 
 
 def test_sweep_bases_beyond_int64(small_table):
