@@ -55,9 +55,7 @@ def _emit(rows: list[dict], fmt: str, out) -> None:
 
 def _cmd_count(args) -> int:
     g = parse_g(args.g)
-    empirical.check_args(args.x, (args.t,), threads=args.threads)
-    table = arith.build_prime_table(args.x)
-    sw = empirical.sweep(g, table, args.x, (args.t,), threads=args.threads, split=True)
+    sw = empirical.sweep(g, args.x, (args.t,), threads=args.threads, split=True)
     _emit(
         [{"g": args.g, "t": args.t, "x": args.x, "N": sw.N[args.t], "R": sw.R[args.t]}],
         args.format,
@@ -68,9 +66,7 @@ def _cmd_count(args) -> int:
 
 def _cmd_heuristic(args) -> int:
     g = parse_g(args.g)
-    empirical.check_args(args.x, (args.t,), threads=args.threads)
-    table = arith.build_prime_table(args.x)
-    sw = empirical.sweep(g, table, args.x, (args.t,), threads=args.threads)
+    sw = empirical.sweep(g, args.x, (args.t,), threads=args.threads)
     t = args.t
     _emit(
         [
@@ -155,10 +151,9 @@ def _cmd_report(args) -> int:
     empirical.check_args(args.x, ts, threads=args.threads)
     # every A(g,t) before any prime is sieved, so a tolerance they refuse exits 2 up front
     densities = [[density.artin_density_A(dec, t, args.tol) for t in ts] for dec in map(decompose_g, gs)]
-    table = arith.build_prime_table(args.x)
     li = arith.log_integral(args.x)
     rows = []
-    for g_text, sw, a_row in zip(args.g, empirical.sweeps(gs, table, args.x, ts, threads=args.threads), densities):
+    for g_text, sw, a_row in zip(args.g, empirical.sweeps(gs, args.x, ts, threads=args.threads), densities):
         for t, a in zip(ts, a_row):
             if args.format == "json":
                 row = {

@@ -15,8 +15,9 @@ into all requested per-t tallies in a single streamed pass:
     arrays over m = 0..x counting the primes with m | p-1, those that also
     have (disc/p) = 1, and those with m | r_g(p))
 
-Step k of a sweep takes the chunk odd[k*SHARD_PRIMES : (k+1)*SHARD_PRIMES]
-of the odd primes <= x, the same for every base, and factors its p-1 once.
+A sweep needs only g, x and t: it sieves the primes <= x once, and step
+k takes the chunk odd[k*SHARD_PRIMES : (k+1)*SHARD_PRIMES] of the odd
+primes <= x, the same for every base, and factors its p-1 once.
 Each base drops its own excluded primes from the chunk, and the bases
 that drop the same ones share one _tally_step.  It builds the index of
 the primes with t | p-1, phi((p-1)/t), pi and pi2 once per t; the
@@ -349,10 +350,10 @@ def _sum_over_multiples(f: np.ndarray, primes: np.ndarray) -> None:
 
 def check_args(x: int, ts, *, threads: int = 1, exact: bool = False) -> tuple[int, ...]:
     """Refuse, before any prime table or pool exists, what sweeps refuses at these arguments
-    (exact=True holds three int64 arrays over m = 0..x, so x above _MAX_EXACT_X), and
-    return ts as sweeps reads them: ints, each once, in order."""
-    if x < 2:
-        raise DomainError(f"x must be >= 2, got {x}")
+    (x outside [2, arith.MAX_SIEVE_LIMIT]; exact=True holds three int64 arrays over
+    m = 0..x, so x above _MAX_EXACT_X), and return ts as sweeps reads them: ints, each
+    once, in order.  A caller with work of its own before the sweep calls it first."""
+    check_range("x", x, 2, arith.MAX_SIEVE_LIMIT)
     if exact and x > _MAX_EXACT_X:
         raise CapabilityError(f"exact tallies hold arrays over m = 0..x; x={x} exceeds {_MAX_EXACT_X}")
     check_range("threads", threads, 1, _MAX_THREADS)
@@ -368,7 +369,6 @@ def check_args(x: int, ts, *, threads: int = 1, exact: bool = False) -> tuple[in
 
 def sweeps(
     gs,
-    table: arith.PrimeTable,
     x: int,
     ts: tuple[int, ...] | list[int],
     *,
@@ -378,24 +378,24 @@ def sweeps(
 ) -> list[Sweep]:
     """One streamed pass over the primes p <= x for every base in gs and all t in ts.
 
-    Step k cuts the odd primes <= x at odd[k*SHARD_PRIMES : (k+1)*SHARD_PRIMES],
-    the same chunk for every base, and factors its p-1 once.  Each base
-    drops its own excluded primes from the chunk; the bases that drop the
-    same ones share a _tally_step, so the work that does not depend on g is
-    done once per step and drop set.  Returns one Sweep per entry of gs (a
-    repeated base gets the same Sweep).  Results are independent of
+    Sieves the primes <= x once; step k cuts the odd ones at
+    odd[k*SHARD_PRIMES : (k+1)*SHARD_PRIMES], the same chunk for every
+    base, and factors its p-1 once.  Each base drops its own excluded
+    primes from the chunk; the bases that drop the same ones share a
+    _tally_step, so the work that does not depend on g is done once per
+    step and drop set.  Returns one Sweep per entry of gs (a repeated base
+    gets the same Sweep).  Results are independent of
     ``threads``: steps are merged in chunk order.  Raises LemmaViolation
     unless H = M exactly and 0 <= N <= R <= pi(x;t,1) for every base and t.
     split=True also checks the splitting criterion on every counted prime
     and t as each step's r is found, and counts the pairs in split_checks.
-    Refuses what check_args refuses, and x above the table's limit.
+    Refuses what check_args refuses before it sieves.
     """
     ts = check_args(x, ts, threads=threads, exact=exact)
-    if x > table.limit:
-        raise CapabilityError(f"x={x} exceeds table limit {table.limit}")
     distinct = list(dict.fromkeys(gs))
     plans = [_plan(g, ts) for g in distinct]
-    odd = table.primes_upto(x)[1:]
+    table = arith.build_prime_table(x)
+    odd = table.primes[1:]
     bads = [sorted(p for p in excluded_primes(g) if 2 < p <= x) for g in distinct]
     starts = range(0, odd.size, SHARD_PRIMES)
     base = table.primes_upto(isqrt(x))
@@ -455,7 +455,7 @@ def sweeps(
             empty = np.zeros(0, dtype=np.int64)
             values = (np.concatenate([empty] + [tally[3][j] for tally in own]) for j in range(3))
             counts = np.stack([np.bincount(v, minlength=x + 1) for v in values])
-            _sum_over_multiples(counts, table.primes_upto(x))
+            _sum_over_multiples(counts, table.primes)
             sw.pi_all, sw.split_all, sw.R_all = counts
         for t in ts:
             if sw.H(t) != sw.M(t) or not 0 <= sw.N[t] <= sw.R[t] <= sw.pi[t]:
@@ -469,7 +469,6 @@ def sweeps(
 
 def sweep(
     g: Rational,
-    table: arith.PrimeTable,
     x: int,
     ts: tuple[int, ...] | list[int],
     *,
@@ -478,7 +477,7 @@ def sweep(
     split: bool = False,
 ) -> Sweep:
     """sweeps for the one base g."""
-    return sweeps((g,), table, x, ts, threads=threads, exact=exact, split=split)[0]
+    return sweeps((g,), x, ts, threads=threads, exact=exact, split=split)[0]
 
 
 def _pow_ladder(b: np.ndarray, e: np.ndarray, m: np.ndarray) -> np.ndarray:

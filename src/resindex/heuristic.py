@@ -20,7 +20,9 @@ and the Moebius M-sum sum_k mu(k) M_{g,kt}(x), which reads every m = kt at
 once from an exact sweep's divisor tallies (int64 arrays over m = 0..x).
 The sums themselves are tallied by empirical.sweep, which calls the weight
 functions here on whole shards; the finite-group oracles certify the same
-functions, prime by prime.
+functions, prime by prime.  Both evaluate w(g,t;p) and r(g,t;p) only at
+p = 1 mod t, so the case tables take t | p-1 as given and test only the
+stronger congruences (mod 2t and mod lcm(2^(e+1), t)).
 
 Convention used throughout: a selector of 0 multiplies an expression that
 is then simply not evaluated.
@@ -43,8 +45,8 @@ from .errors import DomainError
 
 
 def _gate(pm1: np.ndarray | int, m: int, q: int, h_t: int) -> np.ndarray | bool:
-    """p = 1 mod m and ((p-1)/q, h_t) = 1; every gcd is 1 when h_t = 1."""
-    cond = pm1 % m == 0
+    """p = 1 mod m (no test at m = 1) and ((p-1)/q, h_t) = 1 (no test at h_t = 1)."""
+    cond = pm1 % m == 0 if m > 1 else np.ones_like(pm1, dtype=bool)
     return cond & (np.gcd(pm1 // q, h_t) == 1) if h_t > 1 else cond
 
 
@@ -53,8 +55,9 @@ def weights_w_vec(
 ) -> np.ndarray:
     """The weight w(g,t;p) for exact residual index t; integers in {0,1,2}.
 
-    pm1 holds p-1 and leg (disc/p), as equal-shape arrays or as ints.
-    g > 0: requires p = 1 mod t and ((p-1)/t, h_t) = 1, value
+    pm1 holds p-1 and leg (disc/p), as equal-shape arrays or as ints, at
+    primes p = 1 mod t only (not tested here).
+    g > 0: requires ((p-1)/t, h_t) = 1, value
            1 + (eps1/2) * (1 + (-1)^((p-1)/2^e)) * (disc/p).
     g < 0, h_t odd: requires p = 1 mod lcm(2^(e+1), t) and the same gcd
            condition, value 1 + eps1 * (-1)^((p-1)/2^(e+1)) * (disc/p).
@@ -63,7 +66,7 @@ def weights_w_vec(
     """
     t = pa.t
     if dec.sign > 0:
-        cond = _gate(pm1, t, t, pa.h_t)
+        cond = _gate(pm1, 1, t, pa.h_t)
         if pa.eps1 == 0:
             return np.where(cond, 1, 0)
         even = 1 - ((pm1 >> dec.e) & 1)
@@ -82,22 +85,20 @@ def weights_r_vec(
 ) -> np.ndarray:
     """The weight r(g,t;p) for t-divisible residual index; integers in {0,1,2}.
 
-    pm1 holds p-1 and leg (disc/p), as equal-shape arrays or as ints.
-    g > 0: 1 + eps2 * (disc/p) when p = 1 mod t.
+    pm1 holds p-1 and leg (disc/p), as equal-shape arrays or as ints, at
+    primes p = 1 mod t only (not tested here).
+    g > 0: 1 + eps2 * (disc/p).
     g < 0: on p = 1 mod 2^(1-eps2) t the value is
-           1 + eps2 * (-1)^((p-1)/2^(e+1)) * (disc/p).
-    Otherwise 0.  Coset enumeration in (Z/pZ)* forces the eps2 coefficient
-    in the negative case (a |eps1| coefficient fails at tau = e).
+           1 + eps2 * (-1)^((p-1)/2^(e+1)) * (disc/p), else 0.
+    Coset enumeration in (Z/pZ)* forces the eps2 coefficient in the
+    negative case (a |eps1| coefficient fails at tau = e).
     """
-    t = pa.t
     if dec.sign > 0:
-        return np.where(pm1 % t == 0, 1 + pa.eps2 * leg, 0)
-    m = (1 << (1 - pa.eps2)) * t
-    cond = pm1 % m == 0
+        return 1 + pa.eps2 * leg
     if pa.eps2 == 0:
-        return np.where(cond, 1, 0)
+        return np.where(pm1 % (2 * pa.t) == 0, 1, 0)
     sgn = 1 - 2 * ((pm1 >> (dec.e + 1)) & 1)
-    return np.where(cond, 1 + sgn * leg, 0)
+    return 1 + sgn * leg
 
 
 # ---------------------------------------------------------------------------

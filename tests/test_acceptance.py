@@ -26,24 +26,24 @@ def _announce(num, detail):
 
 
 @pytest.fixture(scope="module")
-def sweeps5(table):
+def sweeps5():
     t0 = time.perf_counter()
-    out = dict(zip(BASES, empirical.sweeps(BASES, table, X5, TS, exact=True)))
+    out = dict(zip(BASES, empirical.sweeps(BASES, X5, TS, exact=True)))
     out["elapsed"] = time.perf_counter() - t0
     return out
 
 
 @pytest.fixture(scope="module")
-def sweeps6(table):
+def sweeps6():
     t0 = time.perf_counter()
-    out = dict(zip(BASES, empirical.sweeps(BASES, table, X6, TS)))
+    out = dict(zip(BASES, empirical.sweeps(BASES, X6, TS)))
     out["elapsed"] = time.perf_counter() - t0
     return out
 
 
-def test_criterion_1_splitting_criterion(table):
+def test_criterion_1_splitting_criterion():
     t0 = time.perf_counter()
-    swept = empirical.sweeps(BASES, table, X5, range(1, 25), split=True)
+    swept = empirical.sweeps(BASES, X5, range(1, 25), split=True)
     elapsed = time.perf_counter() - t0
     assert all(sw.split_checks == sw.counted * 24 for sw in swept)
     checks = sum(sw.split_checks for sw in swept)

@@ -176,10 +176,18 @@ def test_bad_arguments_exit_2_before_the_sieve(capsys, monkeypatch):
     for command in ("count", "heuristic", "report"):
         cases.append([command, "--g", "2", "--t", "1", "--x", "100000000", "--threads", "65"])
         cases.append([command, "--g", "2", "--t", "1073741824", "--x", "100000000"])
+        cases.append([command, "--g", "2", "--t", "1", "--x", "1000000001"])
     for argv in cases:
         assert cli.main(argv) == 2, argv
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error: "), argv
+    # an x beyond the sieve is refused before any A(g,t) as well
+    def no_density(*args):
+        raise AssertionError(f"A{args[1:]} was computed")
+
+    monkeypatch.setattr(density, "artin_density_A", no_density)
+    assert cli.main(["report", "--g", "2", "--t", "1", "--x", "1000000001"]) == 2
+    assert capsys.readouterr().err == "error: x must be <= 1000000000, got 1000000001\n"
 
 
 def test_density_builds_one_artin_product(capsys, monkeypatch):

@@ -103,24 +103,24 @@ def test_density_against_euler_product():
     assert a == pytest.approx(oracle, abs=2e-4)
 
 
-def test_density_vanishing_matches_empty_counts(small_table):
+def test_density_vanishing_matches_empty_counts():
     # a square base never has odd residual index
     dec = decompose_g(parse_g("9/25"))
     for t in (1, 3, 5):
         assert density.artin_density_A(dec, t, 1e-6) == 0.0
-        assert empirical.sweep(parse_g("9/25"), small_table, 10**4, (t,)).N[t] == 0
+        assert empirical.sweep(parse_g("9/25"), 10**4, (t,)).N[t] == 0
     # and the weight for (-4, 2) vanishes identically
     dm4 = decompose_g(parse_g("-4"))
     assert density.artin_density_A(dm4, 2, 1e-6) == 0.0
-    assert empirical.sweep(parse_g("-4"), small_table, 10**4, (2,)).N[2] == 0
+    assert empirical.sweep(parse_g("-4"), 10**4, (2,)).N[2] == 0
 
 
-def test_density_even_power_base_vs_counts(table):
+def test_density_even_power_base_vs_counts():
     # g = 4 (h = 2): the degree sum for t = 2 against the empirical count
     g = parse_g("4")
     dec = decompose_g(g)
     a = density.artin_density_A(dec, 2, 1e-5)
-    n = empirical.sweep(g, table, 10**6, (2,)).N[2]
+    n = empirical.sweep(g, 10**6, (2,)).N[2]
     li = arith.log_integral(10**6)
     assert n / li == pytest.approx(a, rel=0.05)
 

@@ -19,7 +19,7 @@ from conftest import (
 )
 from resindex import arith, cli, empirical, heuristic
 from resindex.decompose import decompose_g, derive_params, parse_g
-from resindex.errors import CapabilityError, DomainError, LemmaViolation
+from resindex.errors import BoundError, CapabilityError, DomainError, LemmaViolation
 
 
 def kernel_run(g, ps: list[int], table) -> tuple[np.ndarray, np.ndarray]:
@@ -38,7 +38,7 @@ def kernel_run(g, ps: list[int], table) -> tuple[np.ndarray, np.ndarray]:
 def test_residual_index_examples(small_table):
     assert kernel_run(parse_g("2"), [5, 7], small_table)[0].tolist() == [1, 2]
     # 2 and the primes dividing g are not counted: 7, 11 and 13 are
-    assert empirical.sweep(parse_g("9/25"), small_table, 13, (1,)).counted == 3
+    assert empirical.sweep(parse_g("9/25"), 13, (1,)).counted == 3
 
 
 def test_residual_index_against_brute_force(small_table):
@@ -82,43 +82,43 @@ def test_kernel_legendre_column_is_the_disc_symbol(table):
 # counters
 
 
-def test_count_exact_examples(small_table):
+def test_count_exact_examples():
     g = parse_g("2")
-    assert empirical.sweep(g, small_table, 20, (2,)).N[2] == 2  # p = 7, 17
-    assert empirical.sweep(g, small_table, 20, (1,)).N[1] == 5  # 3, 5, 11, 13, 19
-    assert empirical.sweep(g, small_table, 7, (7,)).N[7] == 0
-    assert empirical.sweep(parse_g("-3"), small_table, 7, (7,)).N[7] == 0
+    assert empirical.sweep(g, 20, (2,)).N[2] == 2  # p = 7, 17
+    assert empirical.sweep(g, 20, (1,)).N[1] == 5  # 3, 5, 11, 13, 19
+    assert empirical.sweep(g, 7, (7,)).N[7] == 0
+    assert empirical.sweep(parse_g("-3"), 7, (7,)).N[7] == 0
 
 
 def test_count_divisible_examples(small_table):
     g = parse_g("2")
-    assert empirical.sweep(g, small_table, 20, (1,)).R[1] == 7
-    assert empirical.sweep(g, small_table, 20, (2,)).R[2] == 2
+    assert empirical.sweep(g, 20, (1,)).R[1] == 7
+    assert empirical.sweep(g, 20, (2,)).R[2] == 2
     want = sum(1 for p in counted_primes(parse_g("4"), 100, small_table) if brute_index(parse_g("4"), p) % 2 == 0)
-    assert empirical.sweep(parse_g("4"), small_table, 100, (2,)).R[2] == want
+    assert empirical.sweep(parse_g("4"), 100, (2,)).R[2] == want
 
 
-def test_count_progression(small_table):
-    assert empirical.sweep(parse_g("2"), small_table, 20, (1, 4)).pi == {1: 7, 4: 3}  # 5, 13, 17
-    assert empirical.sweep(parse_g("3"), small_table, 20, (4,)).pi == {4: 3}
-    assert empirical.sweep(parse_g("2"), small_table, 3, (5,)).pi == {5: 0}
+def test_count_progression():
+    assert empirical.sweep(parse_g("2"), 20, (1, 4)).pi == {1: 7, 4: 3}  # 5, 13, 17
+    assert empirical.sweep(parse_g("3"), 20, (4,)).pi == {4: 3}
+    assert empirical.sweep(parse_g("2"), 3, (5,)).pi == {5: 0}
 
 
-def test_count_split_quadratic(small_table):
+def test_count_split_quadratic():
     # disc = 8: 7 and 17 split, 17 also in p = 1 mod 4
-    assert empirical.sweep(parse_g("2"), small_table, 20, (1, 4)).split == {1: 2, 4: 1}
-    assert empirical.sweep(parse_g("2"), small_table, 5, (8,)).split == {8: 0}
+    assert empirical.sweep(parse_g("2"), 20, (1, 4)).split == {1: 2, 4: 1}
+    assert empirical.sweep(parse_g("2"), 5, (8,)).split == {8: 0}
 
 
 def test_char_sums_examples(small_table):
     g = parse_g("2")
     # h = 1: only d = 1 contributes, L = pi(x;t,1)/t
-    sw = empirical.sweep(g, small_table, 1000, (3,))
+    sw = empirical.sweep(g, 1000, (3,))
     assert sw.L(3) == Fraction(sum(p % 3 == 1 for p in counted_primes(g, 1000, small_table)), 3)
-    assert empirical.sweep(g, small_table, 20, (2,)).Q(2) == Fraction(-3, 2)
+    assert empirical.sweep(g, 20, (2,)).Q(2) == Fraction(-3, 2)
     # g = 8 (h = 3), t = 3: brute-force the Ramanujan sums
     g8 = parse_g("8")
-    sw = empirical.sweep(g8, small_table, 20, (3,))
+    sw = empirical.sweep(g8, 20, (3,))
     want = Fraction(0)
     for p in counted_primes(g8, 20, small_table):
         if (p - 1) % 3 == 0:
@@ -134,7 +134,7 @@ def test_r_decomposition_with_higher_characters(small_table):
     x, ts = 3000, (1, 2, 3, 4, 6, 8, 12)
     for g in map(parse_g, ("2", "-4", "9/25", "-8", "64", "-64", "5/3")):
         h = decompose_g(g).h
-        sw = empirical.sweep(g, small_table, x, ts)
+        sw = empirical.sweep(g, x, ts)
         rs = [(p, brute_index(g, p)) for p in counted_primes(g, x, small_table)]
         for t in ts:
             r_t = [r for p, r in rs if (p - 1) % t == 0]
@@ -192,7 +192,7 @@ def test_partition_and_inclusion_exclusion(small_table):
         primes = counted_primes(g, x, small_table)
         rs = [brute_index(g, p) for p in primes]
         ts = sorted(set(rs))
-        sw = empirical.sweep(g, small_table, x, tuple(ts), exact=True)
+        sw = empirical.sweep(g, x, tuple(ts), exact=True)
         # partition: exact-index counts over all occurring t cover every prime
         assert sum(sw.N[t] for t in ts) == len(primes) == sw.counted
         # R as a sum of N over multiples
@@ -231,7 +231,7 @@ def test_sum_over_multiples_matches_divisor_counting(n):
 
 def test_sweep_matches_single_ops(small_table):
     g = parse_g("-3")
-    sw = empirical.sweep(g, small_table, 500, (1, 2, 3, 4))
+    sw = empirical.sweep(g, 500, (1, 2, 3, 4))
     primes = counted_primes(g, 500, small_table)
     for t in (1, 2, 3, 4):
         ones = [p for p in primes if (p - 1) % t == 0]
@@ -240,10 +240,10 @@ def test_sweep_matches_single_ops(small_table):
         assert 0 <= sw.N[t] <= sw.R[t] <= sw.pi[t]
 
 
-def test_sweep_thread_determinism(table):
+def test_sweep_thread_determinism():
     g = parse_g("8")
-    a = empirical.sweep(g, table, 10**5, (1, 2, 3), threads=1, exact=True)
-    b = empirical.sweep(g, table, 10**5, (1, 2, 3), threads=3, exact=True)
+    a = empirical.sweep(g, 10**5, (1, 2, 3), threads=1, exact=True)
+    b = empirical.sweep(g, 10**5, (1, 2, 3), threads=3, exact=True)
     for t in (1, 2, 3):
         assert a.N[t] == b.N[t] and a.R[t] == b.R[t]
         assert a.naive[t] == b.naive[t]  # bitwise float equality
@@ -279,7 +279,7 @@ def test_steps_cut_the_odd_primes_into_shared_chunks(table, monkeypatch):
     seen = {}
     for x, gs in cases:
         calls.clear()
-        empirical.sweeps(gs, table, x, (1, 2))
+        empirical.sweeps(gs, x, (1, 2))
         seen[x] = list(calls)
         counted = {g: counted_primes(g, x, table) for g in gs}
         chunks = [p for p in odd if p <= x]
@@ -303,10 +303,10 @@ def test_steps_cut_the_odd_primes_into_shared_chunks(table, monkeypatch):
 def test_sweeps_equal_per_base_sweeps(table, monkeypatch):
     monkeypatch.setattr(empirical, "SHARD_PRIMES", 512)
     x, ts = 10**5, (1, 3, 4)
-    alone = [empirical.sweep(g, table, x, ts, exact=True) for g in _SWEEPS_BASES[:-1]]
+    alone = [empirical.sweep(g, x, ts, exact=True) for g in _SWEEPS_BASES[:-1]]
     alone.append(alone[-1])
     for threads in (1, 3):
-        together = empirical.sweeps(_SWEEPS_BASES, table, x, ts, threads=threads, exact=True)
+        together = empirical.sweeps(_SWEEPS_BASES, x, ts, threads=threads, exact=True)
         assert [sw.g for sw in together] == list(_SWEEPS_BASES)
         for g, sw, want in zip(_SWEEPS_BASES, together, alone):
             primes = counted_primes(g, x, table)
@@ -360,29 +360,29 @@ def test_report_tallies_once_per_key(table, monkeypatch):
     assert len({(empirical._root(dec), dec.sign, dec.h) for dec in calls}) == 8
 
 
-def test_sweep_invariant_violation_raises(small_table, monkeypatch, capsys):
+def test_sweep_invariant_violation_raises(monkeypatch, capsys):
     # an M one off from H must stop the sweep, and the CLI must exit 3
     m_from_counts = heuristic.m_from_counts
     monkeypatch.setattr(heuristic, "m_from_counts", lambda *args: m_from_counts(*args) + 1)
     with pytest.raises(LemmaViolation, match="sweep invariant"):
-        empirical.sweep(parse_g("2"), small_table, 1000, (1, 2))
+        empirical.sweep(parse_g("2"), 1000, (1, 2))
     assert cli.main(["report", "--g", "2", "--t", "1", "--t", "2", "--x", "1000"]) == 3
     assert "identity violation" in capsys.readouterr().err
 
 
 def test_split_criterion_verification(small_table):
-    sw = empirical.sweep(parse_g("-2"), small_table, 2000, range(1, 11), split=True)
+    sw = empirical.sweep(parse_g("-2"), 2000, range(1, 11), split=True)
     assert sw.split_checks == 10 * len(counted_primes(parse_g("-2"), 2000, small_table))
 
 
-def test_sweep_split_check_counts_every_pair(table, monkeypatch):
+def test_sweep_split_check_counts_every_pair(monkeypatch):
     # split=True checks every counted prime and t inside the pass and changes no tally
     monkeypatch.setattr(empirical, "SHARD_PRIMES", 512)
     x, ts = 10**5, (1, 2, 4, 5)
     gs = (parse_g("9/25"), parse_g("-4"), Fraction(3**50), Fraction(1, 2**70), parse_g("2"))
-    plain = empirical.sweeps(gs, table, x, ts)
+    plain = empirical.sweeps(gs, x, ts)
     for threads in (1, 3):
-        for sw, want in zip(empirical.sweeps(gs, table, x, ts, threads=threads, split=True), plain):
+        for sw, want in zip(empirical.sweeps(gs, x, ts, threads=threads, split=True), plain):
             assert want.split_checks == 0
             assert sw.split_checks == sw.counted * len(ts) > 0
             for name in empirical._COLUMNS + ("counted", "naive", "quad"):
@@ -401,25 +401,25 @@ def test_count_factors_each_shard_once(table, monkeypatch):
     assert len(calls) == -(-odd_primes // 512) > 1
 
 
-def test_split_check_catches_kernel_faults(small_table, monkeypatch, capsys):
+def test_split_check_catches_kernel_faults(monkeypatch, capsys):
     # a table_pow that claims g^e = 1 mod p for some primes corrupts r; the
     # algebraic side runs its own ladder, so the check must not agree with it
     table_pow = arith.table_pow
     monkeypatch.setattr(arith, "table_pow", lambda tab, i, e, m: np.where(m % 7 == 3, 1, table_pow(tab, i, e, m)))
     with pytest.raises(LemmaViolation, match="splitting criterion"):
-        empirical.sweep(parse_g("2"), small_table, 10**4, (2,), split=True)
+        empirical.sweep(parse_g("2"), 10**4, (2,), split=True)
     assert cli.main(["count", "--g", "2", "--t", "2", "--x", str(10**4)]) == 3
     assert "splitting criterion" in capsys.readouterr().err
 
 
-def test_lift_is_certified(small_table, monkeypatch, capsys):
+def test_lift_is_certified(monkeypatch, capsys):
     # a lift that skips the sign step gives -4 the r of 4; the split check must catch it
     lift = empirical._lift
     monkeypatch.setattr(empirical, "_lift", lambda r0, pm1, dec: lift(r0, pm1, replace(dec, sign=1)))
     assert cli.main(["count", "--g=-4", "--t", "2", "--x", str(10**4)]) == 3
     assert "splitting criterion" in capsys.readouterr().err
     with pytest.raises(LemmaViolation, match="splitting criterion"):
-        empirical.sweep(parse_g("-4"), small_table, 10**4, (2,), split=True)
+        empirical.sweep(parse_g("-4"), 10**4, (2,), split=True)
 
 
 SPLIT_BASES = (Fraction(2), Fraction(-4), Fraction(9, 25), Fraction(3**50), Fraction(1, 2**70), Fraction(5, 7**30))
@@ -459,27 +459,34 @@ def test_split_check_needs_no_kernel_routine(table, near_1e9, monkeypatch):
         assert empirical._split_check(g, ts, ps, r) == len(ps) * len(ts), g
 
 
-def test_sweep_bounds(small_table):
-    with pytest.raises(CapabilityError):
-        empirical.sweep(parse_g("2"), small_table, 10**5, (1,))
+def test_sweep_bounds(monkeypatch):
+    # a sweep sieves the primes <= x itself, once, after refusing x beyond the sieve
+    limits = []
+    build = arith.build_prime_table
+    monkeypatch.setattr(arith, "build_prime_table", lambda limit: limits.append(limit) or build(limit))
+    with pytest.raises(BoundError, match="x must be <= 1000000000"):
+        empirical.sweep(parse_g("2"), arith.MAX_SIEVE_LIMIT + 1, (1,))
+    assert limits == []
+    sw = empirical.sweep(parse_g("2"), 30000, (1, 2), threads=2, exact=True, split=True)
+    assert limits == [30000] and sw.counted == 3244  # the odd primes: pi(30000) = 3245
     # the arrays over m = 0..x of exact=True are refused above 1e7 before any work
     with pytest.raises(CapabilityError, match="exact tallies .* exceeds 10000000"):
-        empirical.sweep(parse_g("2"), small_table, 10**7 + 1, (1,), exact=True)
+        empirical.sweep(parse_g("2"), 10**7 + 1, (1,), exact=True)
     with pytest.raises(DomainError):
-        empirical.sweep(parse_g("2"), small_table, 1, (1,))
-    assert empirical.sweep(parse_g("2"), small_table, 2, (1,)).counted == 0
-    assert empirical.sweep(parse_g("2"), small_table, 3, (1,)).N[1] == 1  # one shard of one prime
-    sw = empirical.sweep(parse_g("2"), small_table, 3, (1,), exact=True)
+        empirical.sweep(parse_g("2"), 1, (1,))
+    assert empirical.sweep(parse_g("2"), 2, (1,)).counted == 0
+    assert empirical.sweep(parse_g("2"), 3, (1,)).N[1] == 1  # one shard of one prime
+    sw = empirical.sweep(parse_g("2"), 3, (1,), exact=True)
     assert sw.pi_all[1] == sw.pi_all[2] == 1 and sw.pi_all.tolist() == [0, 1, 1, 0]
-    assert empirical.sweep(parse_g("2"), small_table, 2, (1,), exact=True).R_all.tolist() == [0, 0, 0]
+    assert empirical.sweep(parse_g("2"), 2, (1,), exact=True).R_all.tolist() == [0, 0, 0]
     with pytest.raises(DomainError):
-        empirical.sweep(parse_g("2"), small_table, 100, (0,))
+        empirical.sweep(parse_g("2"), 100, (0,))
     with pytest.raises(DomainError):
-        empirical.sweep(parse_g("2"), small_table, 100, (1,), threads=0)
+        empirical.sweep(parse_g("2"), 100, (1,), threads=0)
 
 
 def assert_counts_match_brute_force(g, x, ts, table):
-    sw = empirical.sweep(g, table, x, ts, split=True)
+    sw = empirical.sweep(g, x, ts, split=True)
     rs = [brute_index(g, p) for p in counted_primes(g, x, table)]
     assert sw.split_checks == len(rs) * len(ts)
     for t in ts:
@@ -506,7 +513,7 @@ def test_every_column_matches_brute_force(table, monkeypatch):
     for t in (1024, 4096):
         hits = [((shard - 1) % t == 0).any() for shard in shards]
         assert any(hits) and not all(hits), t
-    for g, sw in zip(gs, empirical.sweeps(gs, table, x, ts)):
+    for g, sw in zip(gs, empirical.sweeps(gs, x, ts)):
         dec = decompose_g(g)
         primes = counted_primes(g, x, table)
         rs = [divisor_index(g, p) for p in primes]
