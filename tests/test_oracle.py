@@ -1,3 +1,4 @@
+import cmath
 import math
 from fractions import Fraction
 
@@ -101,6 +102,19 @@ def test_character_fault_names_the_case(monkeypatch):
     assert res.checks == clean - sum(3 * n for n, _ in cases)  # a drifted route adds no checks
 
 
+def test_character_sums_match_the_definition():
+    # the FFT route against the literal sum of zeta_d^(u k) over the units u mod d
+    worst = max(
+        abs(
+            oracle._character_sums(d)[k]
+            - sum(cmath.exp(2j * cmath.pi * u * k / d) for u in range(1, d + 1) if math.gcd(u, d) == 1)
+        )
+        for d in range(1, 121)
+        for k in range(d)
+    )
+    assert worst < 1e-9
+
+
 def test_ramanujan_fault_names_the_case(monkeypatch):
     table = arith.ramanujan_table
     monkeypatch.setattr(arith, "ramanujan_table", lambda d: table(d) + 3 * (d == 3))  # c_3 off by 3
@@ -163,6 +177,31 @@ def test_closed_form_fault_names_the_case(monkeypatch):
     )
 
 
+def test_closed_form_fault_names_its_h(monkeypatch):
+    # the suite evaluates every h at once; row i of its arrays must be h = i + 1
+    rho_closed = oracle.rho_closed
+    hs = np.arange(1, 5)[:, None]
+    for n in (12, 30, 64):
+        for sign in (1, -1):
+            for parity in oracle.PARITIES:
+                rows = [rho_closed(n, h, sign, parity) for h in range(1, 5)]
+                assert np.array_equal(rho_closed(n, hs, sign, parity), rows)
+        rows = [oracle.sigma_closed_linear(n, h) for h in range(1, 5)]
+        assert np.array_equal(oracle.sigma_closed_linear(n, hs), rows)
+    monkeypatch.setattr(
+        oracle, "rho_closed", lambda n, h, sign, parity: rho_closed(n, h, sign, parity) + (np.asarray(h) == 2)
+    )
+    res = oracle.rho_sigma_suite(12, 4)
+    assert res.violations == [
+        f"rho mismatch at n={n}, h=2, sign={sign}, parity={parity}, t={t}"
+        for n in range(1, 13)
+        for sign in (1, -1)
+        if sign == 1 or n % 2 == 0
+        for parity in oracle.PARITIES
+        for t in oracle._lattice(n).divs.tolist()
+    ]
+
+
 def weight_check(g, p: int, t: int) -> tuple[Fraction, int, Fraction]:
     """sigma, w(g,t;p) and mu = (h,t) phi((p-1)/t)/(p-1) at one counted prime p of g and t | p-1,
     as the weight oracle reads them; (disc/p) by Euler's criterion."""
@@ -171,9 +210,17 @@ def weight_check(g, p: int, t: int) -> tuple[Fraction, int, Fraction]:
     lat = oracle._lattice(p - 1)
     i = lat.divs.tolist().index(t)
     hist = oracle._locate_class(g, dec, p, leg)
-    w, _ = oracle._weights(dec, p, leg)
+    w, _ = oracle._weights(dec, p, leg, {})
     sigma = Fraction(int(hist[i]), int(hist.sum()))
     return sigma, int(w[i]), Fraction(math.gcd(dec.h, t) * int(lat.phi[i]), p - 1)
+
+
+def test_dlog_table_inverts_the_primitive_root():
+    for p in arith.build_prime_table(2000).primes[1:].tolist():
+        log = oracle._dlog_table(p).tolist()
+        root = oracle._smallest_primitive_root(p, arith.factor_int(p - 1))
+        assert sorted(log[1:]) == list(range(p - 1)), p
+        assert all(pow(root, log[x], p) == x for x in range(1, p)), p
 
 
 def test_weight_check_examples():
