@@ -2,7 +2,8 @@
 
 Sieving (segmented Eratosthenes), factorization, the multiplicative
 functions phi and mu, Ramanujan sums c_d(n), modular powers over int64
-arrays and the logarithmic integral Li(x) = int_2^x dt/log t.
+arrays and the logarithmic integral Li(x) = int_2^x dt/log t, by
+Ramanujan's series for li(x) less the constant li(2).
 Every modular power comes from one routine: power_table builds, once per
 array of bases, the powers base^(d * 4^i) for every base-4 digit d and
 position i, and table_pow reads any exponents off it by one gather and one
@@ -382,42 +383,43 @@ def pow_mod_vec(base: np.ndarray, exp: np.ndarray, mod: np.ndarray) -> np.ndarra
 # logarithmic integral
 
 
-def _simpson(f, a, fa, b, fb):
-    m = 0.5 * (a + b)
-    fm = f(m)
-    return m, fm, (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-
-
-def _adaptive(f, a, fa, b, fb, whole, m, fm, eps, depth):
-    lm, flm, left = _simpson(f, a, fa, m, fm)
-    rm, frm, right = _simpson(f, m, fm, b, fb)
-    delta = left + right - whole
-    if depth <= 0 or abs(delta) <= 15.0 * eps:
-        return left + right + delta / 15.0
-    return _adaptive(f, a, fa, m, fm, left, lm, flm, eps / 2.0, depth - 1) + _adaptive(
-        f, m, fm, b, fb, right, rm, frm, eps / 2.0, depth - 1
-    )
-
-
-def _integrate(f, a, b, eps):
-    fa, fb = f(a), f(b)
-    m, fm, whole = _simpson(f, a, fa, b, fb)
-    return _adaptive(f, a, fa, b, fb, whole, m, fm, eps, 48)
+# Euler's constant and li(2) = 1.04516378011749278484..., both rounded to double
+_EULER_GAMMA = 0.5772156649015329
+_LI_2 = 1.045163780117493
+# Below 2 + _NEAR_2 the series cancels against li(2); the midpoint rule takes over
+_NEAR_2 = 1e-5
 
 
 def log_integral(x: float) -> float:
-    """Li(x) = int_2^x dt/log t by adaptive Simpson (relative error <= 1e-9).
+    """Li(x) = int_2^x dt/log t = li(x) - li(2), relative error below 1e-9.
 
-    The interval is split at t = 10 where the integrand's curvature is
-    largest; each piece gets an absolute tolerance well under the target.
+    li(x) comes from Ramanujan's series, with L = log x,
+
+      li(x) = gamma + log L + sqrt(x) * sum_{n>=1} (-1)^(n-1) L^n / (n! 2^(n-1))
+                                        * sum_{k=0}^{floor((n-1)/2)} 1/(2k+1),
+
+    summed until a term no longer changes the sum.  Its terms shrink once
+    n > L, so x = 10^9 takes 50 of them.  Against mpmath it is within
+    2e-15 for x >= 3.  Near x = 2 it cancels against li(2): the absolute
+    error of a few 1e-16 is a relative error under 5e-11 for
+    d = x - 2 >= _NEAR_2 = 1e-5.  Below that cut the midpoint rule
+    d / log(2 + d/2) is used; its relative error is about 0.06 d^2, under
+    6e-12.
     """
     if x < 2:
         raise DomainError(f"log_integral needs x >= 2, got {x}")
     if x == 2:
         return 0.0
-    f = lambda t: 1.0 / math.log(t)
-    scale = max(1.0, (x - 2.0) / math.log(x))
-    eps = 1e-13 * scale
-    if x <= 10:
-        return _integrate(f, 2.0, float(x), eps)
-    return _integrate(f, 2.0, 10.0, eps / 2) + _integrate(f, 10.0, float(x), eps / 2)
+    d = x - 2.0
+    if d < _NEAR_2:
+        return d / math.log(2.0 + d / 2)
+    L = math.log(x)
+    s, term, inner, n = 0.0, -2.0, 0.0, 0
+    while True:
+        n += 1
+        term *= -L / (2 * n)  # (-1)^(n-1) L^n / (n! 2^(n-1))
+        inner += (n % 2) / n  # 1 + 1/3 + ... + 1/(2k+1), k = floor((n-1)/2)
+        step = term * inner
+        if s + step == s:
+            return (_EULER_GAMMA - _LI_2) + math.log(L) + math.sqrt(x) * s
+        s += step

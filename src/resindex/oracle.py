@@ -39,7 +39,7 @@ from math import gcd, isqrt
 import numpy as np
 
 from . import arith, empirical, heuristic
-from .decompose import GDecomposition, HeuristicParams, Rational, decompose_g, derive_params, excluded_primes
+from .decompose import GDecomposition, Rational, decompose_g, derive_params, excluded_primes
 from .errors import DomainError, LemmaViolation, check_range
 
 PARITIES = ("*", "even", "odd")
@@ -219,16 +219,9 @@ def _locate_class(g: Rational, dec: GDecomposition, p: int, leg: int) -> np.ndar
     return _class_indexes(n, dec.h, dec.sign, parity)
 
 
-def _weights(
-    dec: GDecomposition, p: int, leg: int, params: dict[int, HeuristicParams]
-) -> tuple[np.ndarray, np.ndarray]:
-    """w(g,m;p) and r(g,m;p) at every divisor m of p-1, from the case tables the sweep runs;
-    params memoizes derive_params(dec, m) by m over the primes of one base."""
-    pas = []
-    for m in _lattice(p - 1).divs.tolist():
-        if m not in params:
-            params[m] = derive_params(dec, m)
-        pas.append(params[m])
+def _weights(dec: GDecomposition, p: int, leg: int) -> tuple[np.ndarray, np.ndarray]:
+    """w(g,m;p) and r(g,m;p) at every divisor m of p-1, from the case tables the sweep runs."""
+    pas = [derive_params(dec, m) for m in _lattice(p - 1).divs.tolist()]
     w = [heuristic.weights_w_vec(dec, pa, p - 1, leg) for pa in pas]
     r = [heuristic.weights_r_vec(dec, pa, p - 1, leg) for pa in pas]
     return np.array(w, dtype=np.int64), np.array(r, dtype=np.int64)
@@ -372,11 +365,11 @@ def weight_oracle_suite(gs, max_p: int) -> SuiteResult:
         pm1 = primes - 1
         base = arith.build_prime_table(max(2, isqrt(int(pm1[-1])))).primes
         legs = empirical._shard_indexes(empirical._root(dec), primes, empirical._factor_shard(pm1, base))[1]
-        bases.append((g, dec, dict(zip(primes.tolist(), legs.tolist())), {}, []))
+        bases.append((g, dec, dict(zip(primes.tolist(), legs.tolist())), []))
     for p in sorted(set(np.concatenate(primes_of).tolist())):  # np.unique would import numpy.ma
         n, lat = p - 1, _lattice(p - 1)
         k = int(np.searchsorted(lat.divs, MAX_T, side="right"))
-        for g, dec, legs, params, violations in bases:
+        for g, dec, legs, violations in bases:
             if p not in legs:
                 continue
             try:
@@ -384,7 +377,7 @@ def weight_oracle_suite(gs, max_p: int) -> SuiteResult:
             except LemmaViolation as exc:
                 violations.append(str(exc))
                 continue
-            w, r = _weights(dec, p, legs[p], params)
+            w, r = _weights(dec, p, legs[p])
             ht = np.gcd(dec.h, lat.divs)
             t_h, size = lat.divs // ht, int(hist.sum())
             w_mu = w * ht * lat.phi  # (p-1) * w * mu

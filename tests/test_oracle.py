@@ -210,7 +210,7 @@ def weight_check(g, p: int, t: int) -> tuple[Fraction, int, Fraction]:
     lat = oracle._lattice(p - 1)
     i = lat.divs.tolist().index(t)
     hist = oracle._locate_class(g, dec, p, leg)
-    w, _ = oracle._weights(dec, p, leg, {})
+    w, _ = oracle._weights(dec, p, leg)
     sigma = Fraction(int(hist[i]), int(hist.sum()))
     return sigma, int(w[i]), Fraction(math.gcd(dec.h, t) * int(lat.phi[i]), p - 1)
 

@@ -51,14 +51,44 @@ def test_public_names_resolve():
         assert getattr(resindex, name) is not None
 
 
+def _reads(tree: ast.Module) -> set[str]:
+    """Every name a module reads: as a name, as an attribute or by a from-import."""
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            read.update(alias.name for alias in node.names)
+    return read
+
+
+def _defined(tree: ast.Module) -> list[tuple[int, str]]:
+    """(line, name) of every top-level function, class and assigned name."""
+    out = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            out.append((node.lineno, node.name))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            out.extend(
+                (node.lineno, name.id)
+                for target in targets
+                for name in ast.walk(target)
+                if isinstance(name, ast.Name) and isinstance(name.ctx, ast.Store)
+            )
+    return out
+
+
 def test_no_unused_imports():
     # every name an import binds is read in its module; __init__ only re-exports
     paths = sorted(ROOT.glob("src/resindex/*.py")) + sorted(SCRIPTS.glob("*.py")) + sorted(ROOT.glob("tests/*.py"))
+    trees = {path: ast.parse(path.read_text()) for path in paths}
     unused = []
-    for path in paths:
+    for path, tree in trees.items():
         if path.name == "__init__.py":
             continue
-        tree = ast.parse(path.read_text())
         read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
         for node in ast.walk(tree):
             if isinstance(node, ast.Import) or (isinstance(node, ast.ImportFrom) and node.module != "__future__"):
@@ -66,4 +96,13 @@ def test_no_unused_imports():
                     name = alias.asname or alias.name.split(".")[0]
                     if name not in read:
                         unused.append(f"{path.relative_to(ROOT)}:{node.lineno}: {name}")
+    # every top-level definition in src is read in src, scripts or tests; dunders are exempt
+    read = set().union(*map(_reads, trees.values()))
+    for path, tree in trees.items():
+        if path.parent.name == "resindex":
+            unused.extend(
+                f"{path.relative_to(ROOT)}:{line}: {name}"
+                for line, name in _defined(tree)
+                if name not in read and not (name.startswith("__") and name.endswith("__"))
+            )
     assert unused == []
