@@ -7,7 +7,7 @@ Ramanujan's series for li(x) less the constant li(2).
 Every modular power comes from one routine: power_table builds, once per
 array of bases, the powers base^(d * 4^i) for every base-4 digit d and
 position i, and table_pow reads any exponents off it by one gather and one
-mulmod per digit; pow_mod_vec is the two for a single set of exponents.
+mulmod per digit.
 
 Everything here is deterministic; PrimeTable instances are immutable and
 safe to share between worker threads.
@@ -93,9 +93,8 @@ def build_prime_table(limit: int) -> PrimeTable:
 
 @dataclass(frozen=True)
 class Factorization:
-    """value == prod(p**e for p, e in factors); factors sorted by prime."""
+    """The factored value is prod(p**e for p, e in factors); factors sorted by prime."""
 
-    value: int
     factors: tuple[tuple[int, int], ...]
 
 
@@ -121,7 +120,7 @@ def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin, valid for all n < 3.3e24."""
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_BASES:
         if n % p == 0:
             return n == p
     return not any(_mr_witness(n, a) for a in _MR_BASES)
@@ -134,8 +133,6 @@ _RHO_STEPS = 10**5
 
 def _pollard_rho(n: int) -> int:
     """A nontrivial factor of composite odd n (deterministic seed sweep, _RHO_STEPS steps in all)."""
-    if n % 2 == 0:
-        return 2
     steps = _RHO_STEPS
     for c in range(1, 64):
         x = y = 2
@@ -161,7 +158,6 @@ def factor_int(n: int) -> Factorization:
     """
     if n < 1:
         raise DomainError(f"cannot factor {n}")
-    value = n
     fac: dict[int, int] = {}
     for p in (2, 3, 5):
         while n % p == 0:
@@ -179,15 +175,13 @@ def factor_int(n: int) -> Factorization:
     stack = [n] if n > 1 else []
     while stack:
         m = stack.pop()
-        if m == 1:
-            continue
         if is_prime(m):
             fac[m] = fac.get(m, 0) + 1
             continue
         f = _pollard_rho(m)
         stack.append(f)
         stack.append(m // f)
-    return Factorization(value=value, factors=tuple(sorted(fac.items())))
+    return Factorization(factors=tuple(sorted(fac.items())))
 
 
 def euler_phi(fac: Factorization) -> int:
@@ -372,11 +366,6 @@ def table_pow(tab: np.ndarray, idx: np.ndarray, exp: np.ndarray, mod: np.ndarray
         out *= tab[i].reshape(-1).take(((exp >> 2 * i) & 3) * n + idx)
         out %= mod
     return out
-
-
-def pow_mod_vec(base: np.ndarray, exp: np.ndarray, mod: np.ndarray) -> np.ndarray:
-    """base**exp % mod elementwise, for int64 arrays with 2 <= mod < 2**30."""
-    return table_pow(power_table(base, mod, exp.max(initial=0)), np.arange(mod.size), exp, mod)
 
 
 # ---------------------------------------------------------------------------

@@ -51,6 +51,7 @@ from __future__ import annotations
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from math import fsum, gcd, isqrt
 
 import numpy as np
@@ -119,7 +120,9 @@ def _shard_indexes(g: Rational, ps: np.ndarray, qs: np.ndarray) -> tuple[np.ndar
     ord(g mod p) starts at p-1 and loses each prime factor q while
     g^(order/q) = 1 mod p.  Every one of those powers is read off a single
     power table of g mod p (arith.power_table), since no exponent exceeds
-    (p-1)/2.  The first test, q = 2 at order p-1, is Euler's criterion
+    (p-1)/2.  For g = a/b that table is of a * b^-1 mod p, with the inverse
+    from built-in pow(b, -1, p) per prime: ps are counted primes, so b is a
+    unit mod p.  The first test, q = 2 at order p-1, is Euler's criterion
     g^((p-1)/2) = (g/p): it passes exactly where r comes out even, so the
     symbol is read off r's parity.  For a root g0 = a/b, (g0/p) = (disc/p) at
     every counted p, since ab is disc or disc/4 times a square prime to p.
@@ -127,7 +130,7 @@ def _shard_indexes(g: Rational, ps: np.ndarray, qs: np.ndarray) -> tuple[np.ndar
     pm1 = ps - 1
     a = arith.reduce_mod_vec(g.numerator, ps)
     if g.denominator != 1:
-        a = a * arith.pow_mod_vec(arith.reduce_mod_vec(g.denominator, ps), ps - 2, ps) % ps
+        a = a * np.fromiter(map(pow, repeat(g.denominator), repeat(-1), ps.tolist()), np.int64, ps.size) % ps
     tab = arith.power_table(a, ps, int(pm1.max(initial=0)) >> 1)
     order = pm1.copy()
     for j in range(_FACTOR_COLUMNS):
@@ -251,12 +254,13 @@ def _tally_step(
 
     Each column is built once at the widest level it does not depend on.
     Per step: phi(p-1) and 1/(p-1).  Per t: the index of the primes with
-    t | p-1, the mask 2t | p-1 within them, phi((p-1)/t), the naive sum,
-    pi and pi2.  Per root (_root): one kernel run, and per t its Legendre
-    column, split and split2.  Per root and key (_SweepPlan): the lifted r
-    (_lift) and, per t, N, R, L, Q, sum_r and the weighted phi-sum, one
-    row that the bases with that root and key share.  When split, each
-    base's own g is checked against its r (_split_check).
+    t | p-1, the mask 2t | p-1 within them, phi((p-1)/t), the naive sum
+    (float, and exact when asked), pi and pi2.  Per root (_root): one
+    kernel run, and per t its Legendre column, split and split2.  Per root
+    and key (_SweepPlan): the lifted r (_lift) and, per t, N, R, L, Q,
+    sum_r and the weighted phi-sum, one row that the bases with that root
+    and key share.  When split, each base's own g is checked against its r
+    (_split_check).
 
     Entry b is (ints, floats, exact_parts, divisor_values, split_checks) for
     plans[b].  ints is int64 [len(ts), len(_COLUMNS)]; floats is [len(ts), 2]
@@ -302,6 +306,10 @@ def _tally_step(
         phi_t //= t
         inv_t = inv.take(at)
         naive = float((phi_t * inv_t).sum())
+        if exact:
+            dens = pm1_t.tolist()
+            nacc = arith.ExactSum()
+            nacc.add_all(phi_t.tolist(), dens)
         for _, leg, rows in roots.values():
             leg_t = leg.take(at)
             up = leg_t == 1
@@ -326,9 +334,7 @@ def _tally_step(
                 )
                 floats[i] = naive, pa.gcd_ht * float((w * phi_t * inv_t).sum())
                 if exact:
-                    nacc, qacc = arith.ExactSum(), arith.ExactSum()
-                    dens = pm1_t.tolist()
-                    nacc.add_all(phi_t.tolist(), dens)
+                    qacc = arith.ExactSum()
                     qacc.add_all((w * phi_t).tolist(), dens)
                     exact_parts.append((nacc.num, nacc.den, pa.gcd_ht * qacc.num, qacc.den))
     return out

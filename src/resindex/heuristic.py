@@ -71,10 +71,8 @@ def weights_w_vec(
             return np.where(cond, 1, 0)
         even = 1 - ((pm1 >> dec.e) & 1)
         return np.where(cond, 1 + pa.eps1 * even * leg, 0)
-    if pa.h_t % 2 == 1:
+    if pa.h_t % 2 == 1:  # h_t odd forces tau >= e, so eps1 != 0
         cond = _gate(pm1, lcm(1 << (dec.e + 1), t), t, pa.h_t)
-        if pa.eps1 == 0:
-            return np.where(cond, 1, 0)
         sgn = 1 - 2 * ((pm1 >> (dec.e + 1)) & 1)
         return np.where(cond, 1 + pa.eps1 * sgn * leg, 0)
     return np.where(_gate(pm1, 2 * t, 2 * t, pa.h_t), 2, 0)

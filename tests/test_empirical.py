@@ -332,16 +332,18 @@ def test_report_factors_each_step_once(table, monkeypatch):
 
 
 def test_report_runs_the_kernel_once_per_root(table, monkeypatch):
-    # the nine bases have four roots, 2, 3, 5 and 5/3: one kernel run per root and step
-    calls = []
-    shard_indexes = empirical._shard_indexes
+    # the nine bases have four roots, 2, 3, 5 and 5/3: one kernel run per root and step,
+    # each reading its powers off one table, 5/3's inverse of 3 included
+    calls, tables = [], []
+    shard_indexes, power_table = empirical._shard_indexes, arith.power_table
     monkeypatch.setattr(empirical, "_shard_indexes", lambda g, *a: calls.append(g) or shard_indexes(g, *a))
+    monkeypatch.setattr(arith, "power_table", lambda *a: tables.append(a) or power_table(*a))
     monkeypatch.setattr(empirical, "SHARD_PRIMES", 512)
     x = 20000
     argv = ["report", "--x", str(x), "--t", "1", "--t", "2", "--format", "csv"]
     assert cli.main(argv + [f"--g={g}" for g in BASE_STRINGS]) == 0
     steps = -(-(len(table.primes_upto(x)) - 1) // 512)
-    assert len(calls) == 4 * steps > 4
+    assert len(calls) == len(tables) == 4 * steps > 4
     assert set(calls) == {2, 3, 5, Fraction(5, 3)}
 
 
@@ -453,7 +455,7 @@ def test_split_check_needs_no_kernel_routine(table, near_1e9, monkeypatch):
     def broken(*args):
         raise AssertionError("the split check reached a kernel routine")
 
-    for name in ("power_table", "table_pow", "pow_mod_vec", "reduce_mod_vec"):
+    for name in ("power_table", "table_pow", "reduce_mod_vec"):
         monkeypatch.setattr(arith, name, broken)
     for g, r in rs.items():
         assert empirical._split_check(g, ts, ps, r) == len(ps) * len(ts), g
@@ -548,6 +550,6 @@ def test_every_column_matches_brute_force(table, monkeypatch):
 
 
 def test_sweep_bases_beyond_int64(small_table):
-    # numerator or denominator too large for int64 is reduced mod p first
-    for g in (Fraction(3**50), Fraction(1, 2**70)):
+    # a numerator too large for int64 is reduced mod p first; pow inverts a big denominator itself
+    for g in (Fraction(3**50), Fraction(1, 2**70), Fraction(2**71, 3**50), Fraction(-(3**50), 2**71)):
         assert_counts_match_brute_force(g, 10**4, (1, 2, 5, 10), small_table)

@@ -65,11 +65,17 @@ def _reads(tree: ast.Module) -> set[str]:
 
 
 def _defined(tree: ast.Module) -> list[tuple[int, str]]:
-    """(line, name) of every top-level function, class and assigned name."""
+    """(line, name) of every top-level function, class and assigned name, and of every method."""
     out = []
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             out.append((node.lineno, node.name))
+            if isinstance(node, ast.ClassDef):
+                out.extend(
+                    (item.lineno, item.name)
+                    for item in node.body
+                    if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                )
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             out.extend(
@@ -96,7 +102,7 @@ def test_no_unused_imports():
                     name = alias.asname or alias.name.split(".")[0]
                     if name not in read:
                         unused.append(f"{path.relative_to(ROOT)}:{node.lineno}: {name}")
-    # every top-level definition in src is read in src, scripts or tests; dunders are exempt
+    # every top-level definition and method in src is read in src, scripts or tests; dunders are exempt
     read = set().union(*map(_reads, trees.values()))
     for path, tree in trees.items():
         if path.parent.name == "resindex":
