@@ -1,13 +1,14 @@
 #!/usr/bin/env python3
-"""Run every finite-group oracle suite at full depth and print a summary.
+"""Run every finite-group oracle suite at full depth for the base matrix.
 
-Covers the three indicator routes and the character/Ramanujan identity
-(groups up to order 200), all coset-density closed forms (orders up to
-360, h up to 8, both signs and all parity classes), and the weight
-oracles sigma = w*mu plus both w/r Moebius relations for the nine-base
-matrix over all counted primes up to 2000.  Exits 3 on any violation and
-2, before any suite runs, on a size too small to check anything or above
-the oracle's bounds.
+Runs `resindex verify` for the nine-base matrix (2, 3, 5, 8, -2, -3, -4,
+9/25, 1/2): the three indicator routes, the character/Ramanujan identity
+and all coset-density closed forms over groups up to order --max-n (360;
+h up to --max-h, 8), and the weight oracles sigma = w*mu plus both w/r
+Moebius relations over all counted primes up to --max-p (2000).  Stdout
+is that of `resindex verify`; one wall-time line goes to stderr.  Exits 0
+when every identity holds, 3 on any violation and 2 on bad input (a size
+too small to check anything or above the oracle's bounds).
 
     python scripts/verify_lemmas.py
 """
@@ -16,44 +17,24 @@ import argparse
 import sys
 import time
 
-from resindex import oracle
-from resindex.decompose import parse_g
-from resindex.errors import ResindexError
+from resindex import cli
 
 BASES = ("2", "3", "5", "8", "-2", "-3", "-4", "9/25", "1/2")
 
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--max-n", type=int, default=200)
-    ap.add_argument("--rho-max-n", type=int, default=360)
+    ap.add_argument("--max-n", type=int, default=360)
     ap.add_argument("--max-h", type=int, default=8)
     ap.add_argument("--max-p", type=int, default=2000)
     args = ap.parse_args()
 
-    gs = [parse_g(s) for s in BASES]
-    try:
-        for max_n in (args.max_n, args.rho_max_n):
-            oracle.check_sizes(max_n, args.max_h, gs, args.max_p)
-    except ResindexError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    failed = False
-    for build in (
-        lambda: oracle.indicator_suite(args.max_n),
-        lambda: oracle.remark_suite(args.max_n),
-        lambda: oracle.rho_sigma_suite(args.rho_max_n, args.max_h),
-        lambda: oracle.weight_oracle_suite(gs, args.max_p),
-    ):
-        t0 = time.perf_counter()
-        res = build()
-        status = "ok" if res.ok else "VIOLATION"
-        print(f"{status:9s} {res.name}: {res.checks} checks, "
-              f"{len(res.violations)} violations ({time.perf_counter() - t0:.1f}s)")
-        for v in res.violations[:20]:
-            print(f"    {v}")
-        failed = failed or not res.ok
-    return 3 if failed else 0
+    t0 = time.perf_counter()
+    argv = ["verify", "--max-n", str(args.max_n), "--max-h", str(args.max_h), "--max-p", str(args.max_p)]
+    argv += [f"--g={g}" for g in BASES]
+    code = cli.main(argv)
+    print(f"# wall time {time.perf_counter() - t0:.1f}s", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -91,11 +91,8 @@ def build_prime_table(limit: int) -> PrimeTable:
 # factorization
 
 
-@dataclass(frozen=True)
-class Factorization:
-    """The factored value is prod(p**e for p, e in factors); factors sorted by prime."""
-
-    factors: tuple[tuple[int, int], ...]
+# ((p, e), ...) sorted by prime; the factored value is prod(p**e for p, e in it)
+Factorization = tuple[tuple[int, int], ...]
 
 
 def _mr_witness(n: int, a: int) -> bool:
@@ -181,28 +178,28 @@ def factor_int(n: int) -> Factorization:
         f = _pollard_rho(m)
         stack.append(f)
         stack.append(m // f)
-    return Factorization(factors=tuple(sorted(fac.items())))
+    return tuple(sorted(fac.items()))
 
 
 def euler_phi(fac: Factorization) -> int:
     """Euler's totient from a factorization."""
     out = 1
-    for p, e in fac.factors:
+    for p, e in fac:
         out *= (p - 1) * p ** (e - 1)
     return out
 
 
 def moebius(fac: Factorization) -> int:
     """Moebius mu: 0 on non-squarefree values, else (-1)^(#prime factors)."""
-    if any(e > 1 for _, e in fac.factors):
+    if any(e > 1 for _, e in fac):
         return 0
-    return -1 if len(fac.factors) % 2 else 1
+    return -1 if len(fac) % 2 else 1
 
 
 def divisors(fac: Factorization) -> list[int]:
     """All divisors, ascending."""
     out = [1]
-    for p, e in fac.factors:
+    for p, e in fac:
         out = [d * p**k for d in out for k in range(e + 1)]
     out.sort()
     return out
@@ -280,10 +277,6 @@ class ExactSum:
 # Ramanujan sums
 
 
-def _phi_small(n: int) -> int:
-    return euler_phi(factor_int(n))
-
-
 def ramanujan_sum(d: int, n: int) -> int:
     """c_d(n), the sum of n-th powers of the primitive d-th roots of unity.
 
@@ -300,7 +293,7 @@ def ramanujan_sum(d: int, n: int) -> int:
     mu_m = moebius(mfac)
     if mu_m == 0:
         return 0
-    return mu_m * _phi_small(d) // euler_phi(mfac)
+    return mu_m * euler_phi(factor_int(d)) // euler_phi(mfac)
 
 
 @lru_cache(maxsize=4096)

@@ -92,7 +92,7 @@ def disc_primes(g0: Rational) -> list[int]:
     Read off factor_int's cache of m and n, which decompose_g fills, so disc
     itself is never factored.
     """
-    return [p for n in (g0.numerator, g0.denominator) for p, e in arith.factor_int(n).factors if e % 2]
+    return [p for n in (g0.numerator, g0.denominator) for p, e in arith.factor_int(n) if e % 2]
 
 
 def quadratic_discriminant(g0: Rational) -> int:
@@ -119,8 +119,8 @@ def decompose_g(g: Rational) -> GDecomposition:
     sign = 1 if g > 0 else -1
     num = abs(g.numerator)
     den = g.denominator
-    fn = arith.factor_int(num).factors if num > 1 else ()
-    fd = arith.factor_int(den).factors if den > 1 else ()
+    fn = arith.factor_int(num)
+    fd = arith.factor_int(den)
     h = 0
     for _, e in fn:
         h = gcd(h, e)
@@ -156,6 +156,5 @@ def excluded_primes(g: Rational) -> frozenset[int]:
     """Primes p where g degenerates mod p: p = 2 or p | numerator*denominator."""
     bad = {2}
     for n in (abs(g.numerator), g.denominator):
-        if n > 1:
-            bad.update(p for p, _ in arith.factor_int(n).factors)
+        bad.update(p for p, _ in arith.factor_int(n))
     return frozenset(bad)

@@ -93,7 +93,7 @@ def density_factor(dec: GDecomposition, t: int) -> Fraction:
     """
     if t < 1:
         raise DomainError("t must be >= 1")
-    primes = sorted({q for q, _ in arith.factor_int(2 * t * dec.h).factors}.union(disc_primes(dec.g0)))
+    primes = sorted({q for q, _ in arith.factor_int(2 * t * dec.h)}.union(disc_primes(dec.g0)))
     if len(primes) > _MAX_FACTOR_PRIMES:
         raise CapabilityError(
             f"2*t*h*disc has {len(primes)} prime factors; at most {_MAX_FACTOR_PRIMES} are supported"

@@ -300,7 +300,7 @@ def _tally_step(
         pi, pi2 = at.size, np.count_nonzero(m2)
         # phi((p-1)/t) = phi(p-1) / (t * prod over q | t, q not dividing (p-1)/t, of (q-1)/q)
         phi_t = phi.take(at)
-        for q, _ in arith.factor_int(t).factors:
+        for q, _ in arith.factor_int(t):
             lost = (pm1_t // t) % q != 0
             phi_t = np.where(lost, phi_t // (q - 1) * q, phi_t)
         phi_t //= t

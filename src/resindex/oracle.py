@@ -89,7 +89,7 @@ def _lattice(n: int) -> _Lattice:
     quot = divs[None, :] // divs[:, None]
     divides = (quot * divs[:, None] == divs[None, :]).astype(np.int64)
     mob, phi = divides.copy(), n // divs
-    for q, _ in fac.factors:
+    for q, _ in fac:
         mob[quot % (q * q) == 0] = 0
         mob[quot % q == 0] *= -1
         phi = np.where(phi % q == 0, phi // q * (q - 1), phi)
@@ -176,7 +176,7 @@ def sigma_closed_linear(n: int, h: int | np.ndarray) -> np.ndarray:
 
 
 def _smallest_primitive_root(p: int, fac_pm1: arith.Factorization) -> int:
-    qs = [q for q, _ in fac_pm1.factors]
+    qs = [q for q, _ in fac_pm1]
     for cand in range(2, p):
         if all(pow(cand, (p - 1) // q, p) != 1 for q in qs):
             return cand

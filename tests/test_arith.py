@@ -95,12 +95,12 @@ def test_factor_int_matches_table(small_table):
     qs = empirical._factor_shard(ps - 1, small_table.primes_upto(math.isqrt(10**4)))
     for p, qrow in zip(ps.tolist(), qs.tolist()):
         fac = arith.factor_int(p - 1)
-        assert tuple(q for q, _ in fac.factors) == tuple(q for q in qrow if q > 1)
-        assert math.prod(q**e for q, e in fac.factors) == p - 1
+        assert tuple(q for q, _ in fac) == tuple(q for q in qrow if q > 1)
+        assert math.prod(q**e for q, e in fac) == p - 1
     for n in range(1, 4000, 7):
         fac = arith.factor_int(n)
-        assert math.prod(q**e for q, e in fac.factors) == n
-        assert all(arith.is_prime(q) for q, _ in fac.factors)
+        assert math.prod(q**e for q, e in fac) == n
+        assert all(arith.is_prime(q) for q, _ in fac)
 
 
 def test_phi_mu_examples():

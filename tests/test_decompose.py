@@ -68,7 +68,7 @@ def test_derive_params_examples():
 
 def _is_fundamental(disc: int) -> bool:
     def squarefree(n):
-        return all(e == 1 for _, e in arith.factor_int(n).factors)
+        return all(e == 1 for _, e in arith.factor_int(n))
 
     if disc % 4 == 1:
         return squarefree(disc)
@@ -97,8 +97,8 @@ def test_roundtrip_and_fundamental_disc(g):
     assert d.g0 > 0
     assert d.e == arith.v2(d.h)
     # g0 is not an exact power: the gcd of its prime exponents is 1
-    exps = [e for _, e in arith.factor_int(abs(d.g0.numerator)).factors]
-    exps += [e for _, e in arith.factor_int(d.g0.denominator).factors]
+    exps = [e for _, e in arith.factor_int(abs(d.g0.numerator))]
+    exps += [e for _, e in arith.factor_int(d.g0.denominator)]
     from math import gcd
 
     acc = 0

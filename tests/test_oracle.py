@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -306,3 +307,31 @@ def test_weight_oracle_certifies_the_sweeps_legendre_symbol(monkeypatch):
     res = oracle.weight_oracle_suite([parse_g("2"), parse_g("-3")], 200)
     assert not res.ok
     assert any("parity of dlog(g0)" in v for v in res.violations)
+
+
+def test_weight_fault_names_the_counting_case(monkeypatch):
+    # w(2,3;p) off by one: sigma = w*mu fails at t = 3, and both Moebius relations read w(2,3;p)
+    from resindex import heuristic
+
+    weights_w_vec = heuristic.weights_w_vec
+    monkeypatch.setattr(heuristic, "weights_w_vec", lambda dec, pa, *a: weights_w_vec(dec, pa, *a) + (pa.t == 3))
+    res = oracle.weight_oracle_suite([parse_g("2")], 50)
+    assert [v.split(":")[0] for v in res.violations] == [
+        line
+        for p in (7, 13, 19, 31, 37, 43)
+        for line in (
+            f"weight formulas disagree with counting at g=2, p={p}, t=3",
+            f"w/r Moebius relations fail at g=2, p={p}, t=1",
+            f"w/r Moebius relations fail at g=2, p={p}, t=3",
+        )
+    ]
+
+
+def test_class_fault_names_the_prime(monkeypatch):
+    # 2 decomposed as -(2): 2 lies in the class predicted for -2 exactly when -1 is a square mod p
+    decompose = oracle.decompose_g
+    monkeypatch.setattr(oracle, "decompose_g", lambda g: dataclasses.replace(decompose(g), sign=-decompose(g).sign))
+    res = oracle.weight_oracle_suite([parse_g("2")], 100)
+    primes = arith.build_prime_table(100).primes.tolist()
+    assert res.violations == [f"g=2 mod {p} is not in its predicted class" for p in primes if p % 4 == 3]
+    assert len(res.violations) == 13

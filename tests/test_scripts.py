@@ -12,6 +12,7 @@ from resindex import cli
 
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPTS = ROOT / "scripts"
+BASES = ("2", "3", "5", "8", "-2", "-3", "-4", "9/25", "1/2")
 
 
 def run_script(monkeypatch, name: str, *argv: str) -> int:
@@ -24,26 +25,32 @@ def run_script(monkeypatch, name: str, *argv: str) -> int:
 def test_report_matrix_matches_cli(monkeypatch, capsys):
     assert run_script(monkeypatch, "report_matrix.py", "--x", "2000", "--t-max", "2") == 0
     script_out = capsys.readouterr().out
-    bases = ("2", "3", "5", "8", "-2", "-3", "-4", "9/25", "1/2")
     argv = ["report", "--format", "csv", "--x", "2000", "--t", "1", "--t", "2"]
-    assert cli.main(argv + [f"--g={g}" for g in bases]) == 0
+    assert cli.main(argv + [f"--g={g}" for g in BASES]) == 0
     assert script_out == capsys.readouterr().out
     assert len(script_out.splitlines()) == 1 + 9 * 2
 
 
 def test_verify_lemmas_small(monkeypatch, capsys):
-    argv = ("--max-n", "20", "--rho-max-n", "30", "--max-h", "2", "--max-p", "50")
-    assert run_script(monkeypatch, "verify_lemmas.py", *argv) == 0
-    lines = capsys.readouterr().out.splitlines()
-    assert len(lines) == 4
-    assert all(line.startswith("ok ") for line in lines)
-    assert run_script(monkeypatch, "verify_lemmas.py", "--max-n", "-3", "--max-p", "10") == 2
-    # bases 3, -3 and 9/25 have no counted prime <= 3
-    assert run_script(monkeypatch, "verify_lemmas.py", *argv[:-2], "--max-p", "3") == 2
-    # over the bound on max-p: refused up front, no traceback
-    assert run_script(monkeypatch, "verify_lemmas.py", *argv[:-2], "--max-p", "100000000000000000000") == 2
-    out, err = capsys.readouterr()
-    assert out == "" and err.startswith("error: ")
+    sizes = ("--max-n", "20", "--max-h", "2", "--max-p", "50")
+    assert run_script(monkeypatch, "verify_lemmas.py", *sizes) == 0
+    script_out = capsys.readouterr().out
+    assert cli.main(["verify", *sizes] + [f"--g={g}" for g in BASES]) == 0
+    assert script_out == capsys.readouterr().out
+    assert [line.split()[0] for line in script_out.splitlines()] == ["ok"] * 4 + ["convention:"]
+    for argv in (
+        ("--max-n", "-3", "--max-p", "10"),
+        # bases 3, -3 and 9/25 have no counted prime <= 3
+        (*sizes[:-2], "--max-p", "3"),
+        # over the bound on max-p: refused up front, no traceback
+        (*sizes[:-2], "--max-p", "100000000000000000000"),
+    ):
+        assert run_script(monkeypatch, "verify_lemmas.py", *argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ")
+    # the CLI has no separate depth for the coset-density suite
+    assert run_script(monkeypatch, "verify_lemmas.py", *sizes, "--rho-max-n", "30") == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_public_names_resolve():
@@ -102,13 +109,15 @@ def test_no_unused_imports():
                     name = alias.asname or alias.name.split(".")[0]
                     if name not in read:
                         unused.append(f"{path.relative_to(ROOT)}:{node.lineno}: {name}")
-    # every top-level definition and method in src is read in src, scripts or tests; dunders are exempt
+    # every top-level definition and method in src is read in src, scripts or tests, and every
+    # one in a script is read in that script; dunders are exempt
     read = set().union(*map(_reads, trees.values()))
     for path, tree in trees.items():
-        if path.parent.name == "resindex":
+        if path.parent in (SCRIPTS, ROOT / "src" / "resindex"):
+            read_by = _reads(tree) if path.parent == SCRIPTS else read
             unused.extend(
                 f"{path.relative_to(ROOT)}:{line}: {name}"
                 for line, name in _defined(tree)
-                if name not in read and not (name.startswith("__") and name.endswith("__"))
+                if name not in read_by and not (name.startswith("__") and name.endswith("__"))
             )
     assert unused == []
