@@ -328,6 +328,24 @@ def reduce_mod_vec(n: int, mods: np.ndarray) -> np.ndarray:
     return out if n >= 0 else -out % mods
 
 
+def inverse_mod_vec(n: int, mods: np.ndarray) -> np.ndarray:
+    """n^-1 mod m for every m in an int64 array of moduli below 2**30, each prime to n.
+
+    Extended Euclid on all moduli at once, from the pair (m, n mod m), with
+    r = s * n mod m kept for both remainders.  A pass reduces each remainder
+    by the other; a lane rests once either is 0, the other being gcd = 1 and
+    its s the inverse.  Every |s| stays within m, so nothing leaves int64.
+    """
+    r0, r1 = mods.copy(), reduce_mod_vec(n, mods)
+    s0, s1 = np.zeros_like(mods), np.ones_like(mods)
+    while ((r0 != 0) & (r1 != 0)).any():
+        for r, s, d, ds in ((r0, s0, r1, s1), (r1, s1, r0, s0)):
+            q = np.floor_divide(r, d, out=np.zeros_like(r), where=d != 0)
+            r -= q * d
+            s -= q * ds
+    return np.where(r0 == 0, s1, s0) % mods
+
+
 def power_table(base: np.ndarray, mod: np.ndarray, max_exp: int) -> np.ndarray:
     """Fixed-base table for table_pow: tab[i, d, j] = base[j]**(d * 4**i) % mod[j].
 

@@ -31,19 +31,22 @@ identical for any worker-thread count; no per-prime records are retained
 beyond the step being processed.
 Every sweep ends by checking H = M exactly and 0 <= N <= R <= pi(x;t,1)
 for each base and t.  One vectorized kernel, _shard_indexes, finds r for
-a whole shard from the prime factors of p-1 (_factor_shard), reading
-every power of its order loop off one table of the base mod p
-(arith.power_table).  It runs once per root and step: g = sign * g0^h has
-the root g0 or 1/g0 (_root), shared by all powers, inverses and negatives
-of g0, and _lift derives r_g(p) from the root's r in closed form.  The
-same run gives the Legendre symbol (g0/p) = (disc/p) of every such base,
-from the parity of the root's r.  The sweep and the weight oracle both
-reach r and (disc/p) that way.  With split=True (as `count` asks) the
-sweep also checks the splitting criterion t | r_g(p) <=> (p = 1 mod t and
-g^((p-1)/t) = 1 mod p) on each shard's r as soon as it is found
-(_split_check).  Its algebraic side is a whole-shard square-and-multiply
-ladder of its own (_pow_ladder), kept apart from arith's power tables so
-that a fault in those cannot pass on both sides.
+a whole shard from the prime factors of p-1 (_factor_shard: a strided
+slice per power of each base prime below 64, one array of the multiples
+of all the larger ones), reading every power of its order loop off one
+table of the base mod p (arith.power_table; a fraction's denominator is
+inverted by array Euclid, arith.inverse_mod_vec).  It runs once per root
+and step: g = sign * g0^h has the root g0 or 1/g0 (_root), shared by all
+powers, inverses and negatives of g0, and _lift derives r_g(p) from the
+root's r in closed form.  The same run gives the Legendre symbol
+(g0/p) = (disc/p) of every such base, from the parity of the root's r.
+The sweep and the weight oracle both reach r and (disc/p) that way.
+With split=True (as `count` asks) the sweep also checks the splitting
+criterion t | r_g(p) <=> (p = 1 mod t and g^((p-1)/t) = 1 mod p) on each
+shard's r as soon as it is found (_split_check).  Its algebraic side is
+a whole-shard square-and-multiply ladder of its own (_pow_ladder), kept
+apart from arith's power tables so that a fault in those cannot pass on
+both sides.
 """
 
 from __future__ import annotations
@@ -51,7 +54,6 @@ from __future__ import annotations
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
 from math import fsum, gcd, isqrt
 
 import numpy as np
@@ -74,6 +76,10 @@ _MAX_THREADS = 64
 # first ten primes, 6469693230, exceeds it; ten columns always suffice.
 _FACTOR_COLUMNS = 10
 
+# _factor_shard sieves by each base prime below this one at a time, by all
+# the larger ones at once.
+_DENSE_Q = 64
+
 
 # ---------------------------------------------------------------------------
 # the shard kernel
@@ -82,20 +88,26 @@ _FACTOR_COLUMNS = 10
 def _factor_shard(pm1: np.ndarray, base: np.ndarray) -> np.ndarray:
     """Distinct prime factors of each value in the ascending array pm1.
 
-    Sieves the range [pm1[0], pm1[-1]] by every prime power q^k of the base
-    primes, which must include all primes <= sqrt(pm1[-1]); what is left of
-    a value after that is 1 or a single prime.  Row i of the returned
-    [len(pm1), _FACTOR_COLUMNS] array lists the distinct primes of pm1[i]
-    in ascending order, padded with 1.
+    Sieves the range [pm1[0], pm1[-1]] by the base primes, which must
+    include all primes <= sqrt(pm1[-1]); what is left of a value after its
+    base primes and their powers are divided out is 1 or a single prime.
+    A base prime q < _DENSE_Q hits densely and takes one strided slice per
+    power of q.  The multiples of all larger q come from one array of
+    positions, q ascending; the hits that are some p-1 are ranked within
+    their row by a stable sort, and each row is divided by its q's until
+    none divides.  Row i of the returned [len(pm1), w] array lists the
+    distinct primes of pm1[i] in ascending order, padded with 1, where w is
+    the widest row's count (at most _FACTOR_COLUMNS).
     """
     n = pm1.size
     lo, hi = int(pm1[0]), int(pm1[-1])
-    slot = np.full(hi - lo + 1, -1, dtype=np.int64)
-    slot[pm1 - lo] = np.arange(n)
+    slot = np.full(hi - lo + 1, -1, dtype=np.int32)
+    slot[pm1 - lo] = np.arange(n, dtype=np.int32)
     qs = np.ones((n, _FACTOR_COLUMNS), dtype=np.int64)
     filled = np.zeros(n, dtype=np.int64)
     rest = pm1.copy()
-    for q in base.tolist():
+    dense = int(np.searchsorted(base, _DENSE_Q))
+    for q in base[:dense].tolist():
         qk = q
         while qk <= hi:
             hit = slot[-lo % qk :: qk]
@@ -107,9 +119,33 @@ def _factor_shard(pm1: np.ndarray, base: np.ndarray) -> np.ndarray:
                 filled[hit] += 1
             rest[hit] //= q
             qk *= q
+    large = base[dense:]
+    first = -lo % large  # lo + first is the least multiple of q >= lo
+    count = np.maximum((hi - lo - first) // large + 1, 0)
+    # the j-th multiple of q is lo + first + j*q; its slot, with k = start + j
+    # its index among the multiples of all q, is k*q + (first - start*q)
+    q_at = np.repeat(large, count)
+    pos = np.arange(q_at.size)
+    pos *= q_at
+    pos += np.repeat(first - large * (np.cumsum(count) - count), count)
+    rows = slot[pos]
+    del pos
+    keep = rows >= 0
+    rows, q_at = rows[keep], q_at[keep]
+    order = np.argsort(rows, kind="stable")  # q stays ascending within a row
+    rows, q_at = rows[order], q_at[order]
+    per_row = np.bincount(rows, minlength=n)
+    rank = np.arange(rows.size) - (np.cumsum(per_row) - per_row)[rows]
+    qs[rows, filled[rows] + rank] = q_at
+    filled += per_row
+    while rows.size:  # divide out every power of each large q
+        np.floor_divide.at(rest, rows, q_at)
+        more = rest[rows] % q_at == 0
+        rows, q_at = rows[more], q_at[more]
     big = np.flatnonzero(rest > 1)
     qs[big, filled[big]] = rest[big]
-    return qs
+    filled[big] += 1
+    return qs[:, : int(filled.max())]
 
 
 def _shard_indexes(g: Rational, ps: np.ndarray, qs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -120,28 +156,26 @@ def _shard_indexes(g: Rational, ps: np.ndarray, qs: np.ndarray) -> tuple[np.ndar
     ord(g mod p) starts at p-1 and loses each prime factor q while
     g^(order/q) = 1 mod p.  Every one of those powers is read off a single
     power table of g mod p (arith.power_table), since no exponent exceeds
-    (p-1)/2.  For g = a/b that table is of a * b^-1 mod p, with the inverse
-    from built-in pow(b, -1, p) per prime: ps are counted primes, so b is a
-    unit mod p.  The first test, q = 2 at order p-1, is Euler's criterion
-    g^((p-1)/2) = (g/p): it passes exactly where r comes out even, so the
-    symbol is read off r's parity.  For a root g0 = a/b, (g0/p) = (disc/p) at
-    every counted p, since ab is disc or disc/4 times a square prime to p.
+    (p-1)/2.  For g = a/b that table is of a * b^-1 mod p, with b inverted
+    modulo all of ps at once by extended Euclid (arith.inverse_mod_vec): ps
+    are counted primes, so b is a unit mod p.  The first test, q = 2 at
+    order p-1, is Euler's criterion g^((p-1)/2) = (g/p): it passes exactly
+    where r comes out even, so the symbol is read off r's parity.  For a
+    root g0 = a/b, (g0/p) = (disc/p) at every counted p, since ab is disc
+    or disc/4 times a square prime to p.
     """
     pm1 = ps - 1
     a = arith.reduce_mod_vec(g.numerator, ps)
     if g.denominator != 1:
-        a = a * np.fromiter(map(pow, repeat(g.denominator), repeat(-1), ps.tolist()), np.int64, ps.size) % ps
+        a = a * arith.inverse_mod_vec(g.denominator, ps) % ps
     tab = arith.power_table(a, ps, int(pm1.max(initial=0)) >> 1)
     order = pm1.copy()
-    for j in range(_FACTOR_COLUMNS):
-        live = np.flatnonzero(qs[:, j] > 1)
-        if not live.size:
-            break
+    for col in qs.T:
+        live = np.flatnonzero(col > 1)
         while live.size:
-            q = qs[live, j]
-            live = live[arith.table_pow(tab, live, order[live] // q, ps[live]) == 1]
-            order[live] //= qs[live, j]
-            live = live[order[live] % qs[live, j] == 0]
+            live = live[arith.table_pow(tab, live, order[live] // col[live], ps[live]) == 1]
+            order[live] //= col[live]
+            live = live[order[live] % col[live] == 0]
     r = pm1 // order
     return r, 1 - 2 * (r & 1)
 
@@ -271,8 +305,7 @@ def _tally_step(
     """
     pm1 = ps - 1
     phi = pm1.copy()  # phi(p-1) from the factor columns
-    for j in range(_FACTOR_COLUMNS):
-        q = qs[:, j]
+    for q in qs.T:
         phi -= np.where(q > 1, phi // q, 0)
     inv = 1.0 / pm1.astype(np.float64)
 

@@ -78,6 +78,60 @@ def test_kernel_legendre_column_is_the_disc_symbol(table):
         assert kernel_run(g, ps, table)[1].tolist() == [euler_criterion(disc, p) for p in ps], g
 
 
+def window_primes(lo: int, hi: int) -> list[int]:
+    """The primes in [lo, hi), lo >= 2, by a sieve of that window alone."""
+    flags = np.ones(hi - lo, dtype=bool)
+    for q in arith.build_prime_table(isqrt(hi)).primes.tolist():
+        flags[max(q * q, -(-lo // q) * q) - lo :: q] = False
+    return (np.flatnonzero(flags) + lo).tolist()
+
+
+@pytest.mark.parametrize(
+    "lo, hi, named",
+    [
+        # p-1 = 4 * (2*3*...*23) has nine distinct primes, the most below 1e9
+        (892371481 - 20000, 892371481 + 20000, 892371481),
+        # 67^2 | p-1: a base prime above the dense ones divides twice
+        (17957 - 3000, 17957 + 3000, 17957),
+        (80803 - 3000, 80803 + 3000, 80803),
+        (125693 - 3000, 125693 + 3000, 125693),
+        # the last shard below 1e9
+        (10**9 - 200000, 10**9, None),
+        # no base prime above the dense ones; one value, or two
+        (3, 4, 3),
+        (7, 8, 7),
+        (5, 8, 5),
+    ],
+)
+def test_factor_rows_match_factor_int(lo, hi, named):
+    ps = np.array(window_primes(lo, hi)[-empirical.SHARD_PRIMES :])
+    assert named is None or named in ps
+    facs = [arith.factor_int(p - 1) for p in ps.tolist()]
+    # the base primes of a sweep to ps[-1], and of one to 10**6, whose q up to 997 mostly miss small p
+    for limit in {int(ps[-1]), max(int(ps[-1]), 10**6)}:
+        qs = empirical._factor_shard(ps - 1, arith.build_prime_table(max(2, isqrt(limit))).primes)
+        assert qs.shape == (ps.size, max(map(len, facs)))
+        for p, qrow, fac in zip(ps.tolist(), qs.tolist(), facs):
+            assert qrow == [q for q, _ in fac] + [1] * (qs.shape[1] - len(fac)), p
+
+
+def test_kernel_inverts_the_denominator(table, monkeypatch):
+    # the kernel's power table is of a * b^-1 mod p, with b inverted by array Euclid
+    ps = table.primes[-2048:]
+    qs = empirical._factor_shard(ps - 1, table.primes_upto(isqrt(int(ps[-1]))))
+    bases = []
+    power_table = arith.power_table
+    monkeypatch.setattr(arith, "power_table", lambda base, *a: bases.append(base) or power_table(base, *a))
+    prod = int(np.prod(ps.astype(object)))
+    # b = 1 and b = -1 mod every p come last
+    for b in (3, 25, 2**71, prod + 1, prod - 1):
+        g = Fraction(7, b)
+        assert g.denominator == b
+        empirical._shard_indexes(g, ps, qs)
+        assert bases[-1].tolist() == [7 * pow(b, -1, p) % p for p in ps.tolist()], b
+    assert set(bases[-2].tolist()) == {7} and bases[-1].tolist() == (-7 % ps).tolist()
+
+
 # ---------------------------------------------------------------------------
 # counters
 
@@ -550,6 +604,6 @@ def test_every_column_matches_brute_force(table, monkeypatch):
 
 
 def test_sweep_bases_beyond_int64(small_table):
-    # a numerator too large for int64 is reduced mod p first; pow inverts a big denominator itself
+    # a numerator or denominator too large for int64 is reduced mod p first
     for g in (Fraction(3**50), Fraction(1, 2**70), Fraction(2**71, 3**50), Fraction(-(3**50), 2**71)):
         assert_counts_match_brute_force(g, 10**4, (1, 2, 5, 10), small_table)
