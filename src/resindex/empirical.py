@@ -77,7 +77,9 @@ _MAX_THREADS = 64
 _FACTOR_COLUMNS = 10
 
 # _factor_shard sieves by each base prime below this one at a time, by all
-# the larger ones at once.
+# the larger ones at once.  The array of multiples of every q would be half
+# the shard's range for q = 2 alone: sieving all q at once doubles the time
+# per shard, and cuts from 32 to 128 time alike.
 _DENSE_Q = 64
 
 
