@@ -10,7 +10,7 @@ position i, and table_pow reads any exponents off it by one gather and one
 mulmod per digit.
 
 Everything here is deterministic; PrimeTable instances are immutable and
-safe to share between worker threads.
+safe to share with forked worker processes.
 """
 
 from __future__ import annotations

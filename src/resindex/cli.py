@@ -204,7 +204,7 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--g", required=True, help="base, 'a' or 'a/b'")
         if sweeps:
             p.add_argument("--x", type=int, required=True, help="prime bound")
-            p.add_argument("--threads", type=int, default=1)
+            p.add_argument("--threads", type=int, default=1, help="worker processes, at most the usable cores")
         p.add_argument("--format", choices=("text", "csv", "json"), default="text")
 
     p = sub.add_parser("count", help="exact index counts N and R")

@@ -27,15 +27,18 @@ and 1/g share.  sweeps serves several bases in one pass and sweep is
 sweeps for one base.  A step yields, per base, one int64 array of its
 integer tallies (a row per t) and one float array of its phi-sums; the
 arrays are summed, and the floats fsum'med, in chunk order, so output is
-identical for any worker-thread count; no per-prime records are retained
-beyond the step being processed.
+identical for any worker count; no per-prime records are retained beyond
+the step being processed.  A step is the module-level _step of its chunk
+and one job tuple; with threads > 1 the steps run in forked worker
+processes (_pool), each sent the job once and then only its chunks.
 Every sweep ends by checking H = M exactly and 0 <= N <= R <= pi(x;t,1)
 for each base and t.  One vectorized kernel, _shard_indexes, finds r for
-a whole shard from the prime factors of p-1 (_factor_shard: a strided
-slice per power of each base prime below 64, one array of the multiples
-of all the larger ones), reading every power of its order loop off one
-table of the base mod p (arith.power_table; a fraction's denominator is
-inverted by array Euclid, arith.inverse_mod_vec).  It runs once per root
+a whole shard from the prime factors of p-1 (_factor_shard: the whole
+power of 2 at once, a strided slice per power of each odd base prime
+below 64, one array of the multiples of all the larger ones), reading
+every power of its order loop off one table of the base mod p
+(arith.power_table; a fraction's denominator is inverted by array
+Euclid, arith.inverse_mod_vec).  It runs once per root
 and step: g = sign * g0^h has the root g0 or 1/g0 (_root), shared by all
 powers, inverses and negatives of g0, and _lift derives r_g(p) from the
 root's r in closed form.  The same run gives the Legendre symbol
@@ -51,7 +54,7 @@ both sides.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 from math import fsum, gcd, isqrt
@@ -68,18 +71,21 @@ SHARD_PRIMES = 8192
 # temporaries: about 0.5 GB at x = 1e7, more than fits at larger x.
 _MAX_EXACT_X = 10**7
 
-# A pool starts min(threads, steps) OS threads, each holding one step's
-# shard arrays, and x = 1e9 has about 6200 steps.
+# The largest --threads accepted.  A pool starts min(threads, usable cores,
+# steps) worker processes: each is a fork of the caller and holds one step's
+# shard arrays at a time, so workers beyond the cores would add memory, not
+# speed.
 _MAX_THREADS = 64
 
 # omega(p-1) <= 9 for p <= MAX_SIEVE_LIMIT = 1e9, since the product of the
 # first ten primes, 6469693230, exceeds it; ten columns always suffice.
 _FACTOR_COLUMNS = 10
 
-# _factor_shard sieves by each base prime below this one at a time, by all
-# the larger ones at once.  The array of multiples of every q would be half
-# the shard's range for q = 2 alone: sieving all q at once doubles the time
-# per shard, and cuts from 32 to 128 time alike.
+# _factor_shard sieves by each odd base prime below this one at a time, by
+# all the larger ones at once.  The array of multiples of q holds a 1/q share
+# of the shard's range, so the small q would dominate it: with every odd q in
+# the array pass a shard takes 1.3-1.9 times as long (best of 25 at 1e6, 1e7
+# and 1e8 on 2 vCPUs), and cuts from 32 to 128 time alike.
 _DENSE_Q = 64
 
 
@@ -90,24 +96,29 @@ _DENSE_Q = 64
 def _factor_shard(pm1: np.ndarray, base: np.ndarray) -> np.ndarray:
     """Distinct prime factors of each value in the ascending array pm1.
 
-    Sieves the range [pm1[0], pm1[-1]] by the base primes, which must
-    include all primes <= sqrt(pm1[-1]); what is left of a value after its
-    base primes and their powers are divided out is 1 or a single prime.
-    A base prime q < _DENSE_Q hits densely and takes one strided slice per
-    power of q.  The multiples of all larger q come from one array of
-    positions, q ascending; the hits that are some p-1 are ranked within
-    their row by a stable sort, and each row is divided by its q's until
-    none divides.  Row i of the returned [len(pm1), w] array lists the
-    distinct primes of pm1[i] in ascending order, padded with 1, where w is
-    the widest row's count (at most _FACTOR_COLUMNS).
+    Every value must be even, as p-1 of an odd prime is: column 0 is 2, and
+    rest & -rest, the whole power of 2 in each value, is divided out at once.
+    The rest is sieved over the range [pm1[0], pm1[-1]] by the odd base
+    primes; base must include all primes <= sqrt(pm1[-1]), so what is left
+    of a value after its base primes and their powers are divided out is 1
+    or a single prime.  An odd base prime q < _DENSE_Q hits densely and
+    takes one strided slice per power of q.  The multiples of all larger q
+    come from one array of positions, q ascending; the hits that are some
+    p-1 are ranked within their row by a stable sort, and each row is
+    divided by its q's until none divides.  Row i of the returned
+    [len(pm1), w] array lists the distinct primes of pm1[i] in ascending
+    order, padded with 1, where w is the widest row's count (at most
+    _FACTOR_COLUMNS).
     """
     n = pm1.size
     lo, hi = int(pm1[0]), int(pm1[-1])
     slot = np.full(hi - lo + 1, -1, dtype=np.int32)
     slot[pm1 - lo] = np.arange(n, dtype=np.int32)
     qs = np.ones((n, _FACTOR_COLUMNS), dtype=np.int64)
-    filled = np.zeros(n, dtype=np.int64)
-    rest = pm1.copy()
+    qs[:, 0] = 2
+    filled = np.ones(n, dtype=np.int64)
+    rest = pm1 // (pm1 & -pm1)
+    base = base[base > 2]
     dense = int(np.searchsorted(base, _DENSE_Q))
     for q in base[:dense].tolist():
         qk = q
@@ -375,6 +386,64 @@ def _tally_step(
     return out
 
 
+def _step(job: tuple, ps: np.ndarray) -> list[tuple]:
+    """The tallies of one chunk ps of the odd primes <= x: entry b is
+    _tally_step's entry for plans[b], over ps less the primes bads[b].
+
+    job is (base, bads, plans, ts, exact, split): the base primes <= sqrt(x),
+    each plan's excluded primes, the plans and sweeps' flags.  ps and job are
+    all it reads, so it gives the same tallies in process and in a worker.
+    """
+    base, bads, plans, ts, exact, split = job
+    qs = _factor_shard(ps - 1, base)
+    first, last = int(ps[0]), int(ps[-1])
+    groups: dict[tuple[int, ...], list[int]] = {}  # excluded primes in the chunk -> the bases dropping them
+    for b, bad in enumerate(bads):
+        groups.setdefault(tuple(p for p in bad if first <= p <= last), []).append(b)
+    out = [None] * len(plans)
+    for drop, members in groups.items():
+        at = np.searchsorted(ps, drop)
+        # np.delete copies, and most chunks have no excluded prime in them
+        own = (np.delete(ps, at), np.delete(qs, at, axis=0)) if drop else (ps, qs)
+        for b, tally in zip(members, _tally_step([plans[b] for b in members], ts, *own, exact, split)):
+            out[b] = tally
+    return out
+
+
+# A worker's job (see _step), set once by the pool's initializer; the
+# process that starts the pool never sets it.
+_job = None
+
+
+def _hold_job(job: tuple) -> None:
+    global _job
+    _job = job
+
+
+def _pool_step(ps: np.ndarray) -> list[tuple]:
+    return _step(_job, ps)
+
+
+def _pool(workers: int, job: tuple):
+    """A pool of `workers` processes for _pool_step, each given job once.
+
+    They are forked: a fork starts with numpy already imported, where spawn
+    re-imports it in every worker, and a 1e7 count ran slower under spawn
+    than under fork; forkserver workers are not children of the caller, so
+    their CPU time would not count in its rusage.  A fork is safe while the
+    caller runs no other thread, and the pool forks every worker before it
+    starts its own manager thread.  The pool's modules are imported here,
+    not with this module, since they add about 14 ms to importing
+    resindex.cli.
+    """
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    return ProcessPoolExecutor(
+        workers, mp_context=multiprocessing.get_context("fork"), initializer=_hold_job, initargs=(job,)
+    )
+
+
 def _sum_over_multiples(f: np.ndarray, primes: np.ndarray) -> None:
     """In place, f[..., m] becomes the sum of f[..., j] over the multiples j
     of m, for m = 1..n on a last axis over 0..n; primes holds all primes <= n."""
@@ -425,9 +494,11 @@ def sweeps(
     primes from the chunk; the bases that drop the same ones share a
     _tally_step, so the work that does not depend on g is done once per
     step and drop set.  Returns one Sweep per entry of gs (a repeated base
-    gets the same Sweep).  Results are independent of
-    ``threads``: steps are merged in chunk order.  Raises LemmaViolation
-    unless H = M exactly and 0 <= N <= R <= pi(x;t,1) for every base and t.
+    gets the same Sweep).  With threads > 1 the steps run in
+    min(threads, usable cores, steps) forked worker processes (_pool).
+    Results are independent of ``threads``: steps are merged in chunk
+    order.  Raises LemmaViolation unless H = M exactly and
+    0 <= N <= R <= pi(x;t,1) for every base and t.
     split=True also checks the splitting criterion on every counted prime
     and t as each step's r is found, and counts the pairs in split_checks.
     Refuses what check_args refuses before it sieves.
@@ -438,30 +509,14 @@ def sweeps(
     table = arith.build_prime_table(x)
     odd = table.primes[1:]
     bads = [sorted(p for p in excluded_primes(g) if 2 < p <= x) for g in distinct]
-    starts = range(0, odd.size, SHARD_PRIMES)
-    base = table.primes_upto(isqrt(x))
-
-    def step(start: int) -> list[tuple]:
-        ps = odd[start : start + SHARD_PRIMES]
-        qs = _factor_shard(ps - 1, base)
-        first, last = int(ps[0]), int(ps[-1])
-        groups: dict[tuple[int, ...], list[int]] = {}  # excluded primes in the chunk -> the bases dropping them
-        for b, bad in enumerate(bads):
-            groups.setdefault(tuple(p for p in bad if first <= p <= last), []).append(b)
-        out = [None] * len(plans)
-        for drop, members in groups.items():
-            at = np.searchsorted(ps, drop)
-            # np.delete copies, and most chunks have no excluded prime in them
-            own = (np.delete(ps, at), np.delete(qs, at, axis=0)) if drop else (ps, qs)
-            for b, tally in zip(members, _tally_step([plans[b] for b in members], ts, *own, exact, split)):
-                out[b] = tally
-        return out
-
-    if threads > 1 and len(starts) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            tallies = list(pool.map(step, starts))
+    job = (table.primes_upto(isqrt(x)), bads, plans, ts, exact, split)
+    chunks = [odd[start : start + SHARD_PRIMES] for start in range(0, odd.size, SHARD_PRIMES)]
+    workers = min(threads, len(os.sched_getaffinity(0)), len(chunks))
+    if workers > 1:
+        with _pool(workers, job) as pool:
+            tallies = list(pool.map(_pool_step, chunks))
     else:
-        tallies = [step(start) for start in starts]
+        tallies = [_step(job, ps) for ps in chunks]
 
     done = {}
     for b, plan in enumerate(plans):
@@ -470,7 +525,7 @@ def sweeps(
         for tally in own:
             ints += tally[0]
         columns = {name: dict(zip(ts, col)) for name, col in zip(_COLUMNS, ints.T.tolist())}
-        # fsum over the steps in chunk order keeps the floats thread-independent
+        # fsum over the steps in chunk order keeps the floats independent of the worker count
         sw = Sweep(
             g=plan.g,
             x=x,

@@ -141,13 +141,13 @@ def test_verify_rejects_sizes_that_check_nothing(capsys):
 
 
 def test_sizes_beyond_their_bounds_exit_2(capsys, monkeypatch):
-    # refused before any suite runs and before any thread pool exists
+    # refused before any suite runs and before any worker pool exists
     from resindex import empirical, oracle
 
     def no_pool(*args, **kwargs):
-        raise AssertionError("a thread pool was started")
+        raise AssertionError("a worker pool was started")
 
-    monkeypatch.setattr(empirical, "ThreadPoolExecutor", no_pool)
+    monkeypatch.setattr(empirical, "_pool", no_pool)
     cases = [
         ["verify", "--max-n", str(oracle._MAX_N + 1)],
         ["verify", "--max-h", str(oracle._MAX_H + 1)],

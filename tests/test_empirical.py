@@ -1,3 +1,4 @@
+import pickle
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
@@ -446,15 +447,51 @@ def test_sweep_split_check_counts_every_pair(monkeypatch):
 
 
 def test_count_factors_each_shard_once(table, monkeypatch):
-    # count checks the splitting criterion on the sweep's r instead of a second kernel pass
+    # count checks the splitting criterion on the sweep's r instead of a second kernel pass;
+    # one thread keeps every step in this process, where the calls are counted
     calls = []
     factor_shard = empirical._factor_shard
     monkeypatch.setattr(empirical, "_factor_shard", lambda *a: calls.append(a) or factor_shard(*a))
     monkeypatch.setattr(empirical, "SHARD_PRIMES", 512)
     x = 20000
-    assert cli.main(["count", "--g", "2", "--t", "2", "--x", str(x), "--threads", "2"]) == 0
+    assert cli.main(["count", "--g", "2", "--t", "2", "--x", str(x), "--threads", "1"]) == 0
     odd_primes = len(table.primes_upto(x)) - 1
     assert len(calls) == -(-odd_primes // 512) > 1
+
+
+def test_worker_faults_exit_3(monkeypatch, capsys):
+    # a fault in a forked worker reaches the caller as the same LemmaViolation; two usable
+    # cores are claimed so that the two steps at 1e5 run in two workers on any host
+    table_pow = arith.table_pow
+    monkeypatch.setattr(arith, "table_pow", lambda tab, i, e, m: np.where(m % 7 == 3, 1, table_pow(tab, i, e, m)))
+    monkeypatch.setattr(empirical.os, "sched_getaffinity", lambda pid: {0, 1})
+    started = []
+    pool = empirical._pool
+    monkeypatch.setattr(empirical, "_pool", lambda workers, job: started.append(workers) or pool(workers, job))
+    assert cli.main(["count", "--g", "2", "--t", "2", "--x", "100000", "--threads", "2"]) == 3
+    assert started == [2]
+    assert "splitting criterion" in capsys.readouterr().err
+
+
+def same_tallies(a, b) -> bool:
+    """Equal step tallies, arrays by dtype and bytes, so floats compare bitwise."""
+    if isinstance(a, np.ndarray):
+        return isinstance(b, np.ndarray) and a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+    if isinstance(a, (list, tuple)):
+        return type(a) is type(b) and len(a) == len(b) and all(map(same_tallies, a, b))
+    return type(a) is type(b) and a == b
+
+
+def test_step_reads_only_its_arguments(monkeypatch):
+    # a worker gets its job and chunk as pickles: a copy of them must give the same tallies,
+    # so _step depends on no object shared with the caller beyond what it is passed
+    calls = []
+    step = empirical._step
+    monkeypatch.setattr(empirical, "_step", lambda job, ps: calls.append((job, ps)) or step(job, ps))
+    empirical.sweeps((parse_g("2"), parse_g("-4"), parse_g("9/25")), 10**5, (1, 2, 3), exact=True, split=True)
+    assert len(calls) == 2
+    for job, ps in calls:
+        assert same_tallies(step(*pickle.loads(pickle.dumps((job, ps)))), step(job, ps))
 
 
 def test_split_check_catches_kernel_faults(monkeypatch, capsys):
