@@ -1,9 +1,9 @@
 """Elementary number-theoretic kernels.
 
-Sieving (segmented Eratosthenes), factorization, the multiplicative
-functions phi and mu, Ramanujan sums c_d(n), modular powers over int64
-arrays and the logarithmic integral Li(x) = int_2^x dt/log t, by
-Ramanujan's series for li(x) less the constant li(2).
+Sieving (odd_primes sieves one span; build_prime_table and each sweep step
+call it), factorization, the multiplicative functions phi and mu, Ramanujan
+sums c_d(n), modular powers over int64 arrays and the logarithmic integral
+Li(x) = int_2^x dt/log t, by Ramanujan's series for li(x) less li(2).
 Every modular power comes from one routine: power_table builds, once per
 array of bases, the powers base^(d * 4^i) for every base-4 digit d and
 position i, and table_pow reads any exponents off it by one gather and one
@@ -68,23 +68,31 @@ def _simple_sieve(limit: int) -> np.ndarray:
     return np.flatnonzero(flags).astype(np.int64)
 
 
+def odd_primes(lo: int, hi: int, base: np.ndarray) -> np.ndarray:
+    """The odd primes in [lo, hi), for 0 <= lo <= hi, as an ascending int64 array.
+
+    base must hold every prime <= sqrt(hi - 1).  Only the odd numbers of the
+    span are sieved, and each odd base prime q strikes them from
+    max(q*q, lo), so the base primes in the span are kept.
+    """
+    first = max(lo | 1, 3)  # the least odd number >= lo, 1 being no prime
+    flags = np.ones(max(0, (hi - first + 1) // 2), dtype=bool)  # flags[i] stands for first + 2i
+    for q in base[base > 2].tolist():
+        if q * q >= hi:
+            break
+        start = max(q * q, (first + q - 1) // q * q)
+        start += q * (start % 2 == 0)  # the least odd multiple
+        flags[(start - first) // 2 :: q] = False
+    return np.flatnonzero(flags) * 2 + first
+
+
 def build_prime_table(limit: int) -> PrimeTable:
-    """Sieve all primes up to ``limit`` (segmented, O(segment) memory)."""
+    """Sieve all primes up to ``limit`` (odd_primes per segment, O(segment) memory)."""
     if limit < 2 or limit > MAX_SIEVE_LIMIT:
         raise BoundError(f"limit must be in [2, {MAX_SIEVE_LIMIT}], got {limit}")
     base = _simple_sieve(isqrt(limit))
-    chunks = [base[base <= limit]]
-    lo = int(isqrt(limit)) + 1
-    while lo <= limit:
-        hi = min(lo + _SEGMENT, limit + 1)
-        flags = np.ones(hi - lo, dtype=bool)
-        for p in base.tolist():
-            start = ((lo + p - 1) // p) * p
-            if start < hi:
-                flags[start - lo :: p] = False
-        chunks.append((np.flatnonzero(flags) + lo).astype(np.int64))
-        lo = hi
-    return PrimeTable(limit=limit, primes=np.concatenate(chunks))
+    segments = [odd_primes(lo, min(lo + _SEGMENT, limit + 1), base) for lo in range(3, limit + 1, _SEGMENT)]
+    return PrimeTable(limit=limit, primes=np.concatenate([np.array([2], dtype=np.int64)] + segments))
 
 
 # ---------------------------------------------------------------------------

@@ -69,7 +69,7 @@ class GDecomposition:
 
 @dataclass(frozen=True)
 class HeuristicParams:
-    """Valuations and gcd splits of (h, t) used by the weight case tables."""
+    """Valuations and gcd splits of (h, t) used by the weight case table."""
 
     t: int
     tau: int

@@ -15,22 +15,24 @@ into all requested per-t tallies in a single streamed pass:
     arrays over m = 0..x counting the primes with m | p-1, those that also
     have (disc/p) = 1, and those with m | r_g(p))
 
-A sweep needs only g, x and t: it sieves the primes <= x once, and step
-k takes the chunk odd[k*SHARD_PRIMES : (k+1)*SHARD_PRIMES] of the odd
-primes <= x, the same for every base, and factors its p-1 once.
-Each base drops its own excluded primes from the chunk, and the bases
-that drop the same ones share one _tally_step.  It builds the index of
-the primes with t | p-1, phi((p-1)/t), pi and pi2 once per t; the
+A sweep needs only g, x and t: it sieves the base primes <= sqrt(x), and
+step k sieves the odd primes of its own span [lo, hi) of [3, x] from
+them (arith.odd_primes), the same span for every base (_spans: about
+SHARD_PRIMES primes each), and factors their p-1 once.  No table of the
+primes <= x is built (exact=True alone builds one, for its divisor
+tallies).  Each base drops its own excluded primes from the span, and
+the bases that drop the same ones share one _tally_step.  It builds the
+index of the primes with t | p-1, phi((p-1)/t), pi and pi2 once per t; the
 Legendre column, split and split2 once per t and root; and N, R, L, Q,
 sum_r and the weighted phi-sum once per t and (root, sign, h), which g
 and 1/g share.  sweeps serves several bases in one pass and sweep is
 sweeps for one base.  A step yields, per base, one int64 array of its
 integer tallies (a row per t) and one float array of its phi-sums; the
-arrays are summed, and the floats fsum'med, in chunk order, so output is
+arrays are summed, and the floats fsum'med, in span order, so output is
 identical for any worker count; no per-prime records are retained beyond
-the step being processed.  A step is the module-level _step of its chunk
-and one job tuple; with threads > 1 the steps run in forked worker
-processes (_pool), each sent the job once and then only its chunks.
+the step being processed.  A step is the module-level _step of one job
+tuple and its span, two ints; with threads > 1 the steps run in forked
+worker processes (_pool), each task carrying its job and span.
 Every sweep ends by checking H = M exactly and 0 <= N <= R <= pi(x;t,1)
 for each base and t.  One vectorized kernel, _shard_indexes, finds r for
 a whole shard from the prime factors of p-1 (_factor_shard: the whole
@@ -57,7 +59,8 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from math import fsum, gcd, isqrt
+from functools import partial
+from math import fsum, gcd, isqrt, log
 
 import numpy as np
 
@@ -271,7 +274,7 @@ class Sweep:
 class _SweepPlan:
     """One base's share of a sweep: its decomposition, its parameters per t,
     its root (_root) and its tally key (sign, h).  _lift, derive_params and
-    both weight case tables read only sign, h and e = v2(h), so g and 1/g,
+    the weight case table read only sign, h and e = v2(h), so g and 1/g,
     with one root and one key, share every tally."""
 
     g: Rational
@@ -363,7 +366,7 @@ def _tally_step(
             for plan, r, (ints, floats, exact_parts, _) in rows.values():
                 pa = plan.params[t]
                 r_t = r.take(at)
-                w = heuristic.weights_w_vec(plan.dec, pa, pm1_t, leg_t)
+                w, rw = heuristic.weights(plan.dec, pa, pm1_t, leg_t)
                 # sum over d | k of c_d(r) = k [k | r], at k = (h,t) for L and k = (2h,t) for L + Q
                 g2t = gcd(2 * plan.dec.h, t)
                 l_num = pa.gcd_ht * _multiples(r_t, pa.gcd_ht)
@@ -374,7 +377,7 @@ def _tally_step(
                     split2_t,
                     np.count_nonzero(r_t == t),
                     _multiples(r_t, t),
-                    heuristic.weights_r_vec(plan.dec, pa, pm1_t, leg_t).sum(),
+                    rw.sum(),
                     l_num,
                     g2t * _multiples(r_t, g2t) - l_num,
                 )
@@ -386,46 +389,47 @@ def _tally_step(
     return out
 
 
-def _step(job: tuple, ps: np.ndarray) -> list[tuple]:
-    """The tallies of one chunk ps of the odd primes <= x: entry b is
-    _tally_step's entry for plans[b], over ps less the primes bads[b].
+def _spans(x: int) -> list[tuple[int, int]]:
+    """The spans [lo, hi) that tile [3, x + 1), one per step.  A span holds about
+    SHARD_PRIMES primes: its width, 2 * floor(SHARD_PRIMES * log(lo + 8 * SHARD_PRIMES) / 2),
+    is even, so every lo is odd, and depends on lo alone, so the grid is the
+    same for every base and worker count."""
+    edges = [3]
+    while edges[-1] <= x:
+        edges.append(min(edges[-1] + 2 * int(SHARD_PRIMES * log(edges[-1] + 8 * SHARD_PRIMES) / 2), x + 1))
+    return list(zip(edges, edges[1:]))
+
+
+def _step(job: tuple, span: tuple[int, int]) -> tuple[int, list[tuple]]:
+    """(ps.size, entries) for the odd primes ps of one span (see _spans): entry b
+    is _tally_step's entry for plans[b], over ps less the primes bads[b].  A
+    span that holds no prime has no entries.
 
     job is (base, bads, plans, ts, exact, split): the base primes <= sqrt(x),
-    each plan's excluded primes, the plans and sweeps' flags.  ps and job are
-    all it reads, so it gives the same tallies in process and in a worker.
+    each plan's excluded primes, the plans and sweeps' flags.  job and span
+    are all it reads, so it gives the same tallies in process and in a worker.
     """
     base, bads, plans, ts, exact, split = job
+    lo, hi = span
+    ps = arith.odd_primes(lo, hi, base)
+    if not ps.size:
+        return 0, []
     qs = _factor_shard(ps - 1, base)
-    first, last = int(ps[0]), int(ps[-1])
-    groups: dict[tuple[int, ...], list[int]] = {}  # excluded primes in the chunk -> the bases dropping them
+    groups: dict[tuple[int, ...], list[int]] = {}  # excluded primes in the span -> the bases dropping them
     for b, bad in enumerate(bads):
-        groups.setdefault(tuple(p for p in bad if first <= p <= last), []).append(b)
+        groups.setdefault(tuple(p for p in bad if lo <= p < hi), []).append(b)
     out = [None] * len(plans)
     for drop, members in groups.items():
         at = np.searchsorted(ps, drop)
-        # np.delete copies, and most chunks have no excluded prime in them
+        # np.delete copies, and most spans have no excluded prime in them
         own = (np.delete(ps, at), np.delete(qs, at, axis=0)) if drop else (ps, qs)
         for b, tally in zip(members, _tally_step([plans[b] for b in members], ts, *own, exact, split)):
             out[b] = tally
-    return out
+    return ps.size, out
 
 
-# A worker's job (see _step), set once by the pool's initializer; the
-# process that starts the pool never sets it.
-_job = None
-
-
-def _hold_job(job: tuple) -> None:
-    global _job
-    _job = job
-
-
-def _pool_step(ps: np.ndarray) -> list[tuple]:
-    return _step(_job, ps)
-
-
-def _pool(workers: int, job: tuple):
-    """A pool of `workers` processes for _pool_step, each given job once.
+def _pool(workers: int):
+    """A pool of `workers` processes for the steps of a sweep.
 
     They are forked: a fork starts with numpy already imported, where spawn
     re-imports it in every worker, and a 1e7 count ran slower under spawn
@@ -439,9 +443,7 @@ def _pool(workers: int, job: tuple):
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    return ProcessPoolExecutor(
-        workers, mp_context=multiprocessing.get_context("fork"), initializer=_hold_job, initargs=(job,)
-    )
+    return ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
 
 
 def _sum_over_multiples(f: np.ndarray, primes: np.ndarray) -> None:
@@ -459,7 +461,7 @@ def _sum_over_multiples(f: np.ndarray, primes: np.ndarray) -> None:
 
 
 def check_args(x: int, ts, *, threads: int = 1, exact: bool = False) -> tuple[int, ...]:
-    """Refuse, before any prime table or pool exists, what sweeps refuses at these arguments
+    """Refuse, before anything is sieved or any pool exists, what sweeps refuses at these arguments
     (x outside [2, arith.MAX_SIEVE_LIMIT]; exact=True holds three int64 arrays over
     m = 0..x, so x above _MAX_EXACT_X), and return ts as sweeps reads them: ints, each
     once, in order.  A caller with work of its own before the sweep calls it first."""
@@ -488,15 +490,15 @@ def sweeps(
 ) -> list[Sweep]:
     """One streamed pass over the primes p <= x for every base in gs and all t in ts.
 
-    Sieves the primes <= x once; step k cuts the odd ones at
-    odd[k*SHARD_PRIMES : (k+1)*SHARD_PRIMES], the same chunk for every
-    base, and factors its p-1 once.  Each base drops its own excluded
-    primes from the chunk; the bases that drop the same ones share a
-    _tally_step, so the work that does not depend on g is done once per
-    step and drop set.  Returns one Sweep per entry of gs (a repeated base
-    gets the same Sweep).  With threads > 1 the steps run in
+    Sieves the base primes <= sqrt(x) (and, for exact=True alone, the
+    primes <= x); step k sieves the odd primes of span k of _spans(x),
+    the same for every base, and factors their p-1 once.  Each base drops
+    its own excluded primes from the span; the bases that drop the same
+    ones share a _tally_step, so the work that does not depend on g is
+    done once per step and drop set.  Returns one Sweep per entry of gs
+    (a repeated base gets the same Sweep).  With threads > 1 the steps run in
     min(threads, usable cores, steps) forked worker processes (_pool).
-    Results are independent of ``threads``: steps are merged in chunk
+    Results are independent of ``threads``: steps are merged in span
     order.  Raises LemmaViolation unless H = M exactly and
     0 <= N <= R <= pi(x;t,1) for every base and t.
     split=True also checks the splitting criterion on every counted prime
@@ -506,17 +508,18 @@ def sweeps(
     ts = check_args(x, ts, threads=threads, exact=exact)
     distinct = list(dict.fromkeys(gs))
     plans = [_plan(g, ts) for g in distinct]
-    table = arith.build_prime_table(x)
-    odd = table.primes[1:]
     bads = [sorted(p for p in excluded_primes(g) if 2 < p <= x) for g in distinct]
-    job = (table.primes_upto(isqrt(x)), bads, plans, ts, exact, split)
-    chunks = [odd[start : start + SHARD_PRIMES] for start in range(0, odd.size, SHARD_PRIMES)]
-    workers = min(threads, len(os.sched_getaffinity(0)), len(chunks))
+    job = (arith.build_prime_table(max(2, isqrt(x))).primes, bads, plans, ts, exact, split)
+    spans = _spans(x)
+    workers = min(threads, len(os.sched_getaffinity(0)), len(spans))
     if workers > 1:
-        with _pool(workers, job) as pool:
-            tallies = list(pool.map(_pool_step, chunks))
+        with _pool(workers) as pool:
+            steps = list(pool.map(partial(_step, job), spans))
     else:
-        tallies = [_step(job, ps) for ps in chunks]
+        steps = [_step(job, span) for span in spans]
+    odd = sum(n for n, _ in steps)
+    tallies = [out for n, out in steps if n]
+    primes = arith.build_prime_table(x).primes if exact else None  # for _sum_over_multiples
 
     done = {}
     for b, plan in enumerate(plans):
@@ -525,14 +528,14 @@ def sweeps(
         for tally in own:
             ints += tally[0]
         columns = {name: dict(zip(ts, col)) for name, col in zip(_COLUMNS, ints.T.tolist())}
-        # fsum over the steps in chunk order keeps the floats independent of the worker count
+        # fsum over the steps in span order keeps the floats independent of the worker count
         sw = Sweep(
             g=plan.g,
             x=x,
             ts=ts,
             dec=plan.dec,
             params=plan.params,
-            counted=odd.size - len(bads[b]),
+            counted=odd - len(bads[b]),
             split_checks=sum(tally[4] for tally in own),
             naive={t: fsum(tally[1][i, 0] for tally in own) for i, t in enumerate(ts)},
             quad={t: fsum(tally[1][i, 1] for tally in own) for i, t in enumerate(ts)},
@@ -551,7 +554,7 @@ def sweeps(
             empty = np.zeros(0, dtype=np.int64)
             values = (np.concatenate([empty] + [tally[3][j] for tally in own]) for j in range(3))
             counts = np.stack([np.bincount(v, minlength=x + 1) for v in values])
-            _sum_over_multiples(counts, table.primes)
+            _sum_over_multiples(counts, primes)
             sw.pi_all, sw.split_all, sw.R_all = counts
         for t in ts:
             if sw.H(t) != sw.M(t) or not 0 <= sw.N[t] <= sw.R[t] <= sw.pi[t]:

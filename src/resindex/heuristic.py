@@ -1,4 +1,4 @@
-"""The weight case tables over numpy arrays, the closed form M and the
+"""The weight case table over numpy arrays, the closed form M and the
 Moebius M-sum from divisor tallies.
 
 For a counted prime p (odd, coprime to the base) the weight w(g,t;p) in
@@ -19,9 +19,9 @@ identity tests pin down.  Its one case table serves m_from_counts (one t)
 and the Moebius M-sum sum_k mu(k) M_{g,kt}(x), which reads every m = kt at
 once from an exact sweep's divisor tallies (int64 arrays over m = 0..x).
 The sums themselves are tallied by empirical.sweep, which calls the weight
-functions here on whole shards; the finite-group oracles certify the same
-functions, prime by prime.  Both evaluate w(g,t;p) and r(g,t;p) only at
-p = 1 mod t, so the case tables take t | p-1 as given and test only the
+case table here on whole shards; the finite-group oracles certify the same
+table, prime by prime.  Both evaluate w(g,t;p) and r(g,t;p) only at
+p = 1 mod t, so the case table takes t | p-1 as given and tests only the
 stronger congruences (mod 2t and mod lcm(2^(e+1), t)).
 
 Convention used throughout: a selector of 0 multiplies an expression that
@@ -41,7 +41,7 @@ from .errors import DomainError
 
 
 # ---------------------------------------------------------------------------
-# the weight case tables, over arrays of p-1 and (disc/p) (or single ints)
+# the weight case table, over arrays of p-1 and (disc/p) (or single ints)
 
 
 def _gate(pm1: np.ndarray | int, m: int, q: int, h_t: int) -> np.ndarray | bool:
@@ -50,53 +50,37 @@ def _gate(pm1: np.ndarray | int, m: int, q: int, h_t: int) -> np.ndarray | bool:
     return cond & (np.gcd(pm1 // q, h_t) == 1) if h_t > 1 else cond
 
 
-def weights_w_vec(
-    dec: GDecomposition, pa: HeuristicParams, pm1: np.ndarray | int, leg: np.ndarray | int
-) -> np.ndarray:
-    """The weight w(g,t;p) for exact residual index t; integers in {0,1,2}.
+def weights(dec: GDecomposition, pa: HeuristicParams, pm1: np.ndarray | int, leg: np.ndarray | int) -> tuple:
+    """The weights (w, r) = (w(g,t;p), r(g,t;p)); integers in {0,1,2}.
 
-    pm1 holds p-1 and leg (disc/p), as equal-shape arrays or as ints, at
-    primes p = 1 mod t only (not tested here).
-    g > 0: requires ((p-1)/t, h_t) = 1, value
-           1 + (eps1/2) * (1 + (-1)^((p-1)/2^e)) * (disc/p).
-    g < 0, h_t odd: requires p = 1 mod lcm(2^(e+1), t) and the same gcd
-           condition, value 1 + eps1 * (-1)^((p-1)/2^(e+1)) * (disc/p).
-    g < 0, h_t even: 2 when p = 1 mod 2t and ((p-1)/2t, h_t) = 1.
-    Otherwise 0.
+    w is the weight for exact residual index t, r the one for t-divisible
+    residual index.  pm1 holds p-1 and leg (disc/p), as equal-shape arrays
+    or as ints, at primes p = 1 mod t only (not tested here).  With
+    s = (-1)^((p-1)/2^(e+1)):
+    g > 0: w requires ((p-1)/t, h_t) = 1, value
+           1 + (eps1/2) * (1 + (-1)^((p-1)/2^e)) * (disc/p);
+           r = 1 + eps2 * (disc/p).
+    g < 0, h_t odd: w requires p = 1 mod lcm(2^(e+1), t) and the same gcd
+           condition, value 1 + eps1 * s * (disc/p).
+    g < 0, h_t even: w = 2 when p = 1 mod 2t and ((p-1)/2t, h_t) = 1.
+    g < 0: on p = 1 mod 2^(1-eps2) t, r = 1 + eps2 * s * (disc/p).
+    Otherwise 0.  Coset enumeration in (Z/pZ)* forces the eps2 coefficient
+    of r in the negative case (a |eps1| coefficient fails at tau = e).
     """
     t = pa.t
     if dec.sign > 0:
+        r = 1 + pa.eps2 * leg
         cond = _gate(pm1, 1, t, pa.h_t)
         if pa.eps1 == 0:
-            return np.where(cond, 1, 0)
+            return np.where(cond, 1, 0), r
         even = 1 - ((pm1 >> dec.e) & 1)
-        return np.where(cond, 1 + pa.eps1 * even * leg, 0)
+        return np.where(cond, 1 + pa.eps1 * even * leg, 0), r
+    s = 1 - 2 * ((pm1 >> (dec.e + 1)) & 1)
+    r = 1 + s * leg if pa.eps2 else np.where(pm1 % (2 * t) == 0, 1, 0)
     if pa.h_t % 2 == 1:  # h_t odd forces tau >= e, so eps1 != 0
         cond = _gate(pm1, lcm(1 << (dec.e + 1), t), t, pa.h_t)
-        sgn = 1 - 2 * ((pm1 >> (dec.e + 1)) & 1)
-        return np.where(cond, 1 + pa.eps1 * sgn * leg, 0)
-    return np.where(_gate(pm1, 2 * t, 2 * t, pa.h_t), 2, 0)
-
-
-def weights_r_vec(
-    dec: GDecomposition, pa: HeuristicParams, pm1: np.ndarray | int, leg: np.ndarray | int
-) -> np.ndarray:
-    """The weight r(g,t;p) for t-divisible residual index; integers in {0,1,2}.
-
-    pm1 holds p-1 and leg (disc/p), as equal-shape arrays or as ints, at
-    primes p = 1 mod t only (not tested here).
-    g > 0: 1 + eps2 * (disc/p).
-    g < 0: on p = 1 mod 2^(1-eps2) t the value is
-           1 + eps2 * (-1)^((p-1)/2^(e+1)) * (disc/p), else 0.
-    Coset enumeration in (Z/pZ)* forces the eps2 coefficient in the
-    negative case (a |eps1| coefficient fails at tau = e).
-    """
-    if dec.sign > 0:
-        return 1 + pa.eps2 * leg
-    if pa.eps2 == 0:
-        return np.where(pm1 % (2 * pa.t) == 0, 1, 0)
-    sgn = 1 - 2 * ((pm1 >> (dec.e + 1)) & 1)
-    return 1 + sgn * leg
+        return np.where(cond, 1 + pa.eps1 * s * leg, 0), r
+    return np.where(_gate(pm1, 2 * t, 2 * t, pa.h_t), 2, 0), r
 
 
 # ---------------------------------------------------------------------------

@@ -220,10 +220,9 @@ def _locate_class(g: Rational, dec: GDecomposition, p: int, leg: int) -> np.ndar
 
 
 def _weights(dec: GDecomposition, p: int, leg: int) -> tuple[np.ndarray, np.ndarray]:
-    """w(g,m;p) and r(g,m;p) at every divisor m of p-1, from the case tables the sweep runs."""
+    """w(g,m;p) and r(g,m;p) at every divisor m of p-1, from the case table the sweep runs."""
     pas = [derive_params(dec, m) for m in _lattice(p - 1).divs.tolist()]
-    w = [heuristic.weights_w_vec(dec, pa, p - 1, leg) for pa in pas]
-    r = [heuristic.weights_r_vec(dec, pa, p - 1, leg) for pa in pas]
+    w, r = zip(*(heuristic.weights(dec, pa, p - 1, leg) for pa in pas))
     return np.array(w, dtype=np.int64), np.array(r, dtype=np.int64)
 
 

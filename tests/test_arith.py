@@ -41,6 +41,11 @@ def segmented_recount(limit: int, block: int = 10**4) -> int:
     return count
 
 
+def brute_primes(lo: int, hi: int) -> list[int]:
+    """The primes in [lo, hi), by trial division."""
+    return [n for n in range(max(lo, 2), hi) if all(n % d for d in range(2, math.isqrt(n) + 1))]
+
+
 def ramanujan_by_roots(d: int, n: int) -> complex:
     return sum(cmath.exp(2j * cmath.pi * k * n / d) for k in range(1, d + 1) if gcd(k, d) == 1)
 
@@ -62,6 +67,28 @@ def test_prime_count_multi_segment():
     # 1e7 spans several sieve segments; count pinned to the classic value
     t = arith.build_prime_table(10**7)
     assert len(t.primes) == len(arith._simple_sieve(10**7)) == 664579
+
+
+def test_odd_primes_match_brute_force():
+    # base primes to 97 serve every span below 97**2 = 9409
+    base = arith._simple_sieve(100)
+    spans = [(3, 4), (3, 200), (0, 50), (1, 3), (2, 30), (5, 90)]  # from lo = 3 and spans holding base primes
+    for q in (3, 7, 23, 97):  # lo just below, at and just above q*q, and a span starting at q
+        spans += [(q * q - 2, q * q + 40), (q * q, q * q + 40), (q * q + 2, q * q + 60), (q, q * q + 1)]
+    spans += [(lo, lo + 1) for lo in range(0, 9409, 97)]  # hi = lo + 1
+    spans += [(lo, lo + 30) for lo in (9001, 9010, 9311)]  # narrower than the base prime 97
+    for lo, hi in spans:
+        got = arith.odd_primes(lo, hi, base)
+        assert got.dtype == np.int64 and got.tolist() == [p for p in brute_primes(lo, hi) if p > 2], (lo, hi)
+
+
+def test_build_prime_table_by_small_segments(monkeypatch):
+    # segments of 6 or 10 numbers put a segment edge next to every q*q and every few primes
+    for segment in (6, 10):
+        monkeypatch.setattr(arith, "_SEGMENT", segment)
+        for limit in range(2, 301):
+            assert arith.build_prime_table(limit).primes.tolist() == brute_primes(2, limit + 1), (segment, limit)
+    assert arith.build_prime_table(20011).primes.tolist() == brute_primes(2, 20012)  # about 2000 segments
 
 
 def test_bad_limits():

@@ -1,6 +1,6 @@
 import pickle
 from collections import Counter
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction
 from math import gcd, isqrt
 
@@ -309,17 +309,23 @@ def test_sweep_thread_determinism():
         assert np.array_equal(getattr(a, name), getattr(b, name)), name
 
 
-# the bases drop different excluded primes (3, 5, 7, 99991) from chunks that base 2 counts
-# whole, and 1/2 shares base 2's tally
+# the bases drop different excluded primes (3, 5, 7, 99991) from spans whose primes base 2
+# counts whole, and 1/2 shares base 2's tally
 _SWEEPS_BASES = tuple(
     map(Fraction, (99991, Fraction(-7, 99991), Fraction(9, 25), 3**50, 1024, -64, Fraction(1, 2), 2, 2))
 )
 
 
+def span_primes(table, x: int) -> list[list[int]]:
+    """The odd primes of each of the sweep's spans at x, in order."""
+    odd = table.primes_upto(x)[1:].tolist()
+    return [[p for p in odd if lo <= p < hi] for lo, hi in empirical._spans(x)]
+
+
 def test_steps_cut_the_odd_primes_into_shared_chunks(table, monkeypatch):
-    # step k covers odd[512k : 512(k+1)] for every base; each base gets that
-    # chunk less exactly its excluded primes, and the bases that drop the same
-    # primes of a chunk share one _tally_step call
+    # the steps' spans tile [3, x + 1) in order, the same for every base; each base gets
+    # a span's odd primes less exactly its excluded primes, and the bases that drop the
+    # same primes of a span share one _tally_step call
     monkeypatch.setattr(empirical, "SHARD_PRIMES", 512)
     calls = []
     tally_step = empirical._tally_step
@@ -328,31 +334,54 @@ def test_steps_cut_the_odd_primes_into_shared_chunks(table, monkeypatch):
         "_tally_step",
         lambda plans, ts, ps, *a: calls.append(([p.g for p in plans], ps.tolist())) or tally_step(plans, ts, ps, *a),
     )
-    odd = table.primes_upto(10**5)[1:].tolist()
-    edges = Fraction(odd[512], odd[1023])  # excluded at the first and at the last position of chunk 1
+    second = span_primes(table, 10**5)[1]
+    edges = Fraction(second[0], second[-1])  # excluded at the first and at the last position of span 1
     cases = ((10**5, _SWEEPS_BASES + (edges,)), (99991, _SWEEPS_BASES), (3, (Fraction(3), Fraction(2))))
     seen = {}
     for x, gs in cases:
+        spans = empirical._spans(x)
+        assert [lo for lo, _ in spans] + [x + 1] == [3] + [hi for _, hi in spans], x
+        assert all(lo < hi for lo, hi in spans), x
         calls.clear()
         empirical.sweeps(gs, x, (1, 2))
         seen[x] = list(calls)
         counted = {g: counted_primes(g, x, table) for g in gs}
-        chunks = [p for p in odd if p <= x]
-        chunks = [chunks[lo : lo + 512] for lo in range(0, len(chunks), 512)]
+        held = [span for span in span_primes(table, x) if span]  # a span without primes has no call
         want = []
-        for chunk in chunks:
+        for span in held:
             groups = {}
             for g in dict.fromkeys(gs):
-                groups.setdefault(tuple(sorted(set(chunk) & set(counted[g]))), []).append(g)
+                groups.setdefault(tuple(sorted(set(span) & set(counted[g]))), []).append(g)
             want += [(members, list(ps)) for ps, members in groups.items()]
         assert sorted(calls) == sorted(want), x
-        # each base's primes over all steps are its counted primes, each chunk's in one call
+        # each base's primes over all steps are its counted primes, each span's in one call
         for g in gs:
             got = [ps for members, ps in calls if g in members]
-            assert len(got) == len(chunks) and sum(got, []) == counted[g], (x, g)
-    # an excluded prime first and last in a chunk, and a group with no primes, were reached
-    assert ([edges], odd[513:1023]) in seen[10**5]
+            assert len(got) == len(held) and sum(got, []) == counted[g], (x, g)
+    # an excluded prime first and last in a span, and a group with no primes, were reached
+    assert ([edges], second[1:-1]) in seen[10**5]
     assert ([Fraction(3)], []) in seen[3]
+
+
+def test_sweep_past_an_empty_last_span(table):
+    # at x = 90855, a span edge and 5 * 18171, the last span [x, x + 1) holds no prime:
+    # the sweep must equal the one at the prime before x, field by field
+    x = 90855
+    spans = empirical._spans(x)
+    assert spans[-1] == (x, x + 1) and not arith.is_prime(x)
+    prev = int(table.primes_upto(x)[-1])
+    gs = (parse_g("2"), parse_g("-4"), parse_g("9/25"), Fraction(1, 2))
+    for sw, want in zip(
+        empirical.sweeps(gs, x, (1, 2, 3), exact=True, split=True),
+        empirical.sweeps(gs, prev, (1, 2, 3), exact=True, split=True),
+    ):
+        assert sw.x == x and want.x == prev
+        for name in (f.name for f in fields(empirical.Sweep)):
+            got, ref = getattr(sw, name), getattr(want, name)
+            if isinstance(ref, np.ndarray):  # over m = 0..x: zero beyond prev, as p - 1 < prev
+                assert np.array_equal(got[: prev + 1], ref) and not got[prev + 1 :].any(), (sw.g, name)
+            elif name != "x":
+                assert got == ref, (sw.g, name)  # floats bitwise
 
 
 def test_sweeps_equal_per_base_sweeps(table, monkeypatch):
@@ -374,7 +403,7 @@ def test_sweeps_equal_per_base_sweeps(table, monkeypatch):
 
 
 def test_report_factors_each_step_once(table, monkeypatch):
-    # one _factor_shard call per step serves all nine bases
+    # one _factor_shard call per step that holds a prime serves all nine bases
     calls = []
     factor_shard = empirical._factor_shard
     monkeypatch.setattr(empirical, "_factor_shard", lambda *a: calls.append(a) or factor_shard(*a))
@@ -382,8 +411,7 @@ def test_report_factors_each_step_once(table, monkeypatch):
     x = 20000
     argv = ["report", "--x", str(x), "--t", "1", "--t", "2", "--format", "csv"]
     assert cli.main(argv + [f"--g={g}" for g in BASE_STRINGS]) == 0
-    odd_primes = len(table.primes_upto(x)) - 1
-    assert len(calls) == -(-odd_primes // 512) > 1
+    assert len(calls) == sum(map(bool, span_primes(table, x))) > 1
 
 
 def test_report_runs_the_kernel_once_per_root(table, monkeypatch):
@@ -397,22 +425,22 @@ def test_report_runs_the_kernel_once_per_root(table, monkeypatch):
     x = 20000
     argv = ["report", "--x", str(x), "--t", "1", "--t", "2", "--format", "csv"]
     assert cli.main(argv + [f"--g={g}" for g in BASE_STRINGS]) == 0
-    steps = -(-(len(table.primes_upto(x)) - 1) // 512)
+    steps = sum(map(bool, span_primes(table, x)))
     assert len(calls) == len(tables) == 4 * steps > 4
     assert set(calls) == {2, 3, 5, Fraction(5, 3)}
 
 
 def test_report_tallies_once_per_key(table, monkeypatch):
     # 2 and 1/2 have one root, sign and h, so the nine bases have eight tallies: one
-    # weights_w_vec call per key, t and step
+    # weights call per key, t and step
     calls = []
-    weights_w_vec = heuristic.weights_w_vec
-    monkeypatch.setattr(heuristic, "weights_w_vec", lambda dec, *a: calls.append(dec) or weights_w_vec(dec, *a))
+    weights = heuristic.weights
+    monkeypatch.setattr(heuristic, "weights", lambda dec, *a: calls.append(dec) or weights(dec, *a))
     monkeypatch.setattr(empirical, "SHARD_PRIMES", 512)
     x = 20000
     argv = ["report", "--x", str(x), "--t", "1", "--t", "2", "--format", "csv"]
     assert cli.main(argv + [f"--g={g}" for g in BASE_STRINGS]) == 0
-    steps = -(-(len(table.primes_upto(x)) - 1) // 512)
+    steps = sum(map(bool, span_primes(table, x)))
     assert len(calls) == 8 * 2 * steps > 16
     assert len({(empirical._root(dec), dec.sign, dec.h) for dec in calls}) == 8
 
@@ -455,8 +483,7 @@ def test_count_factors_each_shard_once(table, monkeypatch):
     monkeypatch.setattr(empirical, "SHARD_PRIMES", 512)
     x = 20000
     assert cli.main(["count", "--g", "2", "--t", "2", "--x", str(x), "--threads", "1"]) == 0
-    odd_primes = len(table.primes_upto(x)) - 1
-    assert len(calls) == -(-odd_primes // 512) > 1
+    assert len(calls) == sum(map(bool, span_primes(table, x))) > 1
 
 
 def test_worker_faults_exit_3(monkeypatch, capsys):
@@ -467,7 +494,7 @@ def test_worker_faults_exit_3(monkeypatch, capsys):
     monkeypatch.setattr(empirical.os, "sched_getaffinity", lambda pid: {0, 1})
     started = []
     pool = empirical._pool
-    monkeypatch.setattr(empirical, "_pool", lambda workers, job: started.append(workers) or pool(workers, job))
+    monkeypatch.setattr(empirical, "_pool", lambda workers: started.append(workers) or pool(workers))
     assert cli.main(["count", "--g", "2", "--t", "2", "--x", "100000", "--threads", "2"]) == 3
     assert started == [2]
     assert "splitting criterion" in capsys.readouterr().err
@@ -483,15 +510,15 @@ def same_tallies(a, b) -> bool:
 
 
 def test_step_reads_only_its_arguments(monkeypatch):
-    # a worker gets its job and chunk as pickles: a copy of them must give the same tallies,
+    # a worker gets its job and span as pickles: a copy of them must give the same tallies,
     # so _step depends on no object shared with the caller beyond what it is passed
     calls = []
     step = empirical._step
-    monkeypatch.setattr(empirical, "_step", lambda job, ps: calls.append((job, ps)) or step(job, ps))
+    monkeypatch.setattr(empirical, "_step", lambda job, span: calls.append((job, span)) or step(job, span))
     empirical.sweeps((parse_g("2"), parse_g("-4"), parse_g("9/25")), 10**5, (1, 2, 3), exact=True, split=True)
     assert len(calls) == 2
-    for job, ps in calls:
-        assert same_tallies(step(*pickle.loads(pickle.dumps((job, ps)))), step(job, ps))
+    for job, span in calls:
+        assert same_tallies(step(*pickle.loads(pickle.dumps((job, span)))), step(job, span))
 
 
 def test_split_check_catches_kernel_faults(monkeypatch, capsys):
@@ -524,6 +551,20 @@ def near_1e9():
     return [p for p in range(10**9 - 44999, 10**9, 2) if arith.is_prime(p)]
 
 
+def test_pow_ladder_edges():
+    # e = 0 and 1, and exponents of an odd and an even number of bits, alone (the ladder
+    # then runs exactly their bit length) and mixed, on moduli near 2**30
+    m = np.array([2**30 - 1, 2**30 - 3, 2**30 - 35, 999999937], dtype=np.int64)
+    b = np.array([2**30 - 2, 3, 2**29 + 12345, 999999936], dtype=np.int64)
+    exps = (0, 1, 2, 0b101, 0b1101101, 2**28 + 3, 2**29 - 1, 2**30 - 7)
+    for e in exps:
+        got = empirical._pow_ladder(b, np.full(m.size, e), m)
+        assert got.tolist() == [pow(int(bi), e, int(mi)) for bi, mi in zip(b, m)], e
+    e = np.array([0, 1, 0b1101101, 2**28 + 3])
+    got = empirical._pow_ladder(b, e, m)
+    assert got.tolist() == [pow(int(bi), int(ei), int(mi)) for bi, ei, mi in zip(b, e, m)]
+
+
 def test_split_check_ladder_on_primes_near_1e9(table, near_1e9):
     # t = 1 takes the largest exponent, p-1, and every product comes near 2**60
     ps, ts = np.array(near_1e9), range(1, 25)
@@ -553,7 +594,8 @@ def test_split_check_needs_no_kernel_routine(table, near_1e9, monkeypatch):
 
 
 def test_sweep_bounds(monkeypatch):
-    # a sweep sieves the primes <= x itself, once, after refusing x beyond the sieve
+    # a sweep sieves the base primes <= sqrt(x) itself, once, after refusing x beyond the
+    # sieve; its steps sieve their own spans, and only exact=True builds the table to x
     limits = []
     build = arith.build_prime_table
     monkeypatch.setattr(arith, "build_prime_table", lambda limit: limits.append(limit) or build(limit))
@@ -561,7 +603,10 @@ def test_sweep_bounds(monkeypatch):
         empirical.sweep(parse_g("2"), arith.MAX_SIEVE_LIMIT + 1, (1,))
     assert limits == []
     sw = empirical.sweep(parse_g("2"), 30000, (1, 2), threads=2, exact=True, split=True)
-    assert limits == [30000] and sw.counted == 3244  # the odd primes: pi(30000) = 3245
+    assert limits == [173, 30000] and sw.counted == 3244  # the odd primes: pi(30000) = 3245
+    limits.clear()
+    assert empirical.sweep(parse_g("2"), 30000, (1, 2), threads=2, split=True).counted == 3244
+    assert limits == [173]
     # the arrays over m = 0..x of exact=True are refused above 1e7 before any work
     with pytest.raises(CapabilityError, match="exact tallies .* exceeds 10000000"):
         empirical.sweep(parse_g("2"), 10**7 + 1, (1,), exact=True)
@@ -597,14 +642,12 @@ def test_every_column_matches_brute_force(table, monkeypatch):
     # bases that share a tally (2 and 1/2, 5/3 and 3/5): pi, pi2, split and split2 by
     # Euler's criterion, sum_r by the r case table one prime at a time, N and R from
     # divisor_index and L_num and Q_num as its Ramanujan sums; at t = 1024 and 4096 some
-    # shards hold no p = 1 mod t
+    # spans hold no p = 1 mod t
     monkeypatch.setattr(empirical, "SHARD_PRIMES", 512)
     x, ts = 10**5, tuple(range(1, 13)) + (1024, 4096)
     gs = tuple(map(parse_g, ("2", "1/2", "8", "-2", "-4", "5/3", "3/5", "9/25", "-3")))
-    odd = table.primes_upto(x)[1:]
-    shards = [odd[lo : lo + 512] for lo in range(0, odd.size, 512)]
     for t in (1024, 4096):
-        hits = [((shard - 1) % t == 0).any() for shard in shards]
+        hits = [any((p - 1) % t == 0 for p in span) for span in span_primes(table, x)]
         assert any(hits) and not all(hits), t
     for g, sw in zip(gs, empirical.sweeps(gs, x, ts)):
         dec = decompose_g(g)
@@ -624,7 +667,7 @@ def test_every_column_matches_brute_force(table, monkeypatch):
                 "split2": twos.count(1),
                 "N": rs.count(t),
                 "R": sum(r % t == 0 for r in rs),
-                "sum_r": sum(int(heuristic.weights_r_vec(dec, pa, p - 1, leg)) for p, _, leg in ones),
+                "sum_r": sum(int(heuristic.weights(dec, pa, p - 1, leg)[1]) for p, _, leg in ones),
                 "L_num": sum(n * arith.ramanujan_sum(d, r) for r, n in low.items() for d in trial_divisors(ght)),
                 "Q_num": sum(
                     n * arith.ramanujan_sum(d, r)

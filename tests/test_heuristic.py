@@ -14,8 +14,7 @@ def weights(g, t, p):
     dec = decompose_g(g)
     pa = derive_params(dec, t)
     leg = euler_criterion(dec.disc, p)
-    w = heuristic.weights_w_vec(dec, pa, p - 1, leg)
-    r = heuristic.weights_r_vec(dec, pa, p - 1, leg)
+    w, r = heuristic.weights(dec, pa, p - 1, leg)
     return int(w), int(r)
 
 

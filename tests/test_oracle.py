@@ -313,8 +313,13 @@ def test_weight_fault_names_the_counting_case(monkeypatch):
     # w(2,3;p) off by one: sigma = w*mu fails at t = 3, and both Moebius relations read w(2,3;p)
     from resindex import heuristic
 
-    weights_w_vec = heuristic.weights_w_vec
-    monkeypatch.setattr(heuristic, "weights_w_vec", lambda dec, pa, *a: weights_w_vec(dec, pa, *a) + (pa.t == 3))
+    weights = heuristic.weights
+
+    def faulty(dec, pa, *args):
+        w, r = weights(dec, pa, *args)
+        return w + (pa.t == 3), r
+
+    monkeypatch.setattr(heuristic, "weights", faulty)
     res = oracle.weight_oracle_suite([parse_g("2")], 50)
     assert [v.split(":")[0] for v in res.violations] == [
         line
