@@ -35,9 +35,10 @@ tuple and its span, two ints; with threads > 1 the steps run in forked
 worker processes (_pool), each task carrying its job and span.
 Every sweep ends by checking H = M exactly and 0 <= N <= R <= pi(x;t,1)
 for each base and t.  One vectorized kernel, _shard_indexes, finds r for
-a whole shard from the prime factors of p-1 (_factor_shard: the whole
-power of 2 at once, a strided slice per power of each odd base prime
-below 64, one array of the multiples of all the larger ones), reading
+a whole shard from the prime factors of p-1 (_factor_shard, int32
+rows: the whole power of 2 at once, then, over the range of (p-1)/2, a
+strided slice per power of each odd base prime below 64 and one array of
+the multiples of all the larger ones), reading
 every power of its order loop off one table of the base mod p
 (arith.power_table; a fraction's denominator is inverted by array
 Euclid, arith.inverse_mod_vec).  It runs once per root
@@ -49,9 +50,9 @@ The sweep and the weight oracle both reach r and (disc/p) that way.
 With split=True (as `count` asks) the sweep also checks the splitting
 criterion t | r_g(p) <=> (p = 1 mod t and g^((p-1)/t) = 1 mod p) on each
 shard's r as soon as it is found (_split_check).  Its algebraic side is
-a whole-shard square-and-multiply ladder of its own (_pow_ladder), kept
-apart from arith's power tables so that a fault in those cannot pass on
-both sides.
+a whole-shard base-4 ladder of its own (_pow_ladder) on g's numerator and
+denominator mod p (_residues), kept apart from arith's power tables and
+reductions so that a fault in those cannot pass on both sides.
 """
 
 from __future__ import annotations
@@ -87,8 +88,11 @@ _FACTOR_COLUMNS = 10
 # _factor_shard sieves by each odd base prime below this one at a time, by
 # all the larger ones at once.  The array of multiples of q holds a 1/q share
 # of the shard's range, so the small q would dominate it: with every odd q in
-# the array pass a shard takes 1.3-1.9 times as long (best of 25 at 1e6, 1e7
-# and 1e8 on 2 vCPUs), and cuts from 32 to 128 time alike.
+# the array pass a shard takes 1.3-1.9 times as long.  Over the range of
+# (p-1)/2, cuts 32 / 64 / 128 took 2.22 / 2.15 / 2.12 ms at 1e6,
+# 2.71 / 2.59 / 2.55 ms at 1e7 and 3.14 / 3.01 / 2.96 ms at 1e8 (the last
+# full span below x, best of 25, interleaved, 2 vCPUs); 64 and 128 swapped
+# places on a rerun, so 64 stays.
 _DENSE_Q = 64
 
 
@@ -101,23 +105,26 @@ def _factor_shard(pm1: np.ndarray, base: np.ndarray) -> np.ndarray:
 
     Every value must be even, as p-1 of an odd prime is: column 0 is 2, and
     rest & -rest, the whole power of 2 in each value, is divided out at once.
-    The rest is sieved over the range [pm1[0], pm1[-1]] by the odd base
-    primes; base must include all primes <= sqrt(pm1[-1]), so what is left
-    of a value after its base primes and their powers are divided out is 1
-    or a single prime.  An odd base prime q < _DENSE_Q hits densely and
-    takes one strided slice per power of q.  The multiples of all larger q
-    come from one array of positions, q ascending; the hits that are some
-    p-1 are ranked within their row by a stable sort, and each row is
-    divided by its q's until none divides.  Row i of the returned
-    [len(pm1), w] array lists the distinct primes of pm1[i] in ascending
-    order, padded with 1, where w is the widest row's count (at most
-    _FACTOR_COLUMNS).
+    An odd q divides p-1 exactly when it divides (p-1)/2, so the odd base
+    primes sieve the range [pm1[0]/2, pm1[-1]/2] of the halves, half the
+    range of the values themselves.  base must include all primes
+    <= sqrt(pm1[-1]), so what is left of a value after its base primes and
+    their powers are divided out is 1 or a single prime.  An odd base prime
+    q < _DENSE_Q hits densely and takes one strided slice per power of q.
+    The multiples of all larger q come from one array of positions, q
+    ascending; the hits that are some (p-1)/2 are ranked within their row by
+    a stable sort, and each row is divided by its q's until none divides.
+    Row i of the returned int32 [len(pm1), w] array lists the distinct
+    primes of pm1[i] in ascending order, padded with 1, where w is the
+    widest row's count (at most _FACTOR_COLUMNS); every entry is below 2**30,
+    since pm1 is below MAX_SIEVE_LIMIT.
     """
     n = pm1.size
-    lo, hi = int(pm1[0]), int(pm1[-1])
+    half = pm1 >> 1
+    lo, hi = int(half[0]), int(half[-1])
     slot = np.full(hi - lo + 1, -1, dtype=np.int32)
-    slot[pm1 - lo] = np.arange(n, dtype=np.int32)
-    qs = np.ones((n, _FACTOR_COLUMNS), dtype=np.int64)
+    slot[half - lo] = np.arange(n, dtype=np.int32)
+    qs = np.ones((n, _FACTOR_COLUMNS), dtype=np.int32)
     qs[:, 0] = 2
     filled = np.ones(n, dtype=np.int64)
     rest = pm1 // (pm1 & -pm1)
@@ -138,12 +145,14 @@ def _factor_shard(pm1: np.ndarray, base: np.ndarray) -> np.ndarray:
     large = base[dense:]
     first = -lo % large  # lo + first is the least multiple of q >= lo
     count = np.maximum((hi - lo - first) // large + 1, 0)
-    # the j-th multiple of q is lo + first + j*q; its slot, with k = start + j
-    # its index among the multiples of all q, is k*q + (first - start*q)
-    q_at = np.repeat(large, count)
-    pos = np.arange(q_at.size)
+    # the j-th multiple of q is lo + first + j*q, at slot first + j*q (int32
+    # holds it, as it holds the slot); k = start + j is its index among the
+    # multiples of all q
+    q_at = np.repeat(large.astype(np.int32), count)
+    pos = np.arange(q_at.size, dtype=np.int32)
+    pos -= np.repeat((np.cumsum(count) - count).astype(np.int32), count)
     pos *= q_at
-    pos += np.repeat(first - large * (np.cumsum(count) - count), count)
+    pos += np.repeat(first.astype(np.int32), count)
     rows = slot[pos]
     del pos
     keep = rows >= 0
@@ -580,31 +589,58 @@ def sweep(
 
 
 def _pow_ladder(b: np.ndarray, e: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """b**e % m elementwise by right-to-left square-and-multiply, for int64
-    arrays with 0 <= b < m < 2**30 (so every product is below 2**60)."""
-    acc = np.ones_like(m)
-    for _ in range(int(e.max(initial=0)).bit_length()):
-        acc = np.where(e & 1, acc * b % m, acc)
-        e = e >> 1
-        b = b * b % m
+    """b**e % m elementwise, for int64 arrays with 0 <= b < m < 2**30 (so
+    every product is below 2**60).
+
+    Left to right over the base-4 digits of e, with b, b**2 and b**3 at hand:
+    each digit after the first costs two squarings and one multiply by the
+    digit's power, 3 mulmods per 2 bits where square-and-multiply takes 4.
+    """
+    digits = (int(e.max(initial=0)).bit_length() + 1) // 2
+    if not digits:
+        return np.ones_like(m)
+    n = m.size
+    b2 = b * b % m
+    powers = np.concatenate((np.ones_like(m), b, b2, b2 * b % m))  # b**d at d*n + i
+    at = np.arange(n)
+    acc = powers.take((e >> 2 * digits - 2) * n + at)
+    for shift in range(2 * digits - 4, -1, -2):
+        acc = acc * acc % m
+        acc = acc * acc % m
+        acc = acc * powers.take(((e >> shift) & 3) * n + at) % m
     return acc
+
+
+# Below this bound a numerator or denominator fits int64 with room to spare,
+# and numpy's floor % by a positive modulus agrees with Python's.
+_NUMPY_RESIDUES = 2**62
+
+
+def _residues(v: int, ps: np.ndarray) -> np.ndarray:
+    """v mod p for every p in ps, by numpy % when |v| < _NUMPY_RESIDUES and by
+    Python's % one prime at a time for wider v."""
+    if -_NUMPY_RESIDUES < v < _NUMPY_RESIDUES:
+        return np.int64(v) % ps
+    return np.fromiter(map(v.__mod__, ps.tolist()), dtype=np.int64, count=ps.size)
 
 
 def _split_check(g: Rational, ts, ps: np.ndarray, r: np.ndarray) -> int:
     """Check t | r <=> (p = 1 mod t and g^((p-1)/t) = 1 mod p) for the
     kernel's residual indexes r of the counted primes ps and every t in ts.
 
-    The algebraic side is its own square-and-multiply ladder (_pow_ladder)
-    on g itself, never the kernel's table routines in arith, so a fault in
-    those cannot pass on both sides.  g = num/den is tested as
-    num^e = den^e mod p, which needs no inverse.  Returns the number of
-    (p, t) pairs checked; raises LemmaViolation on a mismatch.
+    The algebraic side is its own ladder (_pow_ladder) on g itself, with
+    num and den reduced mod p by _residues, never the kernel's table and
+    reduction routines in arith, so a fault in those cannot pass on both
+    sides.  g = num/den is tested as num^e = den^e mod p, which needs no
+    inverse.  t = 1 is checked too, though its algebraic side is Fermat's
+    num^(p-1) = den^(p-1) = 1: that still fails at a counted prime dividing
+    num or den, so it certifies the sweep's excluded primes, and it keeps
+    the count of pairs checked at len(ps) * len(ts).  Returns that count;
+    raises LemmaViolation on a mismatch.
     """
     num, den = g.numerator, g.denominator
-    primes = ps.tolist()
-    # numerator and denominator mod p, once per shard; Python % keeps any width exact
-    nums = np.fromiter(map(num.__mod__, primes), dtype=np.int64, count=len(primes))
-    dens = np.fromiter(map(den.__mod__, primes), dtype=np.int64, count=len(primes)) if den != 1 else None
+    nums = _residues(num, ps)
+    dens = _residues(den, ps) if den != 1 else None
     for t in ts:
         # only p = 1 mod t can pass; the others keep algebraic False
         ones = np.flatnonzero((ps - 1) % t == 0)
@@ -618,7 +654,7 @@ def _split_check(g: Rational, ts, ps: np.ndarray, r: np.ndarray) -> int:
         if bad.size:
             i = int(bad[0])
             raise LemmaViolation(
-                f"splitting criterion failed: g={g} p={primes[i]} t={t}: "
+                f"splitting criterion failed: g={g} p={ps[i]} t={t}: "
                 f"t|r is {bool(divides[i])}, algebraic test is {bool(algebraic[i])}"
             )
-    return len(primes) * len(ts)
+    return ps.size * len(ts)

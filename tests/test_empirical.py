@@ -1,4 +1,5 @@
 import pickle
+import tracemalloc
 from collections import Counter
 from dataclasses import fields, replace
 from fractions import Fraction
@@ -87,31 +88,37 @@ def window_primes(lo: int, hi: int) -> list[int]:
     return (np.flatnonzero(flags) + lo).tolist()
 
 
+FACTOR_WINDOWS = [
+    # p-1 = 4 * (2*3*...*23) has nine distinct primes, the most below 1e9
+    (892371481 - 20000, 892371481 + 20000, 1, 892371481),
+    # 67^2 | p-1: a base prime above the dense ones divides twice
+    (17957 - 3000, 17957 + 3000, 1, 17957),
+    (80803 - 3000, 80803 + 3000, 1, 80803),
+    (125693 - 3000, 125693 + 3000, 1, 125693),
+    # the last shard below 1e9
+    (10**9 - 200000, 10**9, 1, None),
+    # no base prime above the dense ones; one value, or two
+    (3, 4, 1, 3),
+    (7, 8, 1, 7),
+    (5, 8, 1, 5),
+    # every other prime: sparse over a wide range, as the weight oracle passes its counted primes
+    (3, 10**4, 2, 3),
+]
+
+
 @pytest.mark.parametrize(
-    "lo, hi, named",
-    [
-        # p-1 = 4 * (2*3*...*23) has nine distinct primes, the most below 1e9
-        (892371481 - 20000, 892371481 + 20000, 892371481),
-        # 67^2 | p-1: a base prime above the dense ones divides twice
-        (17957 - 3000, 17957 + 3000, 17957),
-        (80803 - 3000, 80803 + 3000, 80803),
-        (125693 - 3000, 125693 + 3000, 125693),
-        # the last shard below 1e9
-        (10**9 - 200000, 10**9, None),
-        # no base prime above the dense ones; one value, or two
-        (3, 4, 3),
-        (7, 8, 7),
-        (5, 8, 5),
-    ],
+    "lo, hi, step, named",
+    FACTOR_WINDOWS,
+    ids=[f"{lo}-{hi}-{named}" + (f"-step{step}" if step > 1 else "") for lo, hi, step, named in FACTOR_WINDOWS],
 )
-def test_factor_rows_match_factor_int(lo, hi, named):
-    ps = np.array(window_primes(lo, hi)[-empirical.SHARD_PRIMES :])
+def test_factor_rows_match_factor_int(lo, hi, step, named):
+    ps = np.array(window_primes(lo, hi)[-empirical.SHARD_PRIMES :: step])
     assert named is None or named in ps
     facs = [arith.factor_int(p - 1) for p in ps.tolist()]
     # the base primes of a sweep to ps[-1], and of one to 10**6, whose q up to 997 mostly miss small p
     for limit in {int(ps[-1]), max(int(ps[-1]), 10**6)}:
         qs = empirical._factor_shard(ps - 1, arith.build_prime_table(max(2, isqrt(limit))).primes)
-        assert qs.shape == (ps.size, max(map(len, facs)))
+        assert qs.shape == (ps.size, max(map(len, facs))) and qs.dtype == np.int32
         for p, qrow, fac in zip(ps.tolist(), qs.tolist(), facs):
             assert qrow == [q for q, _ in fac] + [1] * (qs.shape[1] - len(fac)), p
 
@@ -591,6 +598,49 @@ def test_split_check_needs_no_kernel_routine(table, near_1e9, monkeypatch):
         monkeypatch.setattr(arith, name, broken)
     for g, r in rs.items():
         assert empirical._split_check(g, ts, ps, r) == len(ps) * len(ts), g
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        Fraction(2**62 - 1),
+        Fraction(-(2**62 - 1), 5),
+        Fraction(7, 2**62 - 1),
+        Fraction(-7, 9),
+        # from 2**62 on, Python's % one prime at a time
+        Fraction(2**62),
+        Fraction(3, 2**62),
+        Fraction(2**63 + 1),
+        Fraction(-(2**63 + 1), 2**62 - 1),
+    ],
+)
+def test_split_check_residues_at_the_int64_edge(small_table, monkeypatch, g):
+    # numpy's % on num and den below 2**62 in magnitude agrees with Python's, signs included
+    ps = np.array(counted_primes(g, 3000, small_table))
+    r, _ = kernel_run(g, ps.tolist(), small_table)
+    for v in (g.numerator, g.denominator):
+        assert empirical._residues(v, ps).tolist() == [v % p for p in ps.tolist()], v
+    ts = (1, 2, 3, 4, 6)
+    pairs = empirical._split_check(g, ts, ps, r)
+    monkeypatch.setattr(empirical, "_NUMPY_RESIDUES", 0)  # every value takes the map
+    assert empirical._split_check(g, ts, ps, r) == pairs == ps.size * len(ts)
+
+
+def test_step_footprint():
+    # one step on the last full span below 1e7 (g = 5, t = 2, split) peaks below 3 MiB of traced
+    # allocations; a factor slot over p-1 rather than (p-1)/2, with int64 rows, peaked at 3.3 MiB
+    x, g, ts = 10**7, parse_g("5"), (2,)
+    job = (arith.build_prime_table(isqrt(x)).primes, [[5]], [empirical._plan(g, ts)], ts, False, True)
+    lo, hi = empirical._spans(x)[-2]
+    assert hi <= x  # only the last span is cut short
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        empirical._step(job, (lo, hi))
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 2**20, peak
 
 
 def test_sweep_bounds(monkeypatch):
