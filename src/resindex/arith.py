@@ -1,13 +1,19 @@
 """Elementary number-theoretic kernels.
 
-Sieving (odd_primes sieves one span; build_prime_table and each sweep step
-call it), factorization, the multiplicative functions phi and mu, Ramanujan
-sums c_d(n), modular powers over int64 arrays and the logarithmic integral
-Li(x) = int_2^x dt/log t, by Ramanujan's series for li(x) less li(2).
+Sieving (small_primes, a stdlib sieve, yields the primes up to a small
+limit; odd_primes sieves one span into an array, and build_prime_table and
+each sweep step call it), factorization, the multiplicative functions phi
+and mu, Ramanujan sums c_d(n), modular powers over int64 arrays and the
+logarithmic integral Li(x) = int_2^x dt/log t, by Ramanujan's series for
+li(x) less li(2).
 Every modular power comes from one routine: power_table builds, once per
 array of bases, the powers base^(d * 4^i) for every base-4 digit d and
 position i, and table_pow reads any exponents off it by one gather and one
 mulmod per digit.
+
+numpy is imported inside the functions that build or read arrays, so the
+integer functions (factor_int, euler_phi, moebius, v2, log_integral, ...)
+and small_primes load none of it.
 
 Everything here is deterministic; PrimeTable instances are immutable and
 safe to share with forked worker processes.
@@ -19,11 +25,14 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import compress
 from math import gcd, isqrt
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterator
 
 from .errors import BoundError, CapabilityError, DomainError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # Below 2**30, so a product of two residues mod a prime fits in int64.
 MAX_SIEVE_LIMIT = 10**9
@@ -54,18 +63,25 @@ class PrimeTable:
         """View of the primes <= x (requires x <= limit)."""
         if x > self.limit:
             raise CapabilityError(f"x={x} exceeds table limit {self.limit}")
-        k = int(np.searchsorted(self.primes, x, side="right"))
+        k = int(self.primes.searchsorted(x, side="right"))
         return self.primes[:k]
 
 
-def _simple_sieve(limit: int) -> np.ndarray:
-    """Plain boolean sieve, used for base primes up to sqrt(limit)."""
-    flags = np.ones(limit + 1, dtype=bool)
-    flags[:2] = False
-    for p in range(2, isqrt(limit) + 1):
-        if flags[p]:
-            flags[p * p :: p] = False
-    return np.flatnonzero(flags).astype(np.int64)
+def small_primes(limit: int) -> Iterator[int]:
+    """The primes <= limit, ascending, from an odd-only bytearray sieve.
+
+    flags[i] stands for 2i + 3, so the sieve takes limit / 2 bytes.
+    """
+    if limit < 2:
+        return
+    yield 2
+    flags = bytearray([1]) * ((limit - 1) // 2)
+    for i in range((isqrt(limit) - 1) // 2):
+        if flags[i]:
+            p = 2 * i + 3
+            start = (p * p - 3) // 2
+            flags[start::p] = bytes(len(range(start, len(flags), p)))
+    yield from compress(range(3, limit + 1, 2), flags)
 
 
 def odd_primes(lo: int, hi: int, base: np.ndarray) -> np.ndarray:
@@ -75,6 +91,8 @@ def odd_primes(lo: int, hi: int, base: np.ndarray) -> np.ndarray:
     span are sieved, and each odd base prime q strikes them from
     max(q*q, lo), so the base primes in the span are kept.
     """
+    import numpy as np
+
     first = max(lo | 1, 3)  # the least odd number >= lo, 1 being no prime
     flags = np.ones(max(0, (hi - first + 1) // 2), dtype=bool)  # flags[i] stands for first + 2i
     for q in base[base > 2].tolist():
@@ -90,7 +108,9 @@ def build_prime_table(limit: int) -> PrimeTable:
     """Sieve all primes up to ``limit`` (odd_primes per segment, O(segment) memory)."""
     if limit < 2 or limit > MAX_SIEVE_LIMIT:
         raise BoundError(f"limit must be in [2, {MAX_SIEVE_LIMIT}], got {limit}")
-    base = _simple_sieve(isqrt(limit))
+    import numpy as np
+
+    base = np.fromiter(small_primes(isqrt(limit)), dtype=np.int64)
     segments = [odd_primes(lo, min(lo + _SEGMENT, limit + 1), base) for lo in range(3, limit + 1, _SEGMENT)]
     return PrimeTable(limit=limit, primes=np.concatenate([np.array([2], dtype=np.int64)] + segments))
 
@@ -231,10 +251,12 @@ def moebius_sieve(limit: int) -> np.ndarray:
     those dividing n, and n has one more prime factor exactly when
     prod[n] < n, since two primes > sqrt(limit) exceed limit.
     """
+    import numpy as np
+
     mu = np.ones(limit + 1, dtype=np.int8)
     mu[0] = 0
     prod = np.ones(limit + 1, dtype=np.int64)
-    for p in _simple_sieve(isqrt(limit)).tolist():
+    for p in small_primes(isqrt(limit)):
         mu[p::p] *= -1
         mu[p * p :: p * p] = 0
         prod[p::p] *= p
@@ -311,6 +333,8 @@ def ramanujan_table(d: int) -> np.ndarray:
     Entries at non-divisor indexes are 0 and never looked up, since
     gcd(d, n) is always a divisor of d.
     """
+    import numpy as np
+
     tab = np.zeros(d + 1, dtype=np.int64)
     for g in range(1, d + 1):
         if d % g == 0:
@@ -325,6 +349,8 @@ def reduce_mod_vec(n: int, mods: np.ndarray) -> np.ndarray:
     n is any Python int: its base-2**30 digits are folded in by Horner's
     rule, so numerators, denominators and discriminants beyond int64 work.
     """
+    import numpy as np
+
     out = np.zeros_like(mods)
     digits = []
     m = abs(n)
@@ -344,6 +370,8 @@ def inverse_mod_vec(n: int, mods: np.ndarray) -> np.ndarray:
     by the other; a lane rests once either is 0, the other being gcd = 1 and
     its s the inverse.  Every |s| stays within m, so nothing leaves int64.
     """
+    import numpy as np
+
     r0, r1 = mods.copy(), reduce_mod_vec(n, mods)
     s0, s1 = np.zeros_like(mods), np.ones_like(mods)
     while ((r0 != 0) & (r1 != 0)).any():
@@ -361,6 +389,8 @@ def power_table(base: np.ndarray, mod: np.ndarray, max_exp: int) -> np.ndarray:
     arrays base and mod with 2 <= mod < 2**30; a row costs three mulmods.
     Stored as int32 (every residue is below 2**30) to halve its footprint.
     """
+    import numpy as np
+
     rows = max(1, (int(max_exp).bit_length() + 1) // 2)
     tab = np.empty((rows, 4, mod.size), dtype=np.int32)
     tab[:, 0] = 1
@@ -379,6 +409,8 @@ def table_pow(tab: np.ndarray, idx: np.ndarray, exp: np.ndarray, mod: np.ndarray
     mod being the moduli at those positions.  Each base-4 digit of exp costs
     one gather from the table and one mulmod; there are no squarings.
     """
+    import numpy as np
+
     n = tab.shape[2]
     out = np.ones(idx.size, dtype=np.int64)
     for i in range((int(exp.max(initial=0)).bit_length() + 1) // 2):

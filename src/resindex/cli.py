@@ -9,6 +9,8 @@ Subcommands:
 
 Exit codes: 0 success, 2 bad input, 3 violated identity.  Output is
 deterministic for a fixed command line and independent of --threads.
+empirical and oracle, and numpy with them, are imported by the commands
+that run them, so density and --help start without numpy.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import csv
 import json
 import sys
 
-from . import arith, density, empirical, oracle
+from . import arith, density
 from .decompose import decompose_g, parse_g
 from .errors import LemmaViolation, ResindexError
 
@@ -54,6 +56,8 @@ def _emit(rows: list[dict], fmt: str, out) -> None:
 
 
 def _cmd_count(args) -> int:
+    from . import empirical
+
     g = parse_g(args.g)
     sw = empirical.sweep(g, args.x, (args.t,), threads=args.threads, split=True)
     _emit(
@@ -65,6 +69,8 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_heuristic(args) -> int:
+    from . import empirical
+
     g = parse_g(args.g)
     sw = empirical.sweep(g, args.x, (args.t,), threads=args.threads)
     t = args.t
@@ -99,9 +105,8 @@ def _cmd_density(args) -> int:
     if args.format == "text":
         print(f"g={args.g} decomposition: sign={dec.sign} g0={dec.g0} h={dec.h} e={dec.e} disc={dec.disc}")
         print("degrees of the first extensions (k, degree of step k*t):")
-        mu = arith.moebius_sieve(10)
         for k in range(1, 11):
-            if mu[k]:
+            if arith.moebius(arith.factor_int(k)):
                 dk = density.kummer_degree(dec, k * args.t)
                 print(f"  k={k:2d}  kt={k * args.t:3d}  degree={dk.degree}  nu={dk.nu}")
     _emit(
@@ -123,6 +128,8 @@ def _cmd_density(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from . import oracle
+
     gs = [parse_g(s) for s in (args.g or list(_DEFAULT_VERIFY_BASES))]
     oracle.check_sizes(args.max_n, args.max_h, gs, args.max_p)
     suites = [
@@ -146,6 +153,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_report(args) -> int:
+    from . import empirical
+
     gs = [parse_g(s) for s in args.g]
     ts = args.t or [1]
     empirical.check_args(args.x, ts, threads=args.threads)

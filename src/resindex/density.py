@@ -15,9 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, gcd
-
-import numpy as np
+from math import ceil, gcd, prod
 
 from . import arith
 from .decompose import GDecomposition, disc_primes
@@ -123,11 +121,15 @@ def artin_density_A(dec: GDecomposition, t: int, tol: float) -> float:
 
 
 def artin_euler_product(prime_bound: int) -> float:
-    """prod_{q <= prime_bound} (1 - 1/(q(q-1))) over primes q."""
+    """prod_{q <= prime_bound} (1 - 1/(q(q-1))) over primes q.
+
+    Multiplied in ascending order of q, one double at a time, the order
+    numpy's prod takes over an array of the factors, so the two agree bit
+    for bit.
+    """
     if prime_bound < 2:
         raise DomainError("prime_bound must be >= 2")
-    q = arith.build_prime_table(prime_bound).primes.astype(np.float64)
-    return float(np.prod(1.0 - 1.0 / (q * (q - 1.0))))
+    return prod(1.0 - 1.0 / (q * (q - 1.0)) for q in arith.small_primes(prime_bound))
 
 
 def artin_constant(tol: float) -> float:
@@ -138,7 +140,7 @@ def artin_constant(tol: float) -> float:
     """
     if not tol > 0:  # also rejects NaN
         raise DomainError(f"tol must be positive, got {tol}")
-    bound = max(3, ceil(1.0 / tol))
-    if bound > 10**8:
+    inverse = 1.0 / tol  # inf when tol is subnormal enough
+    if inverse > 10**8:
         raise CapabilityError(f"tolerance {tol} too small for the product oracle")
-    return artin_euler_product(bound)
+    return artin_euler_product(max(3, ceil(inverse)))

@@ -66,12 +66,12 @@ def test_prime_count_at_1e6(table):
 def test_prime_count_multi_segment():
     # 1e7 spans several sieve segments; count pinned to the classic value
     t = arith.build_prime_table(10**7)
-    assert len(t.primes) == len(arith._simple_sieve(10**7)) == 664579
+    assert len(t.primes) == len(list(arith.small_primes(10**7))) == 664579
 
 
 def test_odd_primes_match_brute_force():
     # base primes to 97 serve every span below 97**2 = 9409
-    base = arith._simple_sieve(100)
+    base = np.fromiter(arith.small_primes(100), dtype=np.int64)
     spans = [(3, 4), (3, 200), (0, 50), (1, 3), (2, 30), (5, 90)]  # from lo = 3 and spans holding base primes
     for q in (3, 7, 23, 97):  # lo just below, at and just above q*q, and a span starting at q
         spans += [(q * q - 2, q * q + 40), (q * q, q * q + 40), (q * q + 2, q * q + 60), (q, q * q + 1)]
@@ -80,6 +80,11 @@ def test_odd_primes_match_brute_force():
     for lo, hi in spans:
         got = arith.odd_primes(lo, hi, base)
         assert got.dtype == np.int64 and got.tolist() == [p for p in brute_primes(lo, hi) if p > 2], (lo, hi)
+
+
+def test_small_primes_match_brute_force():
+    for limit in list(range(301)) + [31623]:  # 31623 = isqrt(10**9) + 1, past the largest base sieve
+        assert list(arith.small_primes(limit)) == brute_primes(2, limit + 1), limit
 
 
 def test_build_prime_table_by_small_segments(monkeypatch):

@@ -1,7 +1,11 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -172,7 +176,7 @@ def test_bad_arguments_exit_2_before_the_sieve(capsys, monkeypatch):
         raise AssertionError(f"a prime table to {limit} was built")
 
     monkeypatch.setattr(arith, "build_prime_table", no_sieve)
-    cases = [["report", "--g", "2", "--t", "1", "--x", "100000000", "--tol", tol] for tol in ("0", "nan", "1e-9")]
+    cases = [["report", "--g", "2", "--t", "1", "--x", "100000000", "--tol", tol] for tol in ("0", "nan", "1e-9", "5e-324")]
     for command in ("count", "heuristic", "report"):
         cases.append([command, "--g", "2", "--t", "1", "--x", "100000000", "--threads", "65"])
         cases.append([command, "--g", "2", "--t", "1073741824", "--x", "100000000"])
@@ -246,3 +250,37 @@ def test_density_takes_no_threads(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["density", "--g", "2", "--t", "1", "--threads", "2"])
     assert exc.value.code == 2
+
+
+NO_NUMPY_PROBE = """
+import contextlib, io, sys
+
+def no_numpy(step):
+    assert "numpy" not in sys.modules, step
+
+import resindex
+no_numpy("import resindex")
+import resindex.cli
+no_numpy("import resindex.cli")
+with contextlib.redirect_stdout(io.StringIO()):
+    try:
+        resindex.cli.main(["--help"])
+    except SystemExit as exc:
+        assert exc.code == 0
+    no_numpy("--help")
+    for fmt in ("text", "csv", "json"):
+        assert resindex.cli.main(["density", "--g", "-3", "--t", "2", "--format", fmt]) == 0
+        no_numpy("density --format " + fmt)
+    assert resindex.cli.main(["count", "--g", "2", "--t", "1", "--x", "1000"]) == 0
+assert "numpy" in sys.modules
+print("ok")
+"""
+
+
+def test_density_and_help_load_no_numpy():
+    # a fresh interpreter: this one imported numpy long ago
+    import resindex
+
+    src = str(Path(resindex.__file__).resolve().parent.parent)
+    run = subprocess.run([sys.executable, "-c", NO_NUMPY_PROBE], capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
+    assert run.returncode == 0 and run.stdout == "ok\n", run.stderr

@@ -142,6 +142,15 @@ def test_artin_constant():
     assert density.artin_constant(1e-2) == pytest.approx(0.374, abs=1e-2)
 
 
+def test_artin_euler_product_matches_numpy_reference():
+    # the stdlib product takes numpy's order, so every bit agrees
+    import numpy as np
+
+    for bound in (2, 3, 4, 10, 10007, 10**6, 4 * 10**6):
+        q = arith.build_prime_table(bound).primes.astype(np.float64)
+        assert density.artin_euler_product(bound) == float(np.prod(1.0 - 1.0 / (q * (q - 1.0)))), bound
+
+
 def test_tolerance_validation():
     dec = decompose_g(parse_g("2"))
     with pytest.raises(DomainError):
@@ -153,3 +162,6 @@ def test_tolerance_validation():
             density.artin_density_A(dec, 1, tol)
         with pytest.raises(DomainError):
             density.artin_constant(tol)
+    # 1/tol overflows to inf, which has no ceiling
+    with pytest.raises(CapabilityError):
+        density.artin_constant(5e-324)
