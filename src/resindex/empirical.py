@@ -41,12 +41,20 @@ strided slice per power of each odd base prime below 64 and one array of
 the multiples of all the larger ones), reading
 every power of its order loop off one table of the base mod p
 (arith.power_table; a fraction's denominator is inverted by array
-Euclid, arith.inverse_mod_vec).  It runs once per root
+Euclid, arith.inverse_mod_vec).  It finds r's 2-part on every row by
+squaring g^(odd part of p-1) until it reaches 1, then r's odd part from
+the odd primes of p-1.  It runs once per root
 and step: g = sign * g0^h has the root g0 or 1/g0 (_root), shared by all
 powers, inverses and negatives of g0, and _lift derives r_g(p) from the
 root's r in closed form.  The same run gives the Legendre symbol
 (g0/p) = (disc/p) of every such base, from the parity of the root's r.
 The sweep and the weight oracle both reach r and (disc/p) that way.
+When every t is a power of two (and exact is off) the sweep asks for r's
+odd part only where some key's r has its 2-part among the ts: then
+gcd(h, t) and gcd(2h, t) are powers of two too, so R, L, Q, sum_r, split
+and the split check read only r's 2-part, and N_t = #[r = t] reads the
+odd part only where the 2-part is t.  Any t with an odd factor, or
+exact's R_all over every m, reads the odd part of every r.
 With split=True (as `count` asks) the sweep also checks the splitting
 criterion t | r_g(p) <=> (p = 1 mod t and g^((p-1)/t) = 1 mod p) on each
 shard's r as soon as it is found (_split_check).  Its algebraic side is
@@ -173,34 +181,62 @@ def _factor_shard(pm1: np.ndarray, base: np.ndarray) -> np.ndarray:
     return qs[:, : int(filled.max())]
 
 
-def _shard_indexes(g: Rational, ps: np.ndarray, qs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _shard_indexes(g: Rational, ps: np.ndarray, qs: np.ndarray, keep=None) -> tuple[np.ndarray, np.ndarray]:
     """Residual indexes r_g(p) and Legendre symbols (g/p) for an array of counted primes.
 
     The one order loop; every caller runs it on a base's root (_root) and
     lifts r (_lift).  qs holds the prime columns of p-1 (see _factor_shard).
-    ord(g mod p) starts at p-1 and loses each prime factor q while
-    g^(order/q) = 1 mod p.  Every one of those powers is read off a single
-    power table of g mod p (arith.power_table), since no exponent exceeds
-    (p-1)/2.  For g = a/b that table is of a * b^-1 mod p, with b inverted
-    modulo all of ps at once by extended Euclid (arith.inverse_mod_vec): ps
-    are counted primes, so b is a unit mod p.  The first test, q = 2 at
-    order p-1, is Euler's criterion g^((p-1)/2) = (g/p): it passes exactly
-    where r comes out even, so the symbol is read off r's parity.  For a
-    root g0 = a/b, (g0/p) = (disc/p) at every counted p, since ab is disc
-    or disc/4 times a square prime to p.
+    Every power is read off a single power table of g mod p
+    (arith.power_table), since no exponent exceeds (p-1)/2.  For g = a/b
+    that table is of a * b^-1 mod p, with b inverted modulo all of ps at
+    once by extended Euclid (arith.inverse_mod_vec): ps are counted primes,
+    so b is a unit mod p.
+
+    The 2-part of ord(g mod p) comes first, for every row: y = g^o, o the
+    odd part of p-1, has order 2^s with 2^s the 2-part of ord(g), so s is
+    the number of squarings y <- y*y mod p that bring y to 1.  The order is
+    then o * 2^s, and r's 2-part is (p-1) / (o * 2^s).  Then each odd
+    prime q of p-1 tests g^(order/q) = 1 mod p, on the rows of the boolean
+    mask keep(array of r's 2-parts) (all rows when keep is None), and the
+    order loses q where it passes, until q no longer divides it or a test
+    fails.  As the order stays a multiple of ord(g), such a test compares
+    the q-parts of the two alone, so every live (row, q) pair is tested in
+    one table read per round, and a row loses each q that passes.  A row
+    outside keep's mask keeps an odd part of 1, so its r is r's 2-part
+    alone.  r is even exactly where Euler's criterion g^((p-1)/2) = (g/p)
+    gives 1, so the symbol is read off r's parity, which the mask leaves
+    intact.  For a root g0 = a/b, (g0/p) = (disc/p) at every counted p,
+    since ab is disc or disc/4 times a square prime to p.
     """
     pm1 = ps - 1
     a = arith.reduce_mod_vec(g.numerator, ps)
     if g.denominator != 1:
         a = a * arith.inverse_mod_vec(g.denominator, ps) % ps
     tab = arith.power_table(a, ps, int(pm1.max(initial=0)) >> 1)
-    order = pm1.copy()
-    for col in qs.T:
-        live = np.flatnonzero(col > 1)
-        while live.size:
-            live = live[arith.table_pow(tab, live, order[live] // col[live], ps[live]) == 1]
-            order[live] //= col[live]
-            live = live[order[live] % col[live] == 0]
+    low = pm1 & -pm1
+    order = pm1 // low
+    live = np.arange(ps.size)
+    y = arith.table_pow(tab, live, order, ps)
+    # at most v2(p-1) squarings, so that a faulty power cannot loop here for ever
+    for _ in range(int(low.max(initial=1)).bit_length() - 1):
+        more = y != 1
+        live, y = live[more], y[more]
+        if not live.size:
+            break
+        order[live] <<= 1
+        y = y * y % ps[live]
+    np.minimum(order, pm1, out=order)
+    rows =np.arange(ps.size) if keep is None else np.flatnonzero(keep(pm1 // order))
+    cols = qs.T[1:]
+    at = [rows[col.take(rows) > 1] for col in cols]
+    live = np.concatenate([rows[:0], *at])
+    q = np.concatenate([rows[:0], *map(np.take, cols, at)])  # int64, as rows is
+    while live.size:  # one round tests every live (row, q) pair at once
+        hit = arith.table_pow(tab, live, order[live] // q, ps[live]) == 1
+        live, q = live[hit], q[hit]
+        np.floor_divide.at(order, live, q)  # a row may lose several q in one round
+        more = order[live] % q == 0
+        live, q = live[more], q[more]
     r = pm1 // order
     return r, 1 - 2 * (r & 1)
 
@@ -315,7 +351,8 @@ def _tally_step(
     Per step: phi(p-1) and 1/(p-1).  Per t: the index of the primes with
     t | p-1, the mask 2t | p-1 within them, phi((p-1)/t), the naive sum
     (float, and exact when asked), pi and pi2.  Per root (_root): one
-    kernel run, and per t its Legendre column, split and split2.  Per root
+    kernel run, which finds r's odd part only on the rows where its keys'
+    tallies read it, and per t its Legendre column, split and split2.  Per root
     and key (_SweepPlan): the lifted r (_lift) and, per t, N, R, L, Q,
     sum_r and the weighted phi-sum, one row that the bases with that root
     and key share.  When split, each base's own g is checked against its r
@@ -334,21 +371,36 @@ def _tally_step(
         phi -= np.where(q > 1, phi // q, 0)
     inv = 1.0 / pm1.astype(np.float64)
 
-    # root -> (its r, its (disc/p), its rows); a row is key -> (its first plan, its r, its tallies)
-    roots: dict[Rational, tuple] = {}
-    out = []
+    # When every t is a power of two, so are gcd(h, t) and gcd(2h, t): then R, L, Q,
+    # sum_r, split and the split check read only r's 2-part, and N_t = #[r = t] reads
+    # its odd part only where its 2-part is t.  The kernel then finds the odd part only
+    # on the rows where some key's lifted r has its 2-part in ts (bits: ts are distinct,
+    # so their sum is their OR); the lift of r's 2-part has the 2-part of the lift of r.
+    # exact's R_all reads every r.
+    bits = 0 if exact or any(t & (t - 1) for t in ts) else sum(ts)
+    firsts: dict[Rational, dict] = {}  # root -> key -> the first plan with them
     for plan in plans:
-        kernel = roots.get(plan.root)
-        if kernel is None:
-            kernel = roots[plan.root] = *_shard_indexes(plan.root, ps, qs), {}
-        r0, leg, rows = kernel
-        row = rows.get(plan.key)
-        if row is None:
+        firsts.setdefault(plan.root, {}).setdefault(plan.key, plan)
+    # root -> (its (disc/p), its rows); a row is key -> (its first plan, its r, its tallies)
+    roots: dict[Rational, tuple] = {}
+    for root, keyed in firsts.items():
+        decs = [plan.dec for plan in keyed.values()]
+
+        def keep(r2, decs=decs):
+            lifted = [_lift(r2, pm1, dec) for dec in decs]
+            return np.logical_or.reduce([r & -r & bits != 0 for r in lifted])
+
+        r0, leg = _shard_indexes(root, ps, qs, keep if bits else None)
+        rows = {}
+        for key, plan in keyed.items():
             r = _lift(r0, pm1, plan.dec)
             divisor_values = (pm1, pm1[leg == 1], r) if exact else None
             ints = np.zeros((len(ts), len(_COLUMNS)), dtype=np.int64)
-            row = rows[plan.key] = plan, r, (ints, np.zeros((len(ts), 2)), [], divisor_values)
-        _, r, tallies = row
+            rows[key] = plan, r, (ints, np.zeros((len(ts), 2)), [], divisor_values)
+        roots[root] = leg, rows
+    out = []
+    for plan in plans:
+        _, r, tallies = roots[plan.root][1][plan.key]
         out.append(tallies + (_split_check(plan.g, ts, ps, r) if split else 0,))
 
     for i, t in enumerate(ts):
@@ -368,7 +420,7 @@ def _tally_step(
             dens = pm1_t.tolist()
             nacc = arith.ExactSum()
             nacc.add_all(phi_t.tolist(), dens)
-        for _, leg, rows in roots.values():
+        for leg, rows in roots.values():
             leg_t = leg.take(at)
             up = leg_t == 1
             split_t, split2_t = np.count_nonzero(up), np.count_nonzero(up & m2)
@@ -632,23 +684,25 @@ def _split_check(g: Rational, ts, ps: np.ndarray, r: np.ndarray) -> int:
     num and den reduced mod p by _residues, never the kernel's table and
     reduction routines in arith, so a fault in those cannot pass on both
     sides.  g = num/den is tested as num^e = den^e mod p, which needs no
-    inverse.  t = 1 is checked too, though its algebraic side is Fermat's
+    inverse; a side whose base is 1 is 1 and runs no ladder.  t = 1 is
+    checked too, though its algebraic side is Fermat's
     num^(p-1) = den^(p-1) = 1: that still fails at a counted prime dividing
     num or den, so it certifies the sweep's excluded primes, and it keeps
     the count of pairs checked at len(ps) * len(ts).  Returns that count;
     raises LemmaViolation on a mismatch.
     """
     num, den = g.numerator, g.denominator
-    nums = _residues(num, ps)
+    nums = _residues(num, ps) if num != 1 else None
     dens = _residues(den, ps) if den != 1 else None
     for t in ts:
         # only p = 1 mod t can pass; the others keep algebraic False
         ones = np.flatnonzero((ps - 1) % t == 0)
         m = ps[ones]
         e = (m - 1) // t
+        lhs = 1 if nums is None else _pow_ladder(nums[ones], e, m)
         rhs = 1 if dens is None else _pow_ladder(dens[ones], e, m)
         algebraic = np.zeros(ps.size, dtype=bool)
-        algebraic[ones] = _pow_ladder(nums[ones], e, m) == rhs
+        algebraic[ones] = lhs == rhs
         divides = r % t == 0
         bad = np.flatnonzero(algebraic != divides)
         if bad.size:

@@ -84,6 +84,25 @@ def test_report_thread_independence(capsys):
     assert outs[0] == outs[1] == outs[2]
 
 
+@pytest.mark.parametrize("command", ["count", "heuristic"])
+@pytest.mark.parametrize("t", ["1", "2"])
+def test_power_of_two_t_thread_independence(capsys, monkeypatch, command, t):
+    # at t = 1 and 2 the kernel finds r's odd part on part of the rows only; the output
+    # must still not depend on the worker count.  Three usable cores are claimed so that
+    # --threads 3 starts three workers on any host
+    from resindex import empirical
+
+    monkeypatch.setattr(empirical, "SHARD_PRIMES", 512)
+    monkeypatch.setattr(empirical.os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    outs = set()
+    for g in ("2", "-4", "9/25", "1/2"):
+        for threads in ("1", "2", "3"):
+            code, out = run(capsys, command, f"--g={g}", "--t", t, "--x", "100000", "--threads", threads)
+            assert code == 0 and f"g={g}" in out
+            outs.add((g, out))
+    assert len(outs) == 4
+
+
 def test_error_exit_codes(capsys):
     code = cli.main(["count", "--g", "1", "--t", "1", "--x", "100"])
     assert code == 2

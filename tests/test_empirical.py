@@ -530,13 +530,39 @@ def test_step_reads_only_its_arguments(monkeypatch):
 
 def test_split_check_catches_kernel_faults(monkeypatch, capsys):
     # a table_pow that claims g^e = 1 mod p for some primes corrupts r; the
-    # algebraic side runs its own ladder, so the check must not agree with it
+    # algebraic side runs its own ladder, so the check must not agree with it,
+    # also for 1/2, whose numerator side is 1 and runs no ladder
     table_pow = arith.table_pow
     monkeypatch.setattr(arith, "table_pow", lambda tab, i, e, m: np.where(m % 7 == 3, 1, table_pow(tab, i, e, m)))
-    with pytest.raises(LemmaViolation, match="splitting criterion"):
-        empirical.sweep(parse_g("2"), 10**4, (2,), split=True)
-    assert cli.main(["count", "--g", "2", "--t", "2", "--x", str(10**4)]) == 3
+    for g in ("2", "1/2"):
+        with pytest.raises(LemmaViolation, match="splitting criterion"):
+            empirical.sweep(parse_g(g), 10**4, (2,), split=True)
+        assert cli.main(["count", f"--g={g}", "--t", "2", "--x", str(10**4)]) == 3
+        assert "splitting criterion" in capsys.readouterr().err
+
+
+def test_kernel_fault_off_the_two_power_orders_exits_3(monkeypatch, capsys):
+    # a table_pow that gives 2 mod p for some primes hands the 2-part's squaring a y whose
+    # order need not be a power of two: the kernel must stop at v2(p-1) squarings, and the
+    # split check must catch the r it finds
+    table_pow = arith.table_pow
+    monkeypatch.setattr(arith, "table_pow", lambda tab, i, e, m: np.where(m % 7 == 3, 2, table_pow(tab, i, e, m)))
+    assert cli.main(["count", "--g=3", "--t", "2", "--x", str(10**4)]) == 3
     assert "splitting criterion" in capsys.readouterr().err
+
+
+def test_split_check_runs_no_ladder_on_a_unit_side(table, monkeypatch):
+    # 1/2 is checked as 1 = 2^e mod p: one ladder per t and step, as for 2; 5/3 takes two
+    calls = []
+    pow_ladder = empirical._pow_ladder
+    monkeypatch.setattr(empirical, "_pow_ladder", lambda *a: calls.append(a) or pow_ladder(*a))
+    monkeypatch.setattr(empirical, "SHARD_PRIMES", 512)
+    x, ts = 20000, (1, 2, 4)
+    steps = sum(map(bool, span_primes(table, x)))
+    for g, ladders in (("1/2", 1), ("2", 1), ("5/3", 2)):
+        calls.clear()
+        assert empirical.sweep(parse_g(g), x, ts, split=True).split_checks > 0
+        assert len(calls) == ladders * len(ts) * steps > 0, g
 
 
 def test_lift_is_certified(monkeypatch, capsys):
@@ -687,50 +713,113 @@ def test_sweep_matches_brute_force(small_table):
         assert_counts_match_brute_force(g, 5000, tuple(range(1, 13)), small_table)
 
 
+def column_references(g, primes: list[int], rs: list[int], t: int) -> dict[str, int]:
+    """Every integer column at t from scalar references, for the counted primes of g and
+    their residual indexes rs: pi, pi2, split and split2 by Euler's criterion, sum_r by
+    the r case table one prime at a time, N and R from rs and L_num and Q_num as their
+    Ramanujan sums."""
+    dec = decompose_g(g)
+    pa = derive_params(dec, t)
+    ones = [(p, r, euler_criterion(dec.disc, p)) for p, r in zip(primes, rs) if (p - 1) % t == 0]
+    twos = [leg for p, _, leg in ones if (p - 1) % (2 * t) == 0]
+    low = Counter(r for _, r, _ in ones)
+    ght, g2t = pa.gcd_ht, gcd(2 * dec.h, t)
+    return {
+        "pi": len(ones),
+        "pi2": len(twos),
+        "split": sum(leg == 1 for _, _, leg in ones),
+        "split2": twos.count(1),
+        "N": rs.count(t),
+        "R": sum(r % t == 0 for r in rs),
+        "sum_r": sum(int(heuristic.weights(dec, pa, p - 1, leg)[1]) for p, _, leg in ones),
+        "L_num": sum(n * arith.ramanujan_sum(d, r) for r, n in low.items() for d in trial_divisors(ght)),
+        "Q_num": sum(
+            n * arith.ramanujan_sum(d, r) for r, n in low.items() for d in trial_divisors(g2t) if dec.h % d
+        ),
+    }
+
+
+# bases that share a root and bases that share a tally (2 and 1/2, 5/3 and 3/5)
+COLUMN_BASES = tuple(map(parse_g, ("2", "1/2", "8", "-2", "-4", "5/3", "3/5", "9/25", "-3")))
+
+
 def test_every_column_matches_brute_force(table, monkeypatch):
-    # every integer column against scalar references, for bases that share a root and
-    # bases that share a tally (2 and 1/2, 5/3 and 3/5): pi, pi2, split and split2 by
-    # Euler's criterion, sum_r by the r case table one prime at a time, N and R from
-    # divisor_index and L_num and Q_num as its Ramanujan sums; at t = 1024 and 4096 some
-    # spans hold no p = 1 mod t
+    # every integer column against column_references, N and R from divisor_index; at
+    # t = 1024 and 4096 some spans hold no p = 1 mod t
     monkeypatch.setattr(empirical, "SHARD_PRIMES", 512)
     x, ts = 10**5, tuple(range(1, 13)) + (1024, 4096)
-    gs = tuple(map(parse_g, ("2", "1/2", "8", "-2", "-4", "5/3", "3/5", "9/25", "-3")))
+    gs = COLUMN_BASES
     for t in (1024, 4096):
         hits = [any((p - 1) % t == 0 for p in span) for span in span_primes(table, x)]
         assert any(hits) and not all(hits), t
     for g, sw in zip(gs, empirical.sweeps(gs, x, ts)):
-        dec = decompose_g(g)
         primes = counted_primes(g, x, table)
         rs = [divisor_index(g, p) for p in primes]
         assert sw.counted == len(primes)
         for t in ts:
-            pa = derive_params(dec, t)
-            ones = [(p, r, euler_criterion(dec.disc, p)) for p, r in zip(primes, rs) if (p - 1) % t == 0]
-            twos = [leg for p, _, leg in ones if (p - 1) % (2 * t) == 0]
-            low = Counter(r for _, r, _ in ones)
-            ght, g2t = pa.gcd_ht, gcd(2 * dec.h, t)
-            want = {
-                "pi": len(ones),
-                "pi2": len(twos),
-                "split": sum(leg == 1 for _, _, leg in ones),
-                "split2": twos.count(1),
-                "N": rs.count(t),
-                "R": sum(r % t == 0 for r in rs),
-                "sum_r": sum(int(heuristic.weights(dec, pa, p - 1, leg)[1]) for p, _, leg in ones),
-                "L_num": sum(n * arith.ramanujan_sum(d, r) for r, n in low.items() for d in trial_divisors(ght)),
-                "Q_num": sum(
-                    n * arith.ramanujan_sum(d, r)
-                    for r, n in low.items()
-                    for d in trial_divisors(g2t)
-                    if dec.h % d
-                ),
-            }
+            want = column_references(g, primes, rs, t)
             assert {name: getattr(sw, name)[t] for name in empirical._COLUMNS} == want, (g, t)
     # the reference itself, against the walk through every power
     for g in gs:
         ps = counted_primes(g, 3000, table)
         assert [divisor_index(g, p) for p in ps] == [brute_index(g, p) for p in ps], g
+
+
+def test_power_of_two_columns_match_brute_force(table, monkeypatch):
+    # when every t is a power of two the kernel finds r's odd part only on the rows where
+    # some key's r has its 2-part in ts; every column must still match the references
+    monkeypatch.setattr(empirical, "SHARD_PRIMES", 512)
+    keeps = []
+    shard_indexes = empirical._shard_indexes
+    monkeypatch.setattr(empirical, "_shard_indexes", lambda *a: keeps.append(a[3]) or shard_indexes(*a))
+    x = 10**5
+    gs = COLUMN_BASES + (Fraction(3**50), Fraction(1, 2**70))
+    primes = {g: counted_primes(g, x, table) for g in gs}
+    rs = {g: [divisor_index(g, p) for p in primes[g]] for g in gs}
+    for ts in ((1,), (2,), (4,), (1, 2, 4, 8, 1024)):
+        keeps.clear()
+        sws = empirical.sweeps(gs, x, ts)
+        assert keeps and all(keep is not None for keep in keeps), ts
+        for g, sw in zip(gs, sws):
+            assert sw.counted == len(primes[g])
+            for t in ts:
+                want = column_references(g, primes[g], rs[g], t)
+                assert {name: getattr(sw, name)[t] for name in empirical._COLUMNS} == want, (g, ts, t)
+
+
+def test_power_of_two_t_reads_fewer_powers(monkeypatch):
+    # at t = 2 the kernel tests p-1's odd primes only where r's 2-part is 2: for g = 5 it
+    # reads at most 3/4 of the powers that the exact path, which finds all of r, reads
+    elements, runs = [], []
+    table_pow, shard_indexes = arith.table_pow, empirical._shard_indexes
+    monkeypatch.setattr(arith, "table_pow", lambda tab, i, e, m: elements.append(i.size) or table_pow(tab, i, e, m))
+    monkeypatch.setattr(empirical, "_shard_indexes", lambda *a: runs.append(a) or shard_indexes(*a))
+    x = 10**5
+    full = empirical.sweep(parse_g("5"), x, (2,), exact=True)
+    steps = len(runs)
+    assert steps and all(a[3] is None for a in runs)
+    read_full = sum(elements)
+    elements.clear()
+    masked = empirical.sweep(parse_g("5"), x, (2,))
+    assert sum(elements) <= 0.75 * read_full
+    assert (masked.N, masked.R) == (full.N, full.R)
+    # where the mask keeps a row its r is the whole r; elsewhere it is r's 2-part, and the
+    # symbol is (g0/p) on every row.  r(-4) never has the 2-part 2, so -4 keeps no row
+    gs = ("5", "-4", "9/25", "1/2")
+    for g in gs[1:]:
+        empirical.sweep(parse_g(g), x, (2,))
+    assert len(runs) == 5 * steps
+    kept_rows = Counter()
+    for i, (root, ps, qs, keep) in enumerate(runs[steps:]):
+        r, leg = shard_indexes(root, ps, qs, keep)
+        whole, whole_leg = shard_indexes(root, ps, qs)
+        kept = keep(whole & -whole)
+        kept_rows[gs[i // steps]] += np.count_nonzero(kept)
+        assert not kept.all(), root
+        assert np.array_equal(r[kept], whole[kept]), root
+        assert np.array_equal(r[~kept], (whole & -whole)[~kept]), root
+        assert np.array_equal(leg, whole_leg), root
+    assert kept_rows["-4"] == 0 < min(kept_rows[g] for g in ("5", "9/25", "1/2"))
 
 
 def test_sweep_bases_beyond_int64(small_table):
