@@ -59,7 +59,7 @@ def _cmd_count(args) -> int:
     from . import empirical
 
     g = parse_g(args.g)
-    sw = empirical.sweep(g, args.x, (args.t,), threads=args.threads, split=True)
+    sw = empirical.sweep(g, args.x, (args.t,), threads=args.threads, split=True, sums=False)
     _emit(
         [{"g": args.g, "t": args.t, "x": args.x, "N": sw.N[args.t], "R": sw.R[args.t]}],
         args.format,

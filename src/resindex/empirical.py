@@ -18,21 +18,25 @@ into all requested per-t tallies in a single streamed pass:
 A sweep needs only g, x and t: it sieves the base primes <= sqrt(x), and
 step k sieves the odd primes of its own span [lo, hi) of [3, x] from
 them (arith.odd_primes), the same span for every base (_spans: about
-SHARD_PRIMES primes each), and factors their p-1 once.  No table of the
+SHARD_PRIMES primes each), and factors their p-1 once, or, when the
+sweep skips the phi-sums (sums=False, as `count` asks) and the kernel
+tests only some rows, only the p-1 that it tests.  No table of the
 primes <= x is built (exact=True alone builds one, for its divisor
 tallies).  Each base drops its own excluded primes from the span, and
 the bases that drop the same ones share one _tally_step.  It builds the
 index of the primes with t | p-1, phi((p-1)/t), pi and pi2 once per t; the
 Legendre column, split and split2 once per t and root; and N, R, L, Q,
 sum_r and the weighted phi-sum once per t and (root, sign, h), which g
-and 1/g share.  sweeps serves several bases in one pass and sweep is
-sweeps for one base.  A step yields, per base, one int64 array of its
-integer tallies (a row per t) and one float array of its phi-sums; the
-arrays are summed, and the floats fsum'med, in span order, so output is
-identical for any worker count; no per-prime records are retained beyond
-the step being processed.  A step is the module-level _step of one job
-tuple and its span, two ints; with threads > 1 the steps run in forked
-worker processes (_pool), each task carrying its job and span.
+and 1/g share.  Without sums no phi, 1/(p-1) or float sum is built, and
+every integer column and check stays.  sweeps serves several bases in
+one pass and sweep is sweeps for one base.  A step yields, per base, one
+int64 array of its integer tallies (a row per t) and one float array of
+its phi-sums (None without sums); the arrays are summed, and the floats
+fsum'med, in span order, so output is identical for any worker count; no
+per-prime records are retained beyond the step being processed.  A step
+is the module-level _step of one job tuple and its span, two ints; with
+threads > 1 the steps run in forked worker processes (_pool), each task
+carrying its job and span.
 Every sweep ends by checking H = M exactly and 0 <= N <= R <= pi(x;t,1)
 for each base and t.  One vectorized kernel, _shard_indexes, finds r for
 a whole shard from the prime factors of p-1 (_factor_shard, int32
@@ -50,7 +54,8 @@ root's r in closed form.  The same run gives the Legendre symbol
 (g0/p) = (disc/p) of every such base, from the parity of the root's r.
 The sweep and the weight oracle both reach r and (disc/p) that way.
 When every t is a power of two (and exact is off) the sweep asks for r's
-odd part only where some key's r has its 2-part among the ts: then
+odd part only where some key's r has its 2-part among the ts (_mask_bits),
+and the kernel tests p-1's odd primes on those rows alone: then
 gcd(h, t) and gcd(2h, t) are powers of two too, so R, L, Q, sum_r, split
 and the split check read only r's 2-part, and N_t = #[r = t] reads the
 odd part only where the 2-part is t.  Any t with an odd factor, or
@@ -58,9 +63,9 @@ exact's R_all over every m, reads the odd part of every r.
 With split=True (as `count` asks) the sweep also checks the splitting
 criterion t | r_g(p) <=> (p = 1 mod t and g^((p-1)/t) = 1 mod p) on each
 shard's r as soon as it is found (_split_check).  Its algebraic side is
-a whole-shard base-4 ladder of its own (_pow_ladder) on g's numerator and
-denominator mod p (_residues), kept apart from arith's power tables and
-reductions so that a fault in those cannot pass on both sides.
+a whole-shard base-4 ladder of its own (_pow_ladder) on num * den^(2t-1)
+mod p for g = num/den (_residues), kept apart from arith's power tables
+and reductions so that a fault in those cannot pass on both sides.
 """
 
 from __future__ import annotations
@@ -111,6 +116,9 @@ _DENSE_Q = 64
 def _factor_shard(pm1: np.ndarray, base: np.ndarray) -> np.ndarray:
     """Distinct prime factors of each value in the ascending array pm1.
 
+    pm1 holds p-1 for a span's primes, or for any ascending subset of them
+    (as _shard_indexes passes the rows it tests): the sieve still covers
+    the range from the first value to the last, with fewer slots filled.
     Every value must be even, as p-1 of an odd prime is: column 0 is 2, and
     rest & -rest, the whole power of 2 in each value, is divided out at once.
     An odd q divides p-1 exactly when it divides (p-1)/2, so the odd base
@@ -125,9 +133,11 @@ def _factor_shard(pm1: np.ndarray, base: np.ndarray) -> np.ndarray:
     Row i of the returned int32 [len(pm1), w] array lists the distinct
     primes of pm1[i] in ascending order, padded with 1, where w is the
     widest row's count (at most _FACTOR_COLUMNS); every entry is below 2**30,
-    since pm1 is below MAX_SIEVE_LIMIT.
+    since pm1 is below MAX_SIEVE_LIMIT.  An empty pm1 gives a [0, 1] array.
     """
     n = pm1.size
+    if not n:
+        return np.full((0, 1), 2, dtype=np.int32)
     half = pm1 >> 1
     lo, hi = int(half[0]), int(half[-1])
     slot = np.full(hi - lo + 1, -1, dtype=np.int32)
@@ -181,11 +191,16 @@ def _factor_shard(pm1: np.ndarray, base: np.ndarray) -> np.ndarray:
     return qs[:, : int(filled.max())]
 
 
-def _shard_indexes(g: Rational, ps: np.ndarray, qs: np.ndarray, keep=None) -> tuple[np.ndarray, np.ndarray]:
+def _shard_indexes(
+    g: Rational, ps: np.ndarray, qs: np.ndarray | None, keep=None, base: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """Residual indexes r_g(p) and Legendre symbols (g/p) for an array of counted primes.
 
     The one order loop; every caller runs it on a base's root (_root) and
-    lifts r (_lift).  qs holds the prime columns of p-1 (see _factor_shard).
+    lifts r (_lift).  qs holds the prime columns of p-1 for every row (see
+    _factor_shard), or is None: then the rows that the odd primes' tests
+    reach, and only those, are factored here by _factor_shard from the base
+    primes base (all primes <= sqrt(max(ps)) at least).
     Every power is read off a single power table of g mod p
     (arith.power_table), since no exponent exceeds (p-1)/2.  For g = a/b
     that table is of a * b^-1 mod p, with b inverted modulo all of ps at
@@ -226,11 +241,15 @@ def _shard_indexes(g: Rational, ps: np.ndarray, qs: np.ndarray, keep=None) -> tu
         order[live] <<= 1
         y = y * y % ps[live]
     np.minimum(order, pm1, out=order)
-    rows =np.arange(ps.size) if keep is None else np.flatnonzero(keep(pm1 // order))
-    cols = qs.T[1:]
-    at = [rows[col.take(rows) > 1] for col in cols]
-    live = np.concatenate([rows[:0], *at])
-    q = np.concatenate([rows[:0], *map(np.take, cols, at)])  # int64, as rows is
+    rows = np.arange(ps.size) if keep is None else np.flatnonzero(keep(pm1 // order))
+    # the odd prime columns of p-1 on the tested rows alone, one at a time
+    cols = (col.take(rows) for col in qs.T[1:]) if qs is not None else _factor_shard(pm1[rows], base).T[1:]
+    live, q = [rows[:0]], [rows[:0]]  # q is int64, as rows is
+    for col in cols:
+        hit = col > 1
+        live.append(rows[hit])
+        q.append(col[hit])
+    live, q = np.concatenate(live), np.concatenate(q)
     while live.size:  # one round tests every live (row, q) pair at once
         hit = arith.table_pow(tab, live, order[live] // q, ps[live]) == 1
         live, q = live[hit], q[hit]
@@ -289,8 +308,8 @@ class Sweep:
     sum_r: dict[int, int]
     L_num: dict[int, int]
     Q_num: dict[int, int]
-    naive: dict[int, float]
-    quad: dict[int, float]
+    naive: dict[int, float] | None  # None when the sweep skipped the phi-sums
+    quad: dict[int, float] | None
     split_checks: int = 0
     naive_exact: dict[int, Fraction] | None = None
     quad_exact: dict[int, Fraction] | None = None
@@ -340,44 +359,63 @@ def _multiples(v: np.ndarray, k: int) -> int:
     return v.size if k == 1 else int(np.count_nonzero(v % k == 0))
 
 
+def _mask_bits(ts: tuple[int, ...], exact: bool) -> int:
+    """The OR of ts when every t is a power of two and exact is off, else 0.
+
+    Then gcd(h, t) and gcd(2h, t) are powers of two too: R, L, Q, sum_r,
+    split and the split check read only r's 2-part, and N_t = #[r = t]
+    reads its odd part only where its 2-part is t.  So the kernel finds the
+    odd part only on the rows where some key's lifted r has its 2-part in
+    ts (ts are distinct, so their sum is their OR); the lift of r's 2-part
+    has the 2-part of the lift of r.  exact's R_all reads every r.
+    """
+    return 0 if exact or any(t & (t - 1) for t in ts) else sum(ts)
+
+
 def _tally_step(
-    plans: list[_SweepPlan], ts: tuple[int, ...], ps: np.ndarray, qs: np.ndarray, exact: bool, split: bool
+    plans: list[_SweepPlan],
+    ts: tuple[int, ...],
+    ps: np.ndarray,
+    qs: np.ndarray | None,
+    base: np.ndarray,
+    exact: bool,
+    split: bool,
+    sums: bool,
 ) -> list[tuple]:
     """Tallies over the primes ps for every base in plans, each of which
     counts every prime in ps; qs holds the prime columns of p-1 (see
-    _factor_shard).
+    _factor_shard), or is None when neither the phi-sums nor the kernel
+    read every row: then each kernel run factors the rows it tests from the
+    base primes base.
 
     Each column is built once at the widest level it does not depend on.
     Per step: phi(p-1) and 1/(p-1).  Per t: the index of the primes with
     t | p-1, the mask 2t | p-1 within them, phi((p-1)/t), the naive sum
     (float, and exact when asked), pi and pi2.  Per root (_root): one
     kernel run, which finds r's odd part only on the rows where its keys'
-    tallies read it, and per t its Legendre column, split and split2.  Per root
-    and key (_SweepPlan): the lifted r (_lift) and, per t, N, R, L, Q,
-    sum_r and the weighted phi-sum, one row that the bases with that root
-    and key share.  When split, each base's own g is checked against its r
-    (_split_check).
+    tallies read it (_mask_bits), and per t its Legendre column, split and
+    split2.  Per root and key (_SweepPlan): the lifted r (_lift) and, per t,
+    N, R, L, Q, sum_r and the weighted phi-sum, one row that the bases with
+    that root and key share.  When split, each base's own g is checked
+    against its r (_split_check).  Without sums, nothing of phi, 1/(p-1) or
+    the phi-sums is built.
 
     Entry b is (ints, floats, exact_parts, divisor_values, split_checks) for
     plans[b].  ints is int64 [len(ts), len(_COLUMNS)]; floats is [len(ts), 2]
-    holding the naive and weighted phi-sums.  When exact, exact_parts lists
-    (naive num, naive den, weighted num, weighted den) per t and
-    divisor_values is (p-1, p-1 where (disc/p) = 1, r) as arrays.  When
-    split, split_checks counts the (p, t) pairs checked; else it is 0.
+    holding the naive and weighted phi-sums, or None without sums.  When
+    exact, exact_parts lists (naive num, naive den, weighted num, weighted
+    den) per t and divisor_values is (p-1, p-1 where (disc/p) = 1, r) as
+    arrays.  When split, split_checks counts the (p, t) pairs checked; else
+    it is 0.
     """
     pm1 = ps - 1
-    phi = pm1.copy()  # phi(p-1) from the factor columns
-    for q in qs.T:
-        phi -= np.where(q > 1, phi // q, 0)
-    inv = 1.0 / pm1.astype(np.float64)
+    if sums:
+        phi = pm1.copy()  # phi(p-1) from the factor columns
+        for q in qs.T:
+            phi -= np.where(q > 1, phi // q, 0)
+        inv = 1.0 / pm1.astype(np.float64)
 
-    # When every t is a power of two, so are gcd(h, t) and gcd(2h, t): then R, L, Q,
-    # sum_r, split and the split check read only r's 2-part, and N_t = #[r = t] reads
-    # its odd part only where its 2-part is t.  The kernel then finds the odd part only
-    # on the rows where some key's lifted r has its 2-part in ts (bits: ts are distinct,
-    # so their sum is their OR); the lift of r's 2-part has the 2-part of the lift of r.
-    # exact's R_all reads every r.
-    bits = 0 if exact or any(t & (t - 1) for t in ts) else sum(ts)
+    bits = _mask_bits(ts, exact)
     firsts: dict[Rational, dict] = {}  # root -> key -> the first plan with them
     for plan in plans:
         firsts.setdefault(plan.root, {}).setdefault(plan.key, plan)
@@ -390,13 +428,14 @@ def _tally_step(
             lifted = [_lift(r2, pm1, dec) for dec in decs]
             return np.logical_or.reduce([r & -r & bits != 0 for r in lifted])
 
-        r0, leg = _shard_indexes(root, ps, qs, keep if bits else None)
+        r0, leg = _shard_indexes(root, ps, qs, keep if bits else None, base)
         rows = {}
         for key, plan in keyed.items():
             r = _lift(r0, pm1, plan.dec)
             divisor_values = (pm1, pm1[leg == 1], r) if exact else None
             ints = np.zeros((len(ts), len(_COLUMNS)), dtype=np.int64)
-            rows[key] = plan, r, (ints, np.zeros((len(ts), 2)), [], divisor_values)
+            floats = np.zeros((len(ts), 2)) if sums else None
+            rows[key] = plan, r, (ints, floats, [], divisor_values)
         roots[root] = leg, rows
     out = []
     for plan in plans:
@@ -408,14 +447,15 @@ def _tally_step(
         pm1_t = pm1.take(at)
         m2 = pm1_t % (2 * t) == 0
         pi, pi2 = at.size, np.count_nonzero(m2)
-        # phi((p-1)/t) = phi(p-1) / (t * prod over q | t, q not dividing (p-1)/t, of (q-1)/q)
-        phi_t = phi.take(at)
-        for q, _ in arith.factor_int(t):
-            lost = (pm1_t // t) % q != 0
-            phi_t = np.where(lost, phi_t // (q - 1) * q, phi_t)
-        phi_t //= t
-        inv_t = inv.take(at)
-        naive = float((phi_t * inv_t).sum())
+        if sums:
+            # phi((p-1)/t) = phi(p-1) / (t * prod over q | t, q not dividing (p-1)/t, of (q-1)/q)
+            phi_t = phi.take(at)
+            for q, _ in arith.factor_int(t):
+                lost = (pm1_t // t) % q != 0
+                phi_t = np.where(lost, phi_t // (q - 1) * q, phi_t)
+            phi_t //= t
+            inv_t = inv.take(at)
+            naive = float((phi_t * inv_t).sum())
         if exact:
             dens = pm1_t.tolist()
             nacc = arith.ExactSum()
@@ -442,7 +482,8 @@ def _tally_step(
                     l_num,
                     g2t * _multiples(r_t, g2t) - l_num,
                 )
-                floats[i] = naive, pa.gcd_ht * float((w * phi_t * inv_t).sum())
+                if sums:
+                    floats[i] = naive, pa.gcd_ht * float((w * phi_t * inv_t).sum())
                 if exact:
                     qacc = arith.ExactSum()
                     qacc.add_all((w * phi_t).tolist(), dens)
@@ -466,16 +507,19 @@ def _step(job: tuple, span: tuple[int, int]) -> tuple[int, list[tuple]]:
     is _tally_step's entry for plans[b], over ps less the primes bads[b].  A
     span that holds no prime has no entries.
 
-    job is (base, bads, plans, ts, exact, split): the base primes <= sqrt(x),
-    each plan's excluded primes, the plans and sweeps' flags.  job and span
-    are all it reads, so it gives the same tallies in process and in a worker.
+    job is (base, bads, plans, ts, exact, split, sums): the base primes <=
+    sqrt(x), each plan's excluded primes, the plans and sweeps' flags.  job
+    and span are all it reads, so it gives the same tallies in process and
+    in a worker.  The span's p-1 are factored here only when the phi-sums or
+    the kernel read every row (sums, or _mask_bits is 0); otherwise each
+    kernel run factors the rows it tests.
     """
-    base, bads, plans, ts, exact, split = job
+    base, bads, plans, ts, exact, split, sums = job
     lo, hi = span
     ps = arith.odd_primes(lo, hi, base)
     if not ps.size:
         return 0, []
-    qs = _factor_shard(ps - 1, base)
+    qs = _factor_shard(ps - 1, base) if sums or not _mask_bits(ts, exact) else None
     groups: dict[tuple[int, ...], list[int]] = {}  # excluded primes in the span -> the bases dropping them
     for b, bad in enumerate(bads):
         groups.setdefault(tuple(p for p in bad if lo <= p < hi), []).append(b)
@@ -483,8 +527,8 @@ def _step(job: tuple, span: tuple[int, int]) -> tuple[int, list[tuple]]:
     for drop, members in groups.items():
         at = np.searchsorted(ps, drop)
         # np.delete copies, and most spans have no excluded prime in them
-        own = (np.delete(ps, at), np.delete(qs, at, axis=0)) if drop else (ps, qs)
-        for b, tally in zip(members, _tally_step([plans[b] for b in members], ts, *own, exact, split)):
+        own = (np.delete(ps, at), qs if qs is None else np.delete(qs, at, axis=0)) if drop else (ps, qs)
+        for b, tally in zip(members, _tally_step([plans[b] for b in members], ts, *own, base, exact, split, sums)):
             out[b] = tally
     return ps.size, out
 
@@ -521,12 +565,15 @@ def _sum_over_multiples(f: np.ndarray, primes: np.ndarray) -> None:
             qa *= qa
 
 
-def check_args(x: int, ts, *, threads: int = 1, exact: bool = False) -> tuple[int, ...]:
+def check_args(x: int, ts, *, threads: int = 1, exact: bool = False, sums: bool = True) -> tuple[int, ...]:
     """Refuse, before anything is sieved or any pool exists, what sweeps refuses at these arguments
     (x outside [2, arith.MAX_SIEVE_LIMIT]; exact=True holds three int64 arrays over
-    m = 0..x, so x above _MAX_EXACT_X), and return ts as sweeps reads them: ints, each
-    once, in order.  A caller with work of its own before the sweep calls it first."""
+    m = 0..x, so x above _MAX_EXACT_X; exact=True without sums, as exact's rationals are
+    the phi-sums), and return ts as sweeps reads them: ints, each once, in order.  A
+    caller with work of its own before the sweep calls it first."""
     check_range("x", x, 2, arith.MAX_SIEVE_LIMIT)
+    if exact and not sums:
+        raise DomainError("exact=True needs the phi-sums: sums=False refuses it")
     if exact and x > _MAX_EXACT_X:
         raise CapabilityError(f"exact tallies hold arrays over m = 0..x; x={x} exceeds {_MAX_EXACT_X}")
     check_range("threads", threads, 1, _MAX_THREADS)
@@ -548,12 +595,14 @@ def sweeps(
     threads: int = 1,
     exact: bool = False,
     split: bool = False,
+    sums: bool = True,
 ) -> list[Sweep]:
     """One streamed pass over the primes p <= x for every base in gs and all t in ts.
 
     Sieves the base primes <= sqrt(x) (and, for exact=True alone, the
     primes <= x); step k sieves the odd primes of span k of _spans(x),
-    the same for every base, and factors their p-1 once.  Each base drops
+    the same for every base, and factors their p-1 at most once (see
+    sums below).  Each base drops
     its own excluded primes from the span; the bases that drop the same
     ones share a _tally_step, so the work that does not depend on g is
     done once per step and drop set.  Returns one Sweep per entry of gs
@@ -564,13 +613,16 @@ def sweeps(
     0 <= N <= R <= pi(x;t,1) for every base and t.
     split=True also checks the splitting criterion on every counted prime
     and t as each step's r is found, and counts the pairs in split_checks.
+    sums=False skips the naive and weighted phi-sums (naive and quad are
+    None), and with them phi(p-1): every integer column and check stays,
+    and a step factors only the p-1 that its kernel runs test (see _step).
     Refuses what check_args refuses before it sieves.
     """
-    ts = check_args(x, ts, threads=threads, exact=exact)
+    ts = check_args(x, ts, threads=threads, exact=exact, sums=sums)
     distinct = list(dict.fromkeys(gs))
     plans = [_plan(g, ts) for g in distinct]
     bads = [sorted(p for p in excluded_primes(g) if 2 < p <= x) for g in distinct]
-    job = (arith.build_prime_table(max(2, isqrt(x))).primes, bads, plans, ts, exact, split)
+    job = (arith.build_prime_table(max(2, isqrt(x))).primes, bads, plans, ts, exact, split, sums)
     spans = _spans(x)
     workers = min(threads, len(os.sched_getaffinity(0)), len(spans))
     if workers > 1:
@@ -598,8 +650,8 @@ def sweeps(
             params=plan.params,
             counted=odd - len(bads[b]),
             split_checks=sum(tally[4] for tally in own),
-            naive={t: fsum(tally[1][i, 0] for tally in own) for i, t in enumerate(ts)},
-            quad={t: fsum(tally[1][i, 1] for tally in own) for i, t in enumerate(ts)},
+            naive={t: fsum(tally[1][i, 0] for tally in own) for i, t in enumerate(ts)} if sums else None,
+            quad={t: fsum(tally[1][i, 1] for tally in own) for i, t in enumerate(ts)} if sums else None,
             **columns,
         )
         if exact:
@@ -635,9 +687,10 @@ def sweep(
     threads: int = 1,
     exact: bool = False,
     split: bool = False,
+    sums: bool = True,
 ) -> Sweep:
     """sweeps for the one base g."""
-    return sweeps((g,), x, ts, threads=threads, exact=exact, split=split)[0]
+    return sweeps((g,), x, ts, threads=threads, exact=exact, split=split, sums=sums)[0]
 
 
 def _pow_ladder(b: np.ndarray, e: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -683,26 +736,29 @@ def _split_check(g: Rational, ts, ps: np.ndarray, r: np.ndarray) -> int:
     The algebraic side is its own ladder (_pow_ladder) on g itself, with
     num and den reduced mod p by _residues, never the kernel's table and
     reduction routines in arith, so a fault in those cannot pass on both
-    sides.  g = num/den is tested as num^e = den^e mod p, which needs no
-    inverse; a side whose base is 1 is 1 and runs no ladder.  t = 1 is
-    checked too, though its algebraic side is Fermat's
-    num^(p-1) = den^(p-1) = 1: that still fails at a counted prime dividing
-    num or den, so it certifies the sweep's excluded primes, and it keeps
-    the count of pairs checked at len(ps) * len(ts).  Returns that count;
-    raises LemmaViolation on a mismatch.
+    sides.  g = num/den is tested as b^e = 1 mod p with b = num * den^(2t-1),
+    which needs no inverse and one full-length ladder: for a unit den,
+    den^(2t*e) = den^(2(p-1)) = 1, so b^e = num^e * den^-e.  1/den is
+    tested as den, whose order it shares, and a den of 1 runs no ladder for
+    den^(2t-1).  t = 1 is checked too, though its algebraic side is
+    Fermat's b^(p-1) = 1: at a counted prime dividing num or den, b = 0 for
+    every t >= 1, so it still fails there and certifies the sweep's
+    excluded primes, and it keeps the count of pairs checked at
+    len(ps) * len(ts).  Returns that count; raises LemmaViolation on a
+    mismatch.
     """
-    num, den = g.numerator, g.denominator
-    nums = _residues(num, ps) if num != 1 else None
+    num, den = (g.denominator, 1) if g.numerator == 1 else (g.numerator, g.denominator)
+    nums = _residues(num, ps)
     dens = _residues(den, ps) if den != 1 else None
     for t in ts:
         # only p = 1 mod t can pass; the others keep algebraic False
         ones = np.flatnonzero((ps - 1) % t == 0)
         m = ps[ones]
-        e = (m - 1) // t
-        lhs = 1 if nums is None else _pow_ladder(nums[ones], e, m)
-        rhs = 1 if dens is None else _pow_ladder(dens[ones], e, m)
+        b = nums[ones]
+        if dens is not None:
+            b = b * _pow_ladder(dens[ones], np.full(m.size, 2 * t - 1), m) % m
         algebraic = np.zeros(ps.size, dtype=bool)
-        algebraic[ones] = lhs == rhs
+        algebraic[ones] = _pow_ladder(b, (m - 1) // t, m) == 1
         divides = r % t == 0
         bad = np.flatnonzero(algebraic != divides)
         if bad.size:

@@ -85,11 +85,12 @@ def test_report_thread_independence(capsys):
 
 
 @pytest.mark.parametrize("command", ["count", "heuristic"])
-@pytest.mark.parametrize("t", ["1", "2"])
+@pytest.mark.parametrize("t", ["1", "2", "3"])
 def test_power_of_two_t_thread_independence(capsys, monkeypatch, command, t):
-    # at t = 1 and 2 the kernel finds r's odd part on part of the rows only; the output
-    # must still not depend on the worker count.  Three usable cores are claimed so that
-    # --threads 3 starts three workers on any host
+    # at t = 1 and 2 the kernel finds r's odd part on part of the rows only, and count
+    # factors only those rows; at t = 3 count factors every row but skips the phi-sums.
+    # The output must not depend on the worker count.  Three usable cores are claimed
+    # so that --threads 3 starts three workers on any host
     from resindex import empirical
 
     monkeypatch.setattr(empirical, "SHARD_PRIMES", 512)

@@ -552,17 +552,37 @@ def test_kernel_fault_off_the_two_power_orders_exits_3(monkeypatch, capsys):
 
 
 def test_split_check_runs_no_ladder_on_a_unit_side(table, monkeypatch):
-    # 1/2 is checked as 1 = 2^e mod p: one ladder per t and step, as for 2; 5/3 takes two
+    # 1/2 is checked as 2^e = 1 mod p, and 2 as itself: one full-length ladder, e = (p-1)/t,
+    # per t and step; 5/3 takes one full-length ladder and one of exponent 2t-1 for 3^(2t-1)
     calls = []
     pow_ladder = empirical._pow_ladder
     monkeypatch.setattr(empirical, "_pow_ladder", lambda *a: calls.append(a) or pow_ladder(*a))
     monkeypatch.setattr(empirical, "SHARD_PRIMES", 512)
     x, ts = 20000, (1, 2, 4)
     steps = sum(map(bool, span_primes(table, x)))
-    for g, ladders in (("1/2", 1), ("2", 1), ("5/3", 2)):
+    for g, short in (("1/2", False), ("2", False), ("5/3", True)):
         calls.clear()
         assert empirical.sweep(parse_g(g), x, ts, split=True).split_checks > 0
-        assert len(calls) == ladders * len(ts) * steps > 0, g
+        per = 1 + short
+        assert len(calls) == per * len(ts) * steps > 0, g
+        # step by step and t by t; for 5/3 the ladder of 3^(2t-1) comes first
+        for i, (_, e, m) in enumerate(calls):
+            t = ts[i // per % len(ts)]
+            want = np.full(m.size, 2 * t - 1) if short and i % per == 0 else (m - 1) // t
+            assert np.array_equal(e, want), (g, t)
+
+
+def test_split_check_refuses_a_prime_dividing_den_at_t_1(small_table):
+    # b = num * den^(2t-1) is 0 mod a prime dividing num or den, so even t = 1, whose exponent
+    # is p-1, fails there: the check certifies the sweep's excluded primes 3 and 5 of 5/3
+    g = Fraction(5, 3)
+    ps = counted_primes(g, 200, small_table)
+    for bad in (3, 5):
+        with_bad = np.array(sorted(ps + [bad]))
+        r = np.ones(with_bad.size, dtype=np.int64)
+        with pytest.raises(LemmaViolation, match=f"g=5/3 p={bad} t=1:"):
+            empirical._split_check(g, (1,), with_bad, r)
+    assert empirical._split_check(g, (1,), np.array(ps), np.ones(len(ps), dtype=np.int64)) == len(ps)
 
 
 def test_lift_is_certified(monkeypatch, capsys):
@@ -654,19 +674,21 @@ def test_split_check_residues_at_the_int64_edge(small_table, monkeypatch, g):
 
 def test_step_footprint():
     # one step on the last full span below 1e7 (g = 5, t = 2, split) peaks below 3 MiB of traced
-    # allocations; a factor slot over p-1 rather than (p-1)/2, with int64 rows, peaked at 3.3 MiB
+    # allocations, with the phi-sums (as heuristic) and without (as count); a factor slot over p-1
+    # rather than (p-1)/2, with int64 rows, peaked at 3.3 MiB
     x, g, ts = 10**7, parse_g("5"), (2,)
-    job = (arith.build_prime_table(isqrt(x)).primes, [[5]], [empirical._plan(g, ts)], ts, False, True)
     lo, hi = empirical._spans(x)[-2]
     assert hi <= x  # only the last span is cut short
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        empirical._step(job, (lo, hi))
-        peak = tracemalloc.get_traced_memory()[1] - before
-    finally:
-        tracemalloc.stop()
-    assert peak < 3 * 2**20, peak
+    for sums in (True, False):
+        job = (arith.build_prime_table(isqrt(x)).primes, [[5]], [empirical._plan(g, ts)], ts, False, True, sums)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            empirical._step(job, (lo, hi))
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 2**20, (sums, peak)
 
 
 def test_sweep_bounds(monkeypatch):
@@ -810,9 +832,9 @@ def test_power_of_two_t_reads_fewer_powers(monkeypatch):
         empirical.sweep(parse_g(g), x, (2,))
     assert len(runs) == 5 * steps
     kept_rows = Counter()
-    for i, (root, ps, qs, keep) in enumerate(runs[steps:]):
-        r, leg = shard_indexes(root, ps, qs, keep)
-        whole, whole_leg = shard_indexes(root, ps, qs)
+    for i, (root, ps, qs, keep, base) in enumerate(runs[steps:]):
+        r, leg = shard_indexes(root, ps, qs, keep, base)
+        whole, whole_leg = shard_indexes(root, ps, qs, None, base)
         kept = keep(whole & -whole)
         kept_rows[gs[i // steps]] += np.count_nonzero(kept)
         assert not kept.all(), root
@@ -820,6 +842,42 @@ def test_power_of_two_t_reads_fewer_powers(monkeypatch):
         assert np.array_equal(r[~kept], (whole & -whole)[~kept]), root
         assert np.array_equal(leg, whole_leg), root
     assert kept_rows["-4"] == 0 < min(kept_rows[g] for g in ("5", "9/25", "1/2"))
+
+
+def test_sweep_without_sums_keeps_every_integer_column(monkeypatch):
+    # sums=False skips phi(p-1) and the phi-sums alone: every integer column and the split
+    # checks equal those of sums=True, on the masked path (power-of-two ts) and the full one
+    monkeypatch.setattr(empirical, "SHARD_PRIMES", 512)
+    x = 10**5
+    gs = COLUMN_BASES + (Fraction(3**50), Fraction(1, 2**70))
+    for ts in ((1,), (2,), (4,), (1, 2, 4, 8, 1024), (3,), (1, 2, 3)):
+        with_sums = empirical.sweeps(gs, x, ts, split=True)
+        for sw, want in zip(empirical.sweeps(gs, x, ts, split=True, sums=False), with_sums):
+            assert sw.naive is None and sw.quad is None, (sw.g, ts)
+            assert want.naive is not None and want.quad is not None
+            for name in empirical._COLUMNS + ("counted", "split_checks"):
+                assert getattr(sw, name) == getattr(want, name), (sw.g, ts, name)
+    # exact's rationals are the phi-sums
+    with pytest.raises(DomainError, match="sums"):
+        empirical.sweep(parse_g("2"), 100, (1,), exact=True, sums=False)
+
+
+def test_count_factors_only_the_rows_it_tests(table, monkeypatch):
+    # count skips the phi-sums, so at t = 2 only the rows whose p-1 the kernel tests are
+    # factored (37% of the counted primes for g = 5); at t = 3 the kernel tests every row,
+    # and each step's rows are factored once
+    rows = []
+    factor_shard = empirical._factor_shard
+    monkeypatch.setattr(empirical, "_factor_shard", lambda pm1, base: rows.append(pm1.size) or factor_shard(pm1, base))
+    monkeypatch.setattr(empirical, "SHARD_PRIMES", 512)
+    x = 10**5
+    counted = len(counted_primes(parse_g("5"), x, table))
+    assert cli.main(["count", "--g", "5", "--t", "2", "--x", str(x), "--threads", "1"]) == 0
+    assert 0 < sum(rows) <= 0.6 * counted
+    rows.clear()
+    assert cli.main(["count", "--g", "5", "--t", "3", "--x", str(x), "--threads", "1"]) == 0
+    held = [span for span in span_primes(table, x) if span]
+    assert rows == list(map(len, held))
 
 
 def test_sweep_bases_beyond_int64(small_table):
