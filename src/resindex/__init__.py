@@ -20,11 +20,9 @@ _MODULES = {
     "Factorization": "arith",
     "GDecomposition": "decompose",
     "HeuristicParams": "decompose",
-    "PrimeTable": "arith",
     "Rational": "decompose",
     "artin_constant": "density",
     "artin_density_A": "density",
-    "build_prime_table": "arith",
     "decompose_g": "decompose",
     "derive_params": "decompose",
     "euler_phi": "arith",

@@ -1,8 +1,8 @@
 """Elementary number-theoretic kernels.
 
 Sieving (small_primes, a stdlib sieve, yields the primes up to a small
-limit; odd_primes sieves one span into an array, and build_prime_table and
-each sweep step call it), factorization, the multiplicative functions phi
+limit; odd_primes sieves one span into an array, and primes and each sweep
+step call it), factorization, the multiplicative functions phi
 and mu, Ramanujan sums c_d(n), modular powers over int64 arrays and the
 logarithmic integral Li(x) = int_2^x dt/log t, by Ramanujan's series for
 li(x) less li(2).
@@ -14,57 +14,28 @@ mulmod per digit.
 numpy is imported inside the functions that build or read arrays, so the
 integer functions (factor_int, euler_phi, moebius, v2, log_integral, ...)
 and small_primes load none of it.
-
-Everything here is deterministic; PrimeTable instances are immutable and
-safe to share with forked worker processes.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import compress
 from math import gcd, isqrt
 from typing import TYPE_CHECKING, Iterator
 
-from .errors import BoundError, CapabilityError, DomainError
+from .errors import CapabilityError, DomainError
 
 if TYPE_CHECKING:
     import numpy as np
 
 # Below 2**30, so a product of two residues mod a prime fits in int64.
 MAX_SIEVE_LIMIT = 10**9
-_SEGMENT = 1 << 22
 
 
 # ---------------------------------------------------------------------------
-# prime table
-
-
-@dataclass(frozen=True)
-class PrimeTable:
-    """Primes up to ``limit``.
-
-    ``primes`` is a strictly increasing int64 array of all primes <= limit.
-    """
-
-    limit: int
-    primes: np.ndarray
-    # Not a field: no table carries a smallest-prime-factor array any more,
-    # but the benchmark's tracer (perfbench/trace_child.py) still reads it.
-    spf = None
-
-    def __post_init__(self):
-        self.primes.flags.writeable = False
-
-    def primes_upto(self, x: int) -> np.ndarray:
-        """View of the primes <= x (requires x <= limit)."""
-        if x > self.limit:
-            raise CapabilityError(f"x={x} exceeds table limit {self.limit}")
-        k = int(self.primes.searchsorted(x, side="right"))
-        return self.primes[:k]
+# sieves
 
 
 def small_primes(limit: int) -> Iterator[int]:
@@ -104,15 +75,14 @@ def odd_primes(lo: int, hi: int, base: np.ndarray) -> np.ndarray:
     return np.flatnonzero(flags) * 2 + first
 
 
-def build_prime_table(limit: int) -> PrimeTable:
-    """Sieve all primes up to ``limit`` (odd_primes per segment, O(segment) memory)."""
-    if limit < 2 or limit > MAX_SIEVE_LIMIT:
-        raise BoundError(f"limit must be in [2, {MAX_SIEVE_LIMIT}], got {limit}")
+def primes(limit: int) -> np.ndarray:
+    """The primes <= limit as an ascending int64 array, empty below 2."""
     import numpy as np
 
-    base = np.fromiter(small_primes(isqrt(limit)), dtype=np.int64)
-    segments = [odd_primes(lo, min(lo + _SEGMENT, limit + 1), base) for lo in range(3, limit + 1, _SEGMENT)]
-    return PrimeTable(limit=limit, primes=np.concatenate([np.array([2], dtype=np.int64)] + segments))
+    if limit < 2:
+        return np.zeros(0, dtype=np.int64)
+    odd = odd_primes(3, limit + 1, np.fromiter(small_primes(isqrt(limit)), dtype=np.int64))
+    return np.insert(odd, 0, 2)
 
 
 # ---------------------------------------------------------------------------

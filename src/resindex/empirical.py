@@ -622,7 +622,7 @@ def sweeps(
     distinct = list(dict.fromkeys(gs))
     plans = [_plan(g, ts) for g in distinct]
     bads = [sorted(p for p in excluded_primes(g) if 2 < p <= x) for g in distinct]
-    job = (arith.build_prime_table(max(2, isqrt(x))).primes, bads, plans, ts, exact, split, sums)
+    job = (arith.primes(isqrt(x)), bads, plans, ts, exact, split, sums)
     spans = _spans(x)
     workers = min(threads, len(os.sched_getaffinity(0)), len(spans))
     if workers > 1:
@@ -632,7 +632,7 @@ def sweeps(
         steps = [_step(job, span) for span in spans]
     odd = sum(n for n, _ in steps)
     tallies = [out for n, out in steps if n]
-    primes = arith.build_prime_table(x).primes if exact else None  # for _sum_over_multiples
+    primes = arith.primes(x) if exact else None  # for _sum_over_multiples
 
     done = {}
     for b, plan in enumerate(plans):

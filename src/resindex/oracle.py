@@ -244,7 +244,7 @@ class SuiteResult:
 def _counted_primes(gs, max_p: int) -> list[np.ndarray]:
     """The counted primes p <= max_p of each base; a base with none checks nothing."""
     check_range("max_p", max_p, 3, _MAX_P)
-    odd = arith.build_prime_table(max_p).primes[1:]
+    odd = arith.primes(max_p)[1:]
     out = []
     for g in gs:
         counted = odd[~np.isin(odd, [p for p in excluded_primes(g) if p <= max_p])]
@@ -359,10 +359,10 @@ def weight_oracle_suite(gs, max_p: int) -> SuiteResult:
     """
     res = SuiteResult(name="weight-oracle", checks=0, violations=[])
     bases, primes_of = [], _counted_primes(gs, max_p)
+    base = arith.primes(isqrt(max_p))
     for g, primes in zip(gs, primes_of):
         dec = decompose_g(g)
         pm1 = primes - 1
-        base = arith.build_prime_table(max(2, isqrt(int(pm1[-1])))).primes
         legs = empirical._shard_indexes(empirical._root(dec), primes, empirical._factor_shard(pm1, base))[1]
         bases.append((g, dec, dict(zip(primes.tolist(), legs.tolist())), []))
     for p in sorted(set(np.concatenate(primes_of).tolist())):  # np.unique would import numpy.ma

@@ -12,14 +12,21 @@ BASE_STRINGS = ("2", "3", "5", "8", "-2", "-3", "-4", "9/25", "1/2")
 BASES = tuple(parse_g(s) for s in BASE_STRINGS)
 
 
+def read_only_primes(limit: int):
+    """arith.primes(limit), read-only, so a test cannot change a shared fixture."""
+    ps = arith.primes(limit)
+    ps.flags.writeable = False
+    return ps
+
+
 @pytest.fixture(scope="session")
 def table():
-    return arith.build_prime_table(10**6)
+    return read_only_primes(10**6)
 
 
 @pytest.fixture(scope="session")
 def small_table():
-    return arith.build_prime_table(10**4)
+    return read_only_primes(10**4)
 
 
 # brute-force references: the prime table and built-in pow only
@@ -27,7 +34,7 @@ def small_table():
 
 def counted_primes(g, x: int, table) -> list[int]:
     """The odd primes p <= x that divide neither numerator nor denominator of g."""
-    return [p for p in table.primes_upto(x).tolist() if p != 2 and g.numerator * g.denominator % p]
+    return [p for p in table[: table.searchsorted(x, "right")].tolist() if p != 2 and g.numerator * g.denominator % p]
 
 
 def brute_index(g, p: int) -> int:

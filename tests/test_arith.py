@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import brute_index, euler_criterion
 from resindex import arith, empirical
-from resindex.errors import BoundError, CapabilityError, DomainError
+from resindex.errors import DomainError
 
 
 # ---------------------------------------------------------------------------
@@ -54,19 +54,16 @@ def ramanujan_by_roots(d: int, n: int) -> complex:
 # prime table
 
 
-def test_primes_up_to_ten():
-    t = arith.build_prime_table(10)
-    assert t.primes.tolist() == [2, 3, 5, 7]
+def test_primes_match_brute_force():
+    for limit in list(range(301)) + [20011]:
+        got = arith.primes(limit)
+        assert got.dtype == np.int64 and got.tolist() == brute_primes(2, limit + 1), limit
+    # pinned to the classic value
+    assert len(arith.primes(10**7)) == len(list(arith.small_primes(10**7))) == 664579
 
 
 def test_prime_count_at_1e6(table):
-    assert len(table.primes) == segmented_recount(10**6) == 78498
-
-
-def test_prime_count_multi_segment():
-    # 1e7 spans several sieve segments; count pinned to the classic value
-    t = arith.build_prime_table(10**7)
-    assert len(t.primes) == len(list(arith.small_primes(10**7))) == 664579
+    assert len(table) == segmented_recount(10**6) == 78498
 
 
 def test_odd_primes_match_brute_force():
@@ -87,33 +84,10 @@ def test_small_primes_match_brute_force():
         assert list(arith.small_primes(limit)) == brute_primes(2, limit + 1), limit
 
 
-def test_build_prime_table_by_small_segments(monkeypatch):
-    # segments of 6 or 10 numbers put a segment edge next to every q*q and every few primes
-    for segment in (6, 10):
-        monkeypatch.setattr(arith, "_SEGMENT", segment)
-        for limit in range(2, 301):
-            assert arith.build_prime_table(limit).primes.tolist() == brute_primes(2, limit + 1), (segment, limit)
-    assert arith.build_prime_table(20011).primes.tolist() == brute_primes(2, 20012)  # about 2000 segments
-
-
-def test_bad_limits():
-    with pytest.raises(BoundError):
-        arith.build_prime_table(1)
-    with pytest.raises(BoundError):
-        arith.build_prime_table(arith.MAX_SIEVE_LIMIT + 1)
-
-
 def test_table_invariants(table):
-    ps = table.primes
-    assert np.all(ps[1:] > ps[:-1])
-    for p in ps[:: len(ps) // 97].tolist():
+    assert np.all(table[1:] > table[:-1])
+    for p in table[:: len(table) // 97].tolist():
         assert arith.is_prime(p)
-
-
-def test_primes_upto_view(table):
-    assert table.primes_upto(20).tolist() == [2, 3, 5, 7, 11, 13, 17, 19]
-    with pytest.raises(CapabilityError):
-        table.primes_upto(table.limit + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -122,9 +96,8 @@ def test_primes_upto_view(table):
 
 def test_factor_int_matches_table(small_table):
     # the sweep's shard sieve of p-1 against factor_int, every odd prime p <= 1e4
-    ps = small_table.primes_upto(10**4)
-    ps = ps[ps > 2]
-    qs = empirical._factor_shard(ps - 1, small_table.primes_upto(math.isqrt(10**4)))
+    ps = small_table[1:]
+    qs = empirical._factor_shard(ps - 1, small_table[: small_table.searchsorted(math.isqrt(10**4), "right")])
     for p, qrow in zip(ps.tolist(), qs.tolist()):
         fac = arith.factor_int(p - 1)
         assert tuple(q for q, _ in fac) == tuple(q for q in qrow if q > 1)
@@ -162,7 +135,7 @@ def test_phi_mu_against_definitions():
     for limit in (2, 3, 4, 10, 97, 10**5 + 3):
         omega = np.zeros(limit + 1, dtype=np.int64)
         squarefree = np.ones(limit + 1, dtype=bool)
-        for p in arith.build_prime_table(limit).primes.tolist():
+        for p in arith.primes(limit).tolist():
             omega[p::p] += 1
             squarefree[p * p :: p * p] = False
         want = np.where(squarefree, (-1) ** omega, 0)
@@ -216,7 +189,7 @@ def test_ramanujan_table():
 def test_kronecker_examples(small_table):
     # (8/7) = 1 and (8/5) = -1, read off the parity of the kernel's r for the root 2 of disc 8
     ps = np.array([5, 7])
-    qs = empirical._factor_shard(ps - 1, small_table.primes_upto(2))
+    qs = empirical._factor_shard(ps - 1, small_table[:1])
     leg = empirical._shard_indexes(Fraction(2), ps, qs)[1]
     assert leg.tolist() == [euler_criterion(8, p) for p in (5, 7)] == [-1, 1]
 
@@ -228,7 +201,7 @@ def test_kronecker_examples(small_table):
 def kernel_orders(g, ps: list[int], table) -> list[int]:
     """ord(g mod p) at the ascending primes ps, from the kernel's residual indexes."""
     ps = np.array(ps, dtype=np.int64)
-    qs = empirical._factor_shard(ps - 1, table.primes_upto(math.isqrt(int(ps[-1]))))
+    qs = empirical._factor_shard(ps - 1, table[: table.searchsorted(math.isqrt(int(ps[-1])), "right")])
     return ((ps - 1) // empirical._shard_indexes(g, ps, qs)[0]).tolist()
 
 

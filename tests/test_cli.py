@@ -193,9 +193,9 @@ def test_sizes_beyond_their_bounds_exit_2(capsys, monkeypatch):
 def test_bad_arguments_exit_2_before_the_sieve(capsys, monkeypatch):
     # a sieve to 1e8 takes seconds, so every sweep argument and tolerance is refused before it
     def no_sieve(limit):
-        raise AssertionError(f"a prime table to {limit} was built")
+        raise AssertionError(f"the primes to {limit} were sieved")
 
-    monkeypatch.setattr(arith, "build_prime_table", no_sieve)
+    monkeypatch.setattr(arith, "primes", no_sieve)
     cases = [["report", "--g", "2", "--t", "1", "--x", "100000000", "--tol", tol] for tol in ("0", "nan", "1e-9", "5e-324")]
     for command in ("count", "heuristic", "report"):
         cases.append([command, "--g", "2", "--t", "1", "--x", "100000000", "--threads", "65"])

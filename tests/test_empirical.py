@@ -28,7 +28,7 @@ def kernel_run(g, ps: list[int], table) -> tuple[np.ndarray, np.ndarray]:
     """r_g(p) and (disc/p) at the ascending counted primes ps, as the sweep finds them:
     the kernel on g's root, then the lift."""
     dec, ps = decompose_g(g), np.array(ps, dtype=np.int64)
-    qs = empirical._factor_shard(ps - 1, table.primes_upto(isqrt(int(ps[-1]))))
+    qs = empirical._factor_shard(ps - 1, table[: table.searchsorted(isqrt(int(ps[-1])), "right")])
     r0, leg = empirical._shard_indexes(empirical._root(dec), ps, qs)
     return empirical._lift(r0, ps - 1, dec), leg
 
@@ -63,7 +63,7 @@ def test_lift_equals_kernel(table, g0, h, sign, invert):
     assert empirical._root(dec) == max(g0, 1 / g0)
     ps = np.array(counted_primes(g, 10**5, table))
     pm1 = ps - 1
-    qs = empirical._factor_shard(pm1, table.primes_upto(isqrt(10**5)))
+    qs = empirical._factor_shard(pm1, table[: table.searchsorted(isqrt(10**5), "right")])
     r0, _ = empirical._shard_indexes(empirical._root(dec), ps, qs)
     assert np.array_equal(empirical._lift(r0, pm1, dec), empirical._shard_indexes(g, ps, qs)[0])
     # e = v2(r(g0^h)) against v = v2(p-1): the sign step doubles r at e = v-1, halves it at e = v
@@ -83,7 +83,7 @@ def test_kernel_legendre_column_is_the_disc_symbol(table):
 def window_primes(lo: int, hi: int) -> list[int]:
     """The primes in [lo, hi), lo >= 2, by a sieve of that window alone."""
     flags = np.ones(hi - lo, dtype=bool)
-    for q in arith.build_prime_table(isqrt(hi)).primes.tolist():
+    for q in arith.primes(isqrt(hi)).tolist():
         flags[max(q * q, -(-lo // q) * q) - lo :: q] = False
     return (np.flatnonzero(flags) + lo).tolist()
 
@@ -117,7 +117,7 @@ def test_factor_rows_match_factor_int(lo, hi, step, named):
     facs = [arith.factor_int(p - 1) for p in ps.tolist()]
     # the base primes of a sweep to ps[-1], and of one to 10**6, whose q up to 997 mostly miss small p
     for limit in {int(ps[-1]), max(int(ps[-1]), 10**6)}:
-        qs = empirical._factor_shard(ps - 1, arith.build_prime_table(max(2, isqrt(limit))).primes)
+        qs = empirical._factor_shard(ps - 1, arith.primes(isqrt(limit)))
         assert qs.shape == (ps.size, max(map(len, facs))) and qs.dtype == np.int32
         for p, qrow, fac in zip(ps.tolist(), qs.tolist(), facs):
             assert qrow == [q for q, _ in fac] + [1] * (qs.shape[1] - len(fac)), p
@@ -125,8 +125,8 @@ def test_factor_rows_match_factor_int(lo, hi, step, named):
 
 def test_kernel_inverts_the_denominator(table, monkeypatch):
     # the kernel's power table is of a * b^-1 mod p, with b inverted by array Euclid
-    ps = table.primes[-2048:]
-    qs = empirical._factor_shard(ps - 1, table.primes_upto(isqrt(int(ps[-1]))))
+    ps = table[-2048:]
+    qs = empirical._factor_shard(ps - 1, table[: table.searchsorted(isqrt(int(ps[-1])), "right")])
     bases = []
     power_table = arith.power_table
     monkeypatch.setattr(arith, "power_table", lambda base, *a: bases.append(base) or power_table(base, *a))
@@ -280,7 +280,7 @@ def test_sum_over_multiples_matches_divisor_counting(n):
     # largest prime <= n, where only m = 1 and m = q see it
     rng = np.random.default_rng(n)
     f = rng.integers(0, 5, size=(3, n + 1))
-    primes = arith.build_prime_table(max(n, 2)).primes_upto(n)
+    primes = arith.primes(n)
     f[:, n] += 7
     if primes.size:
         f[:, primes[-1]] += 11
@@ -325,7 +325,7 @@ _SWEEPS_BASES = tuple(
 
 def span_primes(table, x: int) -> list[list[int]]:
     """The odd primes of each of the sweep's spans at x, in order."""
-    odd = table.primes_upto(x)[1:].tolist()
+    odd = table[1 : table.searchsorted(x, "right")].tolist()
     return [[p for p in odd if lo <= p < hi] for lo, hi in empirical._spans(x)]
 
 
@@ -376,7 +376,7 @@ def test_sweep_past_an_empty_last_span(table):
     x = 90855
     spans = empirical._spans(x)
     assert spans[-1] == (x, x + 1) and not arith.is_prime(x)
-    prev = int(table.primes_upto(x)[-1])
+    prev = int(table[table.searchsorted(x, "right") - 1])
     gs = (parse_g("2"), parse_g("-4"), parse_g("9/25"), Fraction(1, 2))
     for sw, want in zip(
         empirical.sweeps(gs, x, (1, 2, 3), exact=True, split=True),
@@ -680,7 +680,7 @@ def test_step_footprint():
     lo, hi = empirical._spans(x)[-2]
     assert hi <= x  # only the last span is cut short
     for sums in (True, False):
-        job = (arith.build_prime_table(isqrt(x)).primes, [[5]], [empirical._plan(g, ts)], ts, False, True, sums)
+        job = (arith.primes(isqrt(x)), [[5]], [empirical._plan(g, ts)], ts, False, True, sums)
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
@@ -693,10 +693,10 @@ def test_step_footprint():
 
 def test_sweep_bounds(monkeypatch):
     # a sweep sieves the base primes <= sqrt(x) itself, once, after refusing x beyond the
-    # sieve; its steps sieve their own spans, and only exact=True builds the table to x
+    # sieve; its steps sieve their own spans, and only exact=True sieves the primes to x
     limits = []
-    build = arith.build_prime_table
-    monkeypatch.setattr(arith, "build_prime_table", lambda limit: limits.append(limit) or build(limit))
+    sieve = arith.primes
+    monkeypatch.setattr(arith, "primes", lambda limit: limits.append(limit) or sieve(limit))
     with pytest.raises(BoundError, match="x must be <= 1000000000"):
         empirical.sweep(parse_g("2"), arith.MAX_SIEVE_LIMIT + 1, (1,))
     assert limits == []

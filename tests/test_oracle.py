@@ -217,7 +217,7 @@ def weight_check(g, p: int, t: int) -> tuple[Fraction, int, Fraction]:
 
 
 def test_dlog_table_inverts_the_primitive_root():
-    for p in arith.build_prime_table(2000).primes[1:].tolist():
+    for p in arith.primes(2000)[1:].tolist():
         log = oracle._dlog_table(p).tolist()
         root = oracle._smallest_primitive_root(p, arith.factor_int(p - 1))
         assert sorted(log[1:]) == list(range(p - 1)), p
@@ -278,8 +278,9 @@ def test_suites_reject_sizes_that_check_nothing():
 
 
 def test_suites_enumerate_each_group_once(monkeypatch):
-    classes, bases = [], []
-    class_indexes, decompose = oracle._class_indexes, oracle.decompose_g
+    classes, bases, limits = [], [], []
+    class_indexes, decompose, sieve = oracle._class_indexes, oracle.decompose_g, arith.primes
+    monkeypatch.setattr(arith, "primes", lambda limit: limits.append(limit) or sieve(limit))
     monkeypatch.setattr(oracle, "_class_indexes", lambda *a: classes.append(a) or class_indexes(*a))
     monkeypatch.setattr(oracle, "decompose_g", lambda g: bases.append(g) or decompose(g))
     res = oracle.rho_sigma_suite(12, 2)
@@ -289,6 +290,7 @@ def test_suites_enumerate_each_group_once(monkeypatch):
     gs = [parse_g("2"), parse_g("-3")]
     res = oracle.weight_oracle_suite(gs, 100)
     assert res.ok and bases == gs
+    assert limits == [100, 10]  # the counted primes, then the base primes once for every base
     odd_primes = [p for p in range(3, 101) if all(p % q for q in range(2, p))]
     assert len(classes) == len(odd_primes) + len(odd_primes) - 1  # p = 3 divides -3
 
@@ -337,6 +339,6 @@ def test_class_fault_names_the_prime(monkeypatch):
     decompose = oracle.decompose_g
     monkeypatch.setattr(oracle, "decompose_g", lambda g: dataclasses.replace(decompose(g), sign=-decompose(g).sign))
     res = oracle.weight_oracle_suite([parse_g("2")], 100)
-    primes = arith.build_prime_table(100).primes.tolist()
+    primes = arith.primes(100).tolist()
     assert res.violations == [f"g=2 mod {p} is not in its predicted class" for p in primes if p % 4 == 3]
     assert len(res.violations) == 13
