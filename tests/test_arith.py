@@ -54,16 +54,24 @@ def ramanujan_by_roots(d: int, n: int) -> complex:
 # prime table
 
 
-def test_primes_match_brute_force():
-    for limit in list(range(301)) + [20011]:
-        got = arith.primes(limit)
-        assert got.dtype == np.int64 and got.tolist() == brute_primes(2, limit + 1), limit
-    # pinned to the classic value
-    assert len(arith.primes(10**7)) == len(list(arith.small_primes(10**7))) == 664579
+def test_primes_up_to_ten():
+    assert arith.primes(10).tolist() == [2, 3, 5, 7]
 
 
 def test_prime_count_at_1e6(table):
     assert len(table) == segmented_recount(10**6) == 78498
+
+
+def test_prime_count_multi_segment():
+    # 1e7 sieves in one odd_primes span over the base primes to isqrt(1e7); count pinned to the classic value
+    assert len(arith.primes(10**7)) == len(list(arith.small_primes(10**7))) == 664579
+
+
+def test_build_prime_table_by_small_segments():
+    # every limit to 300 sits next to every small prime and every q*q; 20011 reaches past the base prime 139
+    for limit in list(range(301)) + [20011]:
+        got = arith.primes(limit)
+        assert got.dtype == np.int64 and got.tolist() == brute_primes(2, limit + 1), limit
 
 
 def test_odd_primes_match_brute_force():
